@@ -13,6 +13,7 @@ envelope.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -451,32 +452,29 @@ def cmd_fuzz(args) -> int:
 
 
 def _disagrees(m: Monitor, n: Monitor, alphabet: Alphabet, args) -> bool:
-    try:
-        if args.open:
-            unary = len(alphabet) == 1
-            if args.mode == equivalence.VERDICT:
-                fn = normalize.unary_rnf if unary else normalize.finite_act_rnf
-            else:
-                fn = normalize.unary_omega_nf if unary else normalize.omega_open_nf
-            syn = ac_equal(fn(m, alphabet).term, fn(n, alphabet).term)
-            bound = args.bound or (depth(m) + depth(n) + 2)
-            sem = equivalence.oracle_equiv_open(m, n, alphabet, args.mode, bound, seed=args.seed)
+    if args.open:
+        unary = len(alphabet) == 1
+        if args.mode == equivalence.VERDICT:
+            fn = normalize.unary_rnf if unary else normalize.finite_act_rnf
         else:
-            if args.mode == equivalence.VERDICT:
-                syn = ac_equal(
-                    normalize.reduced_nf_closed(m).term,
-                    normalize.reduced_nf_closed(n).term,
-                )
-                sem = equivalence.verdict_equiv_closed(m, n, alphabet)
-            else:
-                syn = ac_equal(
-                    normalize.omega_nf_closed(m, alphabet).term,
-                    normalize.omega_nf_closed(n, alphabet).term,
-                )
-                sem = equivalence.omega_equiv_closed(m, n, alphabet)
-        return syn != sem
-    except Exception:
-        return False
+            fn = normalize.unary_omega_nf if unary else normalize.omega_open_nf
+        syn = ac_equal(fn(m, alphabet).term, fn(n, alphabet).term)
+        bound = args.bound or (depth(m) + depth(n) + 2)
+        sem = equivalence.oracle_equiv_open(m, n, alphabet, args.mode, bound, seed=args.seed)
+    else:
+        if args.mode == equivalence.VERDICT:
+            syn = ac_equal(
+                normalize.reduced_nf_closed(m).term,
+                normalize.reduced_nf_closed(n).term,
+            )
+            sem = equivalence.verdict_equiv_closed(m, n, alphabet)
+        else:
+            syn = ac_equal(
+                normalize.omega_nf_closed(m, alphabet).term,
+                normalize.omega_nf_closed(n, alphabet).term,
+            )
+            sem = equivalence.omega_equiv_closed(m, n, alphabet)
+    return syn != sem
 
 
 def _shrink_candidates(m: Monitor):
@@ -548,7 +546,9 @@ def cmd_witness(args) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="regmon",
         description="Algebra of recursion-free regular monitors.",
@@ -565,12 +565,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a term and print it canonically")
     p.add_argument("term")
     common(p)
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("lang", help="print the acceptance/rejection antichains")
     p.add_argument("term")
     common(p)
-    p.set_defaults(func=cmd_lang)
 
     p = sub.add_parser("equiv", help="decide verdict or omega-verdict equivalence")
     p.add_argument("left")
@@ -579,21 +577,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="force the substitution oracle")
     p.add_argument("--bound", type=int, help="oracle substitution depth bound")
     common(p)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("normalize", help="rewrite into a canonical form")
     p.add_argument("term")
     p.add_argument("--form", choices=sorted(FORM_ALIASES), required=True)
     p.add_argument("--emit-proof", metavar="PATH", help="write the derivation ('-' for stdout)")
     common(p)
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("prove", help="normalize and print the derivation")
     p.add_argument("term")
     p.add_argument("--form", choices=sorted(FORM_ALIASES), required=True)
     p.add_argument("--emit-proof", metavar="PATH", help="write the derivation to a file")
     common(p)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("axioms", help="list an axiom system, optionally fuzzing it")
     p.add_argument("--system", choices=sorted(axioms.SYSTEM_SCHEMAS), required=True)
@@ -602,13 +597,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuzz", type=int, help="random closed substitutions per instance")
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     common(p)
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("check-proof", help="validate a derivation file")
     p.add_argument("file")
     p.add_argument("--claim", help="equation the derivation must conclude")
     common(p, alphabet=False)
-    p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("fuzz", help="cross-validate canonical forms against the semantics")
     p.add_argument("--trials", type=int, default=100)
@@ -617,13 +610,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open", action="store_true", help="generate open terms")
     p.add_argument("--bound", type=int, help="oracle bound for open terms")
     common(p)
-    p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("witness", help="emit a member of the one-sided witness family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--fuzz", type=int, help="soundness trials")
     common(p)
-    p.set_defaults(func=cmd_witness)
 
     return parser
 
@@ -634,8 +625,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Look the subcommand up at call time, so that rebinding a ``cmd_*``
+    # function takes effect although the parser is built only once.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ParseError as err:
         print(f"parse error at {err.span}: {err.message}", file=sys.stderr)
         return 2

@@ -272,7 +272,39 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
     return "\n".join(lines) + "\n"
 
 
-def _parse_mapping(text: str, alphabet: Alphabet, variables) -> tuple[tuple[str, Monitor], ...]:
+class _TermTable:
+    """Side text -> term, for one derivation under fixed headers.
+
+    Each distinct text is parsed once and every later occurrence gets the
+    same object, so that the checker's structural comparisons of equal
+    sides end at the identity test.  The term grammar has no ``=`` and no
+    ``,``, so equations and mappings split into their terms exactly.
+    """
+
+    def __init__(self, alphabet: Alphabet, variables: frozenset[str]):
+        self.alphabet = alphabet
+        self.variables = variables
+        self.terms: dict[str, Monitor] = {}
+
+    def term(self, text: str) -> Monitor:
+        # Only the blanks the tokenizer skips: other whitespace is an error.
+        key = text.strip(" \t")
+        term = self.terms.get(key)
+        if term is None:
+            term = syntax.parse_monitor(text, self.alphabet, self.variables)
+            self.terms[key] = term
+        return term
+
+    def equation(self, text: str) -> Equation:
+        lhs, _, rhs = text.partition("=")
+        try:
+            return Equation(self.term(lhs), self.term(rhs))
+        except syntax.ParseError:
+            # Report the error where it lies in the whole equation.
+            return syntax.parse_equation(text, self.alphabet, self.variables)
+
+
+def _parse_mapping(text: str, table: _TermTable) -> tuple[tuple[str, Monitor], ...]:
     out: list[tuple[str, Monitor]] = []
     text = text.strip()
     if not text:
@@ -281,15 +313,11 @@ def _parse_mapping(text: str, alphabet: Alphabet, variables) -> tuple[tuple[str,
         name, arrow, term_text = part.partition("->")
         if not arrow:
             raise ValueError(f"expected 'x -> term' in {part!r}")
-        out.append(
-            (name.strip(), syntax.parse_monitor(term_text, alphabet, variables))
-        )
+        out.append((name.strip(), table.term(term_text)))
     return tuple(sorted(out))
 
 
-def _parse_justification(
-    text: str, alphabet: Alphabet, variables
-) -> Justification:
+def _parse_justification(text: str, table: _TermTable) -> Justification:
     text = text.strip()
     if text == "refl":
         return Reflexivity()
@@ -314,7 +342,7 @@ def _parse_justification(
         if not semi:
             raise ValueError("subst needs a mapping after ';'")
         return Substitutivity(
-            int(sid_text), _parse_mapping(mapping, alphabet, variables)
+            int(sid_text), _parse_mapping(mapping, table)
         )
     if head == "axiom":
         groups = [g.strip() for g in args.split(";")]
@@ -323,7 +351,7 @@ def _parse_justification(
         subst: tuple[tuple[str, Monitor], ...] = ()
         for group in groups[1:]:
             if "->" in group:
-                subst = _parse_mapping(group, alphabet, variables)
+                subst = _parse_mapping(group, table)
             elif "=" in group:
                 key, _, value = group.partition("=")
                 key = key.strip()
@@ -347,6 +375,7 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     alphabet: Alphabet | None = None
     variables: frozenset[str] = frozenset()
     steps: list[Step] = []
+    table: _TermTable | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -356,10 +385,12 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
             continue
         if line.startswith("alphabet:"):
             alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
+            table = None
             continue
         if line.startswith("vars:"):
             names = [n.strip() for n in line[len("vars:") :].split(",") if n.strip()]
             variables = variables | frozenset(names)
+            table = None
             continue
         if not line.startswith("step "):
             raise ValueError(f"line {lineno}: expected a step record")
@@ -369,6 +400,8 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
         if not colon:
             raise ValueError(f"line {lineno}: missing ':'")
         sid = int(head[len("step ") :])
+        if table is None:  # a header changes how the same text parses
+            table = _TermTable(alphabet, variables)
         # ' by ' may occur inside terms (a variable could be named 'by'), so
         # try split points right to left until both halves parse.
         candidates = []
@@ -382,8 +415,8 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
         for idx in candidates:
             eq_text, just_text = body[:idx], body[idx + 4 :]
             try:
-                equation = syntax.parse_equation(eq_text, alphabet, variables)
-                justification = _parse_justification(just_text, alphabet, variables)
+                equation = table.equation(eq_text)
+                justification = _parse_justification(just_text, table)
             except ValueError as exc:
                 last_error = exc
                 continue

@@ -14,11 +14,13 @@ comment in every file format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .terms import (
     END,
+    IDENT_PATTERN,
     NO,
     RESERVED_WORDS,
     YES,
@@ -64,61 +66,55 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# One alternative per token class, tried in order: whitespace and comments
+# (skipped), identifiers, operators, and any other character (an error).
+_TOKEN_RE = re.compile(
+    rf"([ \t\r\n]+|#[^\n]*)|({IDENT_PATTERN})|(->|[+.()=,])|(.)", re.DOTALL
+)
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'ident', '+', '.', '(', ')', '=', '->', ',', 'eof'
-    text: str
-    span: SourceSpan
+# A token is ``(kind, text, offset)``: kind is 'ident', the operator itself
+# ('+', '.', '(', ')', '=', '->', ','), or 'eof'.
+_Token = tuple[str, str, int]
+
+
+def _span(text: str, offset: int, length: int) -> SourceSpan:
+    """The line and column of ``offset``; only error paths need them."""
+    start = text.rfind("\n", 0, offset) + 1
+    # Only the end of input can follow a comment on its line; its column is
+    # where the comment starts.
+    comment = text.find("#", start, offset)
+    column = (offset if comment < 0 else comment) - start + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, column, offset, length)
+
+
+def _error(text: str, tok: _Token, kind: str, message: str) -> ParseError:
+    _, word, offset = tok
+    return ParseError(_span(text, offset, len(word)), kind, message)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col, i)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("ident", word, SourceSpan(line, col, i, j - i)))
-            col += j - i
-            i = j
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", SourceSpan(line, col, i, 2)))
-            i += 2
-            col += 2
-            continue
-        if c in "+.()=,":
-            tokens.append(_Token(c, c, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(span, UNEXPECTED_TOKEN, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", SourceSpan(line, col, i, 0)))
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 2:
+            append(("ident", match[2], match.start()))
+        elif group == 3:
+            op = match[3]
+            append((op, op, match.start()))
+        elif group == 4:
+            raise ParseError(
+                _span(text, match.start(), 1),
+                UNEXPECTED_TOKEN,
+                f"unexpected character {match[4]!r}",
+            )
+    append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet, variables: frozenset[str]):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
@@ -127,18 +123,14 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, tok: _Token, message: str, kind: str = UNEXPECTED_TOKEN):
-        raise ParseError(tok.span, kind, message)
+        raise _error(self.text, tok, kind, message)
 
     def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            self.fail(tok, f"expected {kind!r}, found {tok.text or 'end of input'!r}")
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[0] != kind:
+            self.fail(tok, f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
         return tok
 
     def is_action(self, name: str) -> bool:
@@ -147,49 +139,77 @@ class _Parser:
         return name not in self.variables
 
     def parse_term(self) -> Monitor:
-        term = self.parse_prefterm()
-        while self.peek().kind == "+":
-            self.next()
-            term = Sum(term, self.parse_prefterm())
-        return term
+        """``term`` at the current token, without recursion.
 
-    def parse_prefterm(self) -> Monitor:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in RESERVED_WORDS:
-            if self.tokens[self.pos + 1].kind == ".":
-                self.next()
-                if not self.is_action(tok.text):
-                    self.fail(tok, f"variable {tok.text!r} cannot be used as a prefix")
-                self.expect(".")
-                return Prefix(tok.text, self.parse_prefterm())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Monitor:
-        tok = self.next()
-        if tok.kind == "ident":
-            if tok.text == "yes":
-                return YES
-            if tok.text == "no":
-                return NO
-            if tok.text == "end":
-                return END
-            if self.is_action(tok.text):
-                self.fail(tok, f"action {tok.text!r} must be followed by '.'")
-            return Var(tok.text)
-        if tok.kind == "(":
-            term = self.parse_term()
-            close = self.next()
-            if close.kind != ")":
-                self.fail(close, "expected ')'", UNBALANCED_PAREN)
-            return term
-        if tok.kind == ")":
-            self.fail(tok, "unmatched ')'", UNBALANCED_PAREN)
-        if tok.kind == "eof":
-            self.fail(tok, "unexpected end of input")
-        self.fail(tok, f"unexpected token {tok.text!r}")
+        ``frames`` holds, for every open parenthesis, the sum parsed so far
+        and the actions prefixed to the parenthesis.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        is_action = self.is_action
+        frames: list[tuple[Monitor | None, list[str]]] = []
+        acc: Monitor | None = None
+        prefixes: list[str] = []
+        while True:
+            # prefterm: a run of ACTION '.', then an atom.
+            tok = tokens[pos]
+            kind, text, _ = tok
+            while (
+                kind == "ident"
+                and text not in RESERVED_WORDS
+                and tokens[pos + 1][0] == "."
+            ):
+                if not is_action(text):
+                    self.fail(tok, f"variable {text!r} cannot be used as a prefix")
+                prefixes.append(text)
+                pos += 2
+                tok = tokens[pos]
+                kind, text, _ = tok
+            pos += 1
+            if kind == "ident":
+                if text == "yes":
+                    term = YES
+                elif text == "no":
+                    term = NO
+                elif text == "end":
+                    term = END
+                elif is_action(text):
+                    self.fail(tok, f"action {text!r} must be followed by '.'")
+                else:
+                    term = Var(text)
+            elif kind == "(":
+                frames.append((acc, prefixes))
+                acc, prefixes = None, []
+                continue
+            elif kind == ")":
+                self.fail(tok, "unmatched ')'", UNBALANCED_PAREN)
+            elif kind == "eof":
+                self.fail(tok, "unexpected end of input")
+            else:
+                self.fail(tok, f"unexpected token {text!r}")
+            # The atom is complete: prefix it, add it to the sum, and close
+            # every parenthesis that ends here.
+            while True:
+                if prefixes:
+                    for action in reversed(prefixes):
+                        term = Prefix(action, term)
+                    prefixes = []
+                acc = term if acc is None else Sum(acc, term)
+                kind = tokens[pos][0]
+                if kind == "+":
+                    pos += 1
+                    break
+                if not frames:
+                    self.pos = pos
+                    return acc
+                if kind != ")":
+                    self.fail(tokens[pos], "expected ')'", UNBALANCED_PAREN)
+                pos += 1
+                term = acc
+                acc, prefixes = frames.pop()
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.peek()[0] == "eof"
 
 
 def parse_monitor(
@@ -205,8 +225,8 @@ def parse_monitor(
         raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
     term = parser.parse_term()
     tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(tok, f"trailing input starting at {tok.text!r}")
+    if tok[0] != "eof":
+        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
     return term
 
 
@@ -220,8 +240,8 @@ def parse_equation(
     parser.expect("=")
     rhs = parser.parse_term()
     tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(tok, f"trailing input starting at {tok.text!r}")
+    if tok[0] != "eof":
+        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
     return Equation(lhs, rhs)
 
 
@@ -237,22 +257,21 @@ def parse_alphabet(text: str) -> Alphabet:
     i = 0
     while True:
         tok = tokens[i]
-        if tok.kind != "ident":
-            raise ParseError(tok.span, UNEXPECTED_TOKEN, "expected an action name")
-        if tok.text in RESERVED_WORDS:
-            raise ParseError(
-                tok.span,
-                RESERVED_WORD_AS_ACTION,
-                f"{tok.text!r} cannot be declared as an action",
+        kind, name, _ = tok
+        if kind != "ident":
+            raise _error(text, tok, UNEXPECTED_TOKEN, "expected an action name")
+        if name in RESERVED_WORDS:
+            raise _error(
+                text, tok, RESERVED_WORD_AS_ACTION, f"{name!r} cannot be declared as an action"
             )
-        if tok.text in names:
-            raise ParseError(tok.span, UNEXPECTED_TOKEN, f"duplicate action {tok.text!r}")
-        names.append(tok.text)
+        if name in names:
+            raise _error(text, tok, UNEXPECTED_TOKEN, f"duplicate action {name!r}")
+        names.append(name)
         i += 1
-        if tokens[i].kind == "eof":
+        if tokens[i][0] == "eof":
             break
-        if tokens[i].kind != ",":
-            raise ParseError(tokens[i].span, UNEXPECTED_TOKEN, "expected ','")
+        if tokens[i][0] != ",":
+            raise _error(text, tokens[i], UNEXPECTED_TOKEN, "expected ','")
         i += 1
     return Alphabet.finite(names)
 
@@ -383,8 +402,13 @@ def _print(m: Monitor, parent: str) -> str:
             return "no"
         case Var(name):
             return name
-        case Prefix(action, body):
-            return f"{action}.{_print(body, 'prefix')}"
+        case Prefix():
+            # A prefix chain prints as one run of 'a.', without recursing.
+            actions = []
+            while isinstance(m, Prefix):
+                actions.append(m.action)
+                m = m.body
+            return f"{'.'.join(actions)}.{_print(m, 'prefix')}"
         case Sum(left, right):
             # '+' parses left-associated, so only a right operand or a prefix
             # body needs parentheses around a nested sum.

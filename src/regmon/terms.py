@@ -13,7 +13,8 @@ from typing import Iterator, Mapping
 
 RESERVED_WORDS = frozenset({"yes", "no", "end"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT_PATTERN + r"\Z")
 
 Trace = tuple[str, ...]
 

@@ -259,3 +259,70 @@ def test_inconsistent_form_and_alphabet_is_exit_2(capsys):
     )
     assert code == 2
     assert "two actions" in err or "alphabet" in err
+
+
+def _fresh_process(*argv):
+    import os
+    import subprocess
+    import sys
+
+    import regmon
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regmon.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "regmon", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_reuses_one_parser_across_calls(capsys):
+    import regmon.cli as cli
+
+    calls = [
+        ("parse", "a.(yes+no) + x", "--alphabet", "a,b"),
+        ("equiv", "--mode", "bogus", "yes", "yes"),
+        ("equiv", "--alphabet", "a,b", "yes", "yes + a.a.a.yes"),
+    ]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert in_process == [_fresh_process(*argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_resolves_subcommands_at_call_time(capsys, monkeypatch):
+    import regmon.cli as cli
+
+    run(capsys, "parse", "yes", "--alphabet", "a")  # the parser exists now
+    monkeypatch.setattr(cli, "cmd_parse", lambda args: print("stub") or 0)
+    assert run(capsys, "parse", "yes", "--alphabet", "a") == (0, "stub\n", "")
+
+
+def test_disagrees_lets_unexpected_errors_propagate(monkeypatch):
+    import argparse
+
+    import pytest
+
+    import regmon.cli as cli
+    from regmon import normalize
+    from regmon.terms import NO, YES, Alphabet
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(normalize, "reduced_nf_closed", boom)
+    args = argparse.Namespace(open=False, mode="verdict", bound=None, seed=0)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli._disagrees(YES, NO, Alphabet.finite(["a", "b"]), args)
+
+
+def test_non_ascii_identifier_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "parse", "--alphabet", "a,b", "a.é + ü")
+    assert (code, out) == (2, "")
+    assert err == "parse error at 1:3: unexpected character 'é'\n"
+    code, out, err = run(
+        capsys, "equiv", "--alphabet", "infinite", "é.yes", "é.yes + é.no"
+    )
+    assert (code, out) == (2, "")
+    assert err == "parse error at 1:1: unexpected character 'é'\n"

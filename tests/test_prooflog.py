@@ -237,3 +237,91 @@ def test_checker_soundness_against_semantics():
             lhs, rhs = step.equation.lhs, step.equation.rhs
             if not (vars_of(lhs) | vars_of(rhs)):
                 assert equivalence.verdict_equiv_closed(lhs, rhs, AB)
+
+
+NINE_FORMS = [
+    (normalize.normal_form_closed, "no + a.(yes + b.yes) + a.a.no + b.end + yes"),
+    (normalize.reduced_nf_closed, "no + a.(yes + b.yes) + a.a.no + b.end + yes"),
+    (normalize.omega_nf_closed, "a.(yes + b.no) + b.yes + a.a.yes + b.(a.yes + b.yes)"),
+    (normalize.open_nf, "x + a.(x + end) + b.(y + no) + a.yes"),
+    (normalize.open_rnf, "x + yes + a.b.(no + b.a.x) + b.x"),
+    (normalize.finite_act_rnf, "x + yes + a.b.(no + b.a.x) + a.y"),
+    (normalize.unary_rnf, "x + a.(yes + a.x) + a.a.no"),
+    (normalize.unary_omega_nf, "a.(x + a.yes) + a.a.no + yes"),
+    (normalize.omega_open_nf, "x + a.(yes + b.x) + b.(a.no + y)"),
+]
+
+
+@pytest.mark.parametrize("fn, text", NINE_FORMS, ids=[fn.__name__ for fn, _ in NINE_FORMS])
+def test_nine_forms_round_trip_and_share_equal_sides(fn, text):
+    from regmon.terms import Alphabet
+
+    alphabet = Alphabet.finite(["a"]) if fn.__name__.startswith("unary") else AB
+    m = parse_monitor(text, alphabet)
+    cf = fn(m, alphabet, emit_proof=True)
+    d = cf.derivation
+    parsed, _ = parse_derivation(print_derivation(d, vars_of(m) | vars_of(cf.term)))
+    assert parsed == d
+    check_derivation(parsed, Equation(m, cf.term))
+    # Equal side texts of one derivation come back as one object.
+    first_seen: dict = {}
+    repeats = 0
+    for step in parsed.steps:
+        for side in (step.equation.lhs, step.equation.rhs):
+            key = repr(side)
+            if key in first_seen:
+                assert first_seen[key] is side
+                repeats += 1
+            else:
+                first_seen[key] = side
+    assert repeats > 0
+
+
+def test_vars_header_after_first_step_changes_later_steps():
+    text = (
+        "system: Ev\n"
+        "alphabet: infinite\n"
+        "step 1: x.yes = x.yes by refl\n"
+        "vars: x\n"
+        "step 2: x + yes = x + yes by refl\n"
+    )
+    derivation, variables = parse_derivation(text)
+    assert variables == {"x"}
+    assert derivation.steps[0].equation.lhs == Prefix("x", YES)
+    assert derivation.steps[1].equation.lhs == Sum(Var("x"), YES)
+    # Once x is declared a variable, the text of step 1 no longer parses.
+    with pytest.raises(ValueError, match="line 6"):
+        parse_derivation(text + "step 3: x.yes = x.yes by refl\n")
+
+
+def test_alphabet_header_after_first_step_changes_later_steps():
+    text = (
+        "system: Ev\n"
+        "alphabet: a,b,c\n"
+        "step 1: c.yes = c.yes by refl\n"
+        "alphabet: a,b\n"
+        "step 2: c.yes = c.yes by refl\n"
+    )
+    with pytest.raises(ValueError, match="line 5: cannot parse step record"):
+        parse_derivation(text)
+
+
+def test_step_record_error_message_is_unchanged():
+    text = "system: Ev\nalphabet: a,b\nstep 1: yes + @ = yes by refl\n"
+    with pytest.raises(ValueError) as err:
+        parse_derivation(text)
+    assert str(err.value) == (
+        "line 3: cannot parse step record (1:8: unexpected character '@')"
+    )
+    text = "system: Ev\nalphabet: a,b\nstep 1: yes = yes = yes by refl\n"
+    with pytest.raises(ValueError) as err:
+        parse_derivation(text)
+    assert str(err.value) == (
+        "line 3: cannot parse step record (1:12: trailing input starting at '=')"
+    )
+    text = "system: Ev\nalphabet: a,b\nstep 1: yes = yes by axiom(A4; x -> a + b)\n"
+    with pytest.raises(ValueError) as err:
+        parse_derivation(text)
+    assert str(err.value) == (
+        "line 3: cannot parse step record (1:2: action 'a' must be followed by '.')"
+    )

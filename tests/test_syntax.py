@@ -155,3 +155,102 @@ def test_term_file_named_terms_and_headers():
 def test_term_file_single_bare_term():
     tf = parse_term_file("alphabet: a\na.yes")
     assert tf.single() == Prefix("a", YES)
+
+
+# (entry point, input, (kind, line, column, offset, length, message))
+GOLDEN_ERRORS = [
+    ("monitor", "yes + @", ("UnexpectedToken", 1, 7, 6, 1, "unexpected character '@'")),
+    ("monitor", "a.yes\n  + b.$", ("UnexpectedToken", 2, 7, 12, 1, "unexpected character '$'")),
+    ("monitor", "(yes + no", ("UnbalancedParen", 1, 10, 9, 0, "expected ')'")),
+    ("monitor", ")", ("UnbalancedParen", 1, 1, 0, 1, "unmatched ')'")),
+    ("monitor", "yes)", ("UnexpectedToken", 1, 4, 3, 1, "trailing input starting at ')'")),
+    ("monitor", "(yes))", ("UnexpectedToken", 1, 6, 5, 1, "trailing input starting at ')'")),
+    ("monitor", "()", ("UnbalancedParen", 1, 2, 1, 1, "unmatched ')'")),
+    ("monitor", "yes.no", ("UnexpectedToken", 1, 4, 3, 1, "trailing input starting at '.'")),
+    ("monitor", "x.yes", ("UnexpectedToken", 1, 1, 0, 1, "variable 'x' cannot be used as a prefix")),
+    ("monitor", "a.b.a.x.yes", ("UnexpectedToken", 1, 7, 6, 1, "variable 'x' cannot be used as a prefix")),
+    ("monitor", "a + yes", ("UnexpectedToken", 1, 1, 0, 1, "action 'a' must be followed by '.'")),
+    ("monitor", "yes no", ("UnexpectedToken", 1, 5, 4, 2, "trailing input starting at 'no'")),
+    ("monitor", "yes -> no", ("UnexpectedToken", 1, 5, 4, 2, "trailing input starting at '->'")),
+    ("monitor", "yes - no", ("UnexpectedToken", 1, 5, 4, 1, "unexpected character '-'")),
+    ("monitor", "a.1", ("UnexpectedToken", 1, 3, 2, 1, "unexpected character '1'")),
+    ("monitor", "   \n\t", ("EmptyInput", 1, 1, 0, 0, "empty input")),
+    ("monitor", "# nothing here\n", ("EmptyInput", 1, 1, 0, 0, "empty input")),
+    ("monitor", "a.(yes # open\n  + no # still open", ("UnbalancedParen", 2, 8, 33, 0, "expected ')'")),
+    ("monitor", "a.(yes # open\n  + no\n", ("UnbalancedParen", 3, 1, 21, 0, "expected ')'")),
+    ("monitor", "yes # c1\n# c2\n  + -", ("UnexpectedToken", 3, 5, 18, 1, "unexpected character '-'")),
+    ("monitor", "yes +", ("UnexpectedToken", 1, 6, 5, 0, "unexpected end of input")),
+    ("monitor", "a.", ("UnexpectedToken", 1, 3, 2, 0, "unexpected end of input")),
+    ("monitor", "\tyes\t@", ("UnexpectedToken", 1, 6, 5, 1, "unexpected character '@'")),
+    ("monitor", "yes\r\n+ @", ("UnexpectedToken", 2, 3, 7, 1, "unexpected character '@'")),
+    ("equation", "yes + no", ("UnexpectedToken", 1, 9, 8, 0, "expected '=', found 'end of input'")),
+    ("equation", "yes = no = end", ("UnexpectedToken", 1, 10, 9, 1, "trailing input starting at '='")),
+    ("equation", "yes = ", ("UnexpectedToken", 1, 7, 6, 0, "unexpected end of input")),
+    ("equation", "= yes", ("UnexpectedToken", 1, 1, 0, 1, "unexpected token '='")),
+    ("equation", "yes = a", ("UnexpectedToken", 1, 7, 6, 1, "action 'a' must be followed by '.'")),
+    ("alphabet", "a, yes", ("ReservedWordAsAction", 1, 4, 3, 3, "'yes' cannot be declared as an action")),
+    ("alphabet", "a,,b", ("UnexpectedToken", 1, 3, 2, 1, "expected an action name")),
+    ("alphabet", "a b", ("UnexpectedToken", 1, 3, 2, 1, "expected ','")),
+    ("alphabet", "a,a", ("UnexpectedToken", 1, 3, 2, 1, "duplicate action 'a'")),
+    ("alphabet", "a,%", ("UnexpectedToken", 1, 3, 2, 1, "unexpected character '%'")),
+]
+
+ENTRY_POINTS = {
+    "monitor": lambda text: parse_monitor(text, AB),
+    "equation": lambda text: parse_equation(text, AB),
+    "alphabet": parse_alphabet,
+}
+
+
+@pytest.mark.parametrize("entry, text, expected", GOLDEN_ERRORS)
+def test_golden_error_spans(entry, text, expected):
+    with pytest.raises(ParseError) as err:
+        ENTRY_POINTS[entry](text)
+    e = err.value
+    s = e.span
+    assert (e.kind, s.line, s.column, s.offset, s.length, e.message) == expected
+    assert str(e) == f"{s.line}:{s.column}: {e.message}"
+
+
+def test_declared_variable_as_prefix_in_open_ended_alphabet():
+    with pytest.raises(ParseError) as err:
+        parse_monitor("q.x.yes", INF, variables={"x"})
+    s = err.value.span
+    assert (err.value.kind, s.line, s.column, s.offset, s.length) == ("UnexpectedToken", 1, 3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("a.é + ü", 3), ("é.yes", 1), ("a.yes + xé", 10), ("a²", 2)],
+)
+def test_non_ascii_identifiers_are_rejected(text, column):
+    # Identifiers are exactly [A-Za-z_][A-Za-z0-9_]*, as terms.is_identifier says.
+    for alphabet in (AB, INF):
+        with pytest.raises(ParseError) as err:
+            parse_monitor(text, alphabet)
+        assert err.value.kind == "UnexpectedToken"
+        assert err.value.span.column == column
+        assert err.value.message == f"unexpected character {text[column - 1]!r}"
+
+
+def _chain_depth(m, action):
+    depth = 0
+    while isinstance(m, Prefix):
+        assert m.action == action
+        m = m.body
+        depth += 1
+    return depth, m
+
+
+def test_deep_prefix_chain_parses_and_prints():
+    # Equality and hashing of terms still recurse, so the result is checked
+    # by walking .body rather than with ==.
+    n = 10_000
+    text = "a." * n + "yes"
+    m = parse_monitor(text, AB)
+    assert _chain_depth(m, "a") == (n, YES)
+    assert print_monitor(m) == text
+    m = parse_monitor("a." * n + "(yes + x)", AB)
+    depth, body = _chain_depth(m, "a")
+    assert depth == n and isinstance(body, Sum)
+    assert print_monitor(m) == "a." * n + "(yes + x)"
