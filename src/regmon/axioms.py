@@ -62,11 +62,18 @@ def pre_set(trace: Trace) -> set[Trace]:
     return {trace[:i] for i in range(len(trace) + 1)}
 
 
-def _traces_upto(length: int, alphabet: Alphabet) -> list[Trace]:
+def traces_upto(
+    length: int, alphabet: Alphabet, limit: int | None = None
+) -> list[Trace]:
+    """Every trace of length at most ``length``, shortest first and sorted
+    within each length.  With ``limit``, no longer level is added once more
+    than ``limit`` traces are listed."""
     actions = alphabet.sorted_actions()
     out: list[Trace] = [()]
     level: list[Trace] = [()]
     for _ in range(length):
+        if limit is not None and len(out) > limit:
+            break
         level = [t + (a,) for t in level for a in actions]
         out.extend(level)
     return out
@@ -77,7 +84,7 @@ def bar_leq(trace: Trace, m: Monitor, alphabet: Alphabet) -> Monitor:
     prefixes = pre_set(trace)
     parts = [
         prefix_seq(t, m)
-        for t in _traces_upto(len(trace), alphabet)
+        for t in traces_upto(len(trace), alphabet)
         if t not in prefixes
     ]
     return sum_of(parts)
@@ -158,15 +165,6 @@ class AxiomInstance:
     schema: str
     bindings: tuple[tuple[str, object], ...]
     equation: Equation
-
-    def flipped(self) -> "AxiomInstance":
-        return AxiomInstance(self.schema, self.bindings, self.equation.flipped())
-
-    def binding(self, key: str):
-        for k, v in self.bindings:
-            if k == key:
-                return v
-        raise KeyError(key)
 
 
 def _require_finite(name: str, alphabet: Alphabet | None) -> Alphabet:
@@ -266,8 +264,6 @@ SYSTEM_SCHEMAS: dict[str, frozenset[str]] = {
     "Eomegaf'": frozenset(EV_CORE + ("Y_w", "N_w", "O1", "O2")),
 }
 
-SYSTEM_NAMES = tuple(SYSTEM_SCHEMAS)
-
 # The combined summation forms Y and N are derivable from the Y_a / N_a
 # families over any finite alphabet, so they are admitted as members of
 # every system that carries those families.
@@ -310,7 +306,7 @@ def list_system(
             raise MissingBounds(
                 f"system {system} contains the O2 family; give max_trace_len and max_k"
             )
-        for s in _traces_upto(max_trace_len, fin):
+        for s in traces_upto(max_trace_len, fin):
             if not s:
                 continue
             for k in range(1, max_k + 1):

@@ -21,8 +21,8 @@ import time
 
 from . import axioms, equivalence, generate, normalize, prooflog, semantics, syntax
 from .semantics import trace_key
-from .syntax import ParseError, print_monitor, print_trace
-from .terms import Alphabet, Monitor, ac_equal, depth, is_closed, vars_of
+from .syntax import ParseError, print_monitor, print_substitution, print_trace
+from .terms import Alphabet, Monitor, ac_equal, vars_of
 
 
 class UsageError(ValueError):
@@ -157,7 +157,6 @@ def cmd_equiv(args) -> int:
     started = time.monotonic()
     alphabet, (m, n) = _terms_and_alphabet(args, args.left, args.right)
     mode = args.mode
-    cex: equivalence.Counterexample | None = None
     if args.oracle:
         if not alphabet.is_finite:
             raise UsageError("the oracle needs a finite alphabet")
@@ -165,30 +164,15 @@ def cmd_equiv(args) -> int:
             m, n, alphabet, mode, bound=args.bound, seed=args.seed
         )
         equal = cex is None
-    elif is_closed(m) and is_closed(n):
-        if mode == equivalence.VERDICT:
-            found = equivalence.closed_counterexample(m, n, alphabet)
-        else:
-            found = equivalence.omega_closed_counterexample(m, n, alphabet)
-        equal = found is None
-        if found is not None:
-            cex = equivalence.Counterexample((), found[0], found[1])
     else:
-        if mode == equivalence.VERDICT:
-            equal = equivalence.verdict_equiv_open(m, n, alphabet)
-        else:
-            equal = equivalence.omega_equiv_open(m, n, alphabet)
-        if not equal and alphabet.is_finite:
-            cex = equivalence.oracle_counterexample(
-                m, n, alphabet, mode, bound=args.bound, seed=args.seed
-            )
+        decision = equivalence.decide(
+            m, n, alphabet, mode, bound=args.bound, seed=args.seed
+        )
+        equal, cex = decision.equal, decision.counterexample
     lines = ["equivalent" if equal else "inequivalent"]
     if cex is not None:
         if cex.substitution:
-            lines.append(
-                "substitution: "
-                + ", ".join(f"{k} -> {print_monitor(v)}" for k, v in cex.substitution)
-            )
+            lines.append(f"substitution: {print_substitution(cex.substitution)}")
         lines.append(f"trace: {print_trace(cex.trace)}")
         lines.append(f"side: {cex.side}")
     _emit(
@@ -284,7 +268,7 @@ def cmd_axioms(args) -> int:
                 first = report.failures[0]
                 line += (
                     f"   # UNSOUND ({args.mode}): trace {print_trace(first.trace)}"
-                    f" under {', '.join(f'{k} -> {print_monitor(v)}' for k, v in first.substitution)}"
+                    f" under {print_substitution(first.substitution)}"
                 )
             else:
                 line += f"   # sound in {report.trials} trials"
@@ -356,54 +340,13 @@ def cmd_fuzz(args) -> int:
     if not alphabet.is_finite:
         raise UsageError("fuzz needs a finite alphabet")
     rng = random.Random(args.seed)
-    unary = len(alphabet) == 1
+    gen = generate.random_open_monitor if args.open else generate.random_closed_monitor
     disagreements = []
     lines = []
     for trial in range(args.trials):
-        if args.open:
-            m = generate.random_open_monitor(rng, alphabet, args.depth)
-            n = generate.random_open_monitor(rng, alphabet, args.depth)
-            if args.mode == equivalence.VERDICT:
-                if unary:
-                    syn = ac_equal(
-                        normalize.unary_rnf(m, alphabet).term,
-                        normalize.unary_rnf(n, alphabet).term,
-                    )
-                else:
-                    syn = ac_equal(
-                        normalize.finite_act_rnf(m, alphabet).term,
-                        normalize.finite_act_rnf(n, alphabet).term,
-                    )
-            else:
-                if unary:
-                    syn = ac_equal(
-                        normalize.unary_omega_nf(m, alphabet).term,
-                        normalize.unary_omega_nf(n, alphabet).term,
-                    )
-                else:
-                    syn = ac_equal(
-                        normalize.omega_open_nf(m, alphabet).term,
-                        normalize.omega_open_nf(n, alphabet).term,
-                    )
-            bound = args.bound or (depth(m) + depth(n) + 2)
-            sem = equivalence.oracle_equiv_open(
-                m, n, alphabet, args.mode, bound, seed=args.seed
-            )
-        else:
-            m = generate.random_closed_monitor(rng, alphabet, args.depth)
-            n = generate.random_closed_monitor(rng, alphabet, args.depth)
-            if args.mode == equivalence.VERDICT:
-                syn = ac_equal(
-                    normalize.reduced_nf_closed(m).term,
-                    normalize.reduced_nf_closed(n).term,
-                )
-                sem = equivalence.verdict_equiv_closed(m, n, alphabet)
-            else:
-                syn = ac_equal(
-                    normalize.omega_nf_closed(m, alphabet).term,
-                    normalize.omega_nf_closed(n, alphabet).term,
-                )
-                sem = equivalence.omega_equiv_closed(m, n, alphabet)
+        m = gen(rng, alphabet, args.depth)
+        n = gen(rng, alphabet, args.depth)
+        syn, sem = _verdicts(m, n, alphabet, args)
         if syn != sem:
             small_m, small_n = _shrink_disagreement(m, n, alphabet, args)
             disagreements.append((trial, small_m, small_n, syn, sem))
@@ -451,29 +394,25 @@ def cmd_fuzz(args) -> int:
     return 1 if disagreements else 0
 
 
-def _disagrees(m: Monitor, n: Monitor, alphabet: Alphabet, args) -> bool:
+def _verdicts(m: Monitor, n: Monitor, alphabet: Alphabet, args) -> tuple[bool, bool]:
+    """Equality of the canonical forms, and the semantic answer it must match:
+    the substitution oracle for open terms, the product search for closed."""
     if args.open:
-        unary = len(alphabet) == 1
-        if args.mode == equivalence.VERDICT:
-            fn = normalize.unary_rnf if unary else normalize.finite_act_rnf
-        else:
-            fn = normalize.unary_omega_nf if unary else normalize.omega_open_nf
-        syn = ac_equal(fn(m, alphabet).term, fn(n, alphabet).term)
-        bound = args.bound or (depth(m) + depth(n) + 2)
-        sem = equivalence.oracle_equiv_open(m, n, alphabet, args.mode, bound, seed=args.seed)
+        form = equivalence.open_form(args.mode, alphabet)
+        sem = equivalence.oracle_equiv_open(
+            m, n, alphabet, args.mode, args.bound, seed=args.seed
+        )
     else:
         if args.mode == equivalence.VERDICT:
-            syn = ac_equal(
-                normalize.reduced_nf_closed(m).term,
-                normalize.reduced_nf_closed(n).term,
-            )
-            sem = equivalence.verdict_equiv_closed(m, n, alphabet)
+            form = normalize.reduced_nf_closed
         else:
-            syn = ac_equal(
-                normalize.omega_nf_closed(m, alphabet).term,
-                normalize.omega_nf_closed(n, alphabet).term,
-            )
-            sem = equivalence.omega_equiv_closed(m, n, alphabet)
+            form = normalize.omega_nf_closed
+        sem = equivalence.decide(m, n, alphabet, args.mode).equal
+    return ac_equal(form(m, alphabet).term, form(n, alphabet).term), sem
+
+
+def _disagrees(m: Monitor, n: Monitor, alphabet: Alphabet, args) -> bool:
+    syn, sem = _verdicts(m, n, alphabet, args)
     return syn != sem
 
 

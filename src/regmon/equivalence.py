@@ -1,10 +1,11 @@
 """Decision procedures for verdict and omega-verdict equivalence.
 
-Closed terms are compared by a product search over determinized reachable
-state sets; the omega variant additionally folds the trace antichains to
-their minimal omega-cone generators.  Open terms go through the canonical
-forms of :mod:`regmon.normalize`, picked by alphabet cardinality.  An
-independent brute-force substitution oracle is provided for validation.
+The entry point is :func:`decide`.  Closed terms are compared by a product
+search over determinized reachable state sets; the omega variant
+additionally folds the trace antichains to their minimal omega-cone
+generators.  Open terms go through the canonical form that
+:func:`open_form` picks by mode and alphabet cardinality.  An independent
+brute-force substitution oracle is provided for validation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from . import semantics
+from . import normalize, semantics
 from .semantics import (
     initial_state,
     lang_of,
@@ -39,7 +40,7 @@ from .terms import (
     require_closed,
     vars_of,
 )
-from .axioms import prefix_seq
+from .axioms import prefix_seq, traces_upto
 
 VERDICT = "verdict"
 OMEGA = "omega"
@@ -63,15 +64,6 @@ class Counterexample:
     side: str
 
 
-def _joint_actions(m: Monitor, n: Monitor, alphabet: Alphabet) -> list[str]:
-    """Actions for a closed comparison; one shared fresh action suffices to
-    characterize behavior on unseen actions of an open-ended alphabet."""
-    if alphabet.is_finite:
-        return alphabet.sorted_actions()
-    occurring = actions_of(m) | actions_of(n)
-    return sorted(occurring) + [semantics.fresh_action(occurring)]
-
-
 def _flag_mismatch(sa, sb) -> str | None:
     a_yes, b_yes = YES in sa, YES in sb
     if a_yes != b_yes:
@@ -89,7 +81,7 @@ def closed_counterexample(
     monitors, or ``None`` if they are verdict equivalent."""
     require_closed(m, "verdict equivalence")
     require_closed(n, "verdict equivalence")
-    actions = _joint_actions(m, n, alphabet)
+    actions = semantics.exploration_actions(Sum(m, n), alphabet)
     start = (initial_state(m), initial_state(n))
     seen = {start}
     queue: deque[tuple[tuple, Trace]] = deque([(start, ())])
@@ -163,7 +155,7 @@ def substitution_values(
     enumerated shortest-first and truncated at ``max_values``."""
     values: list[Monitor] = [END, YES, NO]
     seen = set(values)
-    for t in _traces_upto_sorted(alphabet, bound, limit=max_values):
+    for t in traces_upto(bound, alphabet, limit=max_values):
         for leaf in (YES, NO, Sum(YES, NO)):
             v = prefix_seq(t, leaf)
             if v not in seen:
@@ -172,20 +164,6 @@ def substitution_values(
         if len(values) >= max_values:
             break
     return values
-
-
-def _traces_upto_sorted(
-    alphabet: Alphabet, bound: int, limit: int | None = None
-) -> list[Trace]:
-    actions = alphabet.sorted_actions()
-    out: list[Trace] = [()]
-    level: list[Trace] = [()]
-    for _ in range(bound):
-        if limit is not None and len(out) > limit:
-            break
-        level = [t + (a,) for t in level for a in actions]
-        out.extend(level)
-    return out
 
 
 def substitution_family(
@@ -312,53 +290,83 @@ def fresh_substitution(m: Monitor, n: Monitor) -> dict[str, Monitor]:
     return sigma
 
 
-def verdict_equiv_open(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
-    """Verdict equivalence of (possibly) open monitors.
+def open_form(mode: str, alphabet: Alphabet):
+    """The canonical-form pipeline that decides ``mode`` equivalence of open
+    terms over ``alphabet``, by the completeness result for its cardinality.
 
-    Open-ended alphabets reduce to a closed check under the fresh-action
-    substitution; finite alphabets compare the canonical reduced forms for
-    the appropriate cardinality.
+    ``None`` for an open-ended alphabet: there the two equivalences coincide
+    and open terms are decided under :func:`fresh_substitution` instead.
     """
-    from . import normalize
-
     if not alphabet.is_finite:
+        return None
+    unary = len(alphabet) == 1
+    if mode == VERDICT:
+        kind = normalize.UNARY_RNF if unary else normalize.FIN_RNF
+    else:
+        kind = normalize.UNARY_OMEGA_NF if unary else normalize.OPEN_OMEGA_NF
+    return normalize.PIPELINES[kind]
+
+
+def _open_equal(m: Monitor, n: Monitor, alphabet: Alphabet, mode: str) -> bool:
+    form = open_form(mode, alphabet)
+    if form is None:
         sigma = fresh_substitution(m, n)
         return verdict_equiv_closed(
             apply_subst(sigma, m), apply_subst(sigma, n), alphabet
         )
-    if len(alphabet) == 1:
-        lhs = normalize.unary_rnf(m, alphabet).term
-        rhs = normalize.unary_rnf(n, alphabet).term
-    else:
-        lhs = normalize.finite_act_rnf(m, alphabet).term
-        rhs = normalize.finite_act_rnf(n, alphabet).term
-    return ac_equal(lhs, rhs)
+    return ac_equal(form(m, alphabet).term, form(n, alphabet).term)
+
+
+def verdict_equiv_open(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
+    """Verdict equivalence of (possibly) open monitors."""
+    return _open_equal(m, n, alphabet, VERDICT)
 
 
 def omega_equiv_open(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
-    """Omega-verdict equivalence of open monitors; for an infinite alphabet
-    the two equivalences coincide."""
-    from . import normalize
-
-    if not alphabet.is_finite:
-        return verdict_equiv_open(m, n, alphabet)
-    if len(alphabet) == 1:
-        lhs = normalize.unary_omega_nf(m, alphabet).term
-        rhs = normalize.unary_omega_nf(n, alphabet).term
-    else:
-        lhs = normalize.omega_open_nf(m, alphabet).term
-        rhs = normalize.omega_open_nf(n, alphabet).term
-    return ac_equal(lhs, rhs)
+    """Omega-verdict equivalence of (possibly) open monitors."""
+    return _open_equal(m, n, alphabet, OMEGA)
 
 
-def equivalent(
-    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str = VERDICT
-) -> bool:
-    """Uniform entry point: closed inputs use the closed procedures."""
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """The answer of :func:`decide`.
+
+    ``counterexample`` replays the disagreement when one was found: always
+    for inequivalent closed terms, and for open terms over a finite alphabet
+    when the substitution oracle finds one within its bound.
+    """
+
+    equal: bool
+    counterexample: Counterexample | None
+
+
+def decide(
+    m: Monitor,
+    n: Monitor,
+    alphabet: Alphabet,
+    mode: str,
+    bound: int | None = None,
+    seed: int = 0,
+) -> Decision:
+    """Decide ``mode`` equivalence of two monitors.
+
+    Closed pairs go to the product search, open pairs to the canonical form
+    of :func:`open_form`; ``bound`` and ``seed`` steer only the oracle search
+    for an open pair's counterexample.
+    """
     if is_closed(m) and is_closed(n):
         if mode == VERDICT:
-            return verdict_equiv_closed(m, n, alphabet)
-        return omega_equiv_closed(m, n, alphabet)
+            found = closed_counterexample(m, n, alphabet)
+        else:
+            found = omega_closed_counterexample(m, n, alphabet)
+        if found is None:
+            return Decision(True, None)
+        return Decision(False, Counterexample((), *found))
     if mode == VERDICT:
-        return verdict_equiv_open(m, n, alphabet)
-    return omega_equiv_open(m, n, alphabet)
+        equal = verdict_equiv_open(m, n, alphabet)
+    else:
+        equal = omega_equiv_open(m, n, alphabet)
+    if equal or not alphabet.is_finite:
+        return Decision(equal, None)
+    cex = oracle_counterexample(m, n, alphabet, mode, bound=bound, seed=seed)
+    return Decision(False, cex)

@@ -415,51 +415,40 @@ class Edit:
     def canon(self) -> None:
         self.step(self.pv.shallow_canon(self.term))
 
+    def map_bodies(self, f) -> None:
+        """Rewrite the body of every prefix summand by ``f`` (a function from
+        a body to a proof about it), then canonicalize the sum."""
+        pv = self.pv
+        for p in list(self.parts):
+            if isinstance(p, Prefix):
+                inner = f(p.body)
+                if inner.src != inner.dst:
+                    idx = self.parts.index(p)
+                    self.step(pv.rw_part(self.term, idx, pv.congpre(p.action, inner)))
+        self.canon()
+
 
 # ---------------------------------------------------------------------------
-# Unfolding helpers: v = v + s.v and x = x + a^d.x
+# Unfolding: v = v + s.v (Y_a / N_a) and x = x + a^d.x (V1)
 
 
-def _verdict_unfold(pv: Prover, v: Monitor, trace: Trace) -> Pf:
-    """``v = v + s.v`` for a conclusive verdict and nonempty trace."""
-    assert trace and v in (YES, NO)
+def _unfold(pv: Prover, leaf: Monitor, trace: Trace, grow) -> Pf:
+    """``leaf = leaf + s.leaf`` for a nonempty trace ``s``, where
+    ``grow(a)`` proves the one-step case ``leaf = leaf + a.leaf``."""
+    assert trace
     head, rest = trace[0], trace[1:]
-    grow = _grow_axiom(v)
+    s1 = grow(head)
     if not rest:
-        return pv.ax(grow, {"action": head})
-    tail = axioms.prefix_seq(rest, v)
-    s1 = pv.ax(grow, {"action": head})
-    s2 = pv.congsum(pv.refl(v), pv.congpre(head, _verdict_unfold(pv, v, rest)))
+        return s1
+    tail = axioms.prefix_seq(rest, leaf)
+    s2 = pv.congsum(pv.refl(leaf), pv.congpre(head, _unfold(pv, leaf, rest, grow)))
     s3 = pv.congsum(
-        pv.refl(v), pv.ax("D_a", {"action": head}, subst={"x": v, "y": tail})
+        pv.refl(leaf), pv.ax("D_a", {"action": head}, subst={"x": leaf, "y": tail})
     )
     s4 = pv.ax(
-        "A2", subst={"x": v, "y": Prefix(head, v), "z": Prefix(head, tail)}
+        "A2", subst={"x": leaf, "y": Prefix(head, leaf), "z": Prefix(head, tail)}
     )
-    s5 = pv.congsum(
-        pv.sym(pv.ax(grow, {"action": head})), pv.refl(Prefix(head, tail))
-    )
-    return pv.trans(s1, s2, s3, s4, s5)
-
-
-def _var_unfold(pv: Prover, name: str, action: str, delta: int) -> Pf:
-    """``x = x + a^delta.x`` from V1 over a singleton alphabet."""
-    assert delta >= 1
-    x = Var(name)
-    if delta == 1:
-        return pv.ax("V1", subst={"x": x})
-    tail = axioms.prefix_seq((action,) * (delta - 1), x)
-    s1 = pv.ax("V1", subst={"x": x})
-    s2 = pv.congsum(
-        pv.refl(x), pv.congpre(action, _var_unfold(pv, name, action, delta - 1))
-    )
-    s3 = pv.congsum(
-        pv.refl(x), pv.ax("D_a", {"action": action}, subst={"x": x, "y": tail})
-    )
-    s4 = pv.ax("A2", subst={"x": x, "y": Prefix(action, x), "z": Prefix(action, tail)})
-    s5 = pv.congsum(
-        pv.sym(pv.ax("V1", subst={"x": x})), pv.refl(Prefix(action, tail))
-    )
+    s5 = pv.congsum(pv.sym(grow(head)), pv.refl(Prefix(head, tail)))
     return pv.trans(s1, s2, s3, s4, s5)
 
 
@@ -527,7 +516,8 @@ def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
     if not rest:
         return pf
     base_len = len(_parts(t))
-    grow = pv.congpre_seq(path, _verdict_unfold(pv, v, rest))
+    unfold = _unfold(pv, v, rest, lambda a: pv.ax(_grow_axiom(v), {"action": a}))
+    grow = pv.congpre_seq(path, unfold)
     pf = pv.trans(pf, pv.rw_part(pf.dst, base_len, grow))
     dist = pv.distribute_seq(path, v, axioms.prefix_seq(rest, v))
     if path:
@@ -727,20 +717,7 @@ def _needs_prune(body: Monitor, opp: Monitor) -> bool:
     parts = _parts(body)
     if opp in parts and len(parts) > 1:
         return True
-    return any(
-        isinstance(p, Prefix) and _needs_prune_node(p.body, opp) for p in parts
-    )
-
-
-def _needs_prune_node(body: Monitor, opp: Monitor) -> bool:
-    if body == opp:
-        return False
-    parts = _parts(body)
-    if opp in parts:
-        return True
-    return any(
-        isinstance(p, Prefix) and _needs_prune_node(p.body, opp) for p in parts
-    )
+    return any(isinstance(p, Prefix) and _needs_prune(p.body, opp) for p in parts)
 
 
 def _prune(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
@@ -763,7 +740,7 @@ def _prune(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
     while changed:
         changed = False
         for p in work.parts:
-            if isinstance(p, Prefix) and _needs_prune_node(p.body, opp):
+            if isinstance(p, Prefix) and _needs_prune(p.body, opp):
                 idx = work.parts.index(p)
                 if idx != 1:
                     work.step(pv.bubble(work.term, idx, 1))
@@ -826,13 +803,7 @@ def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
         ed.canon()
         return ed.pf
     # innermost first: reduce every body in its own right
-    for p in list(ed.parts):
-        if isinstance(p, Prefix):
-            inner = _reduce(pv, p.body, use_o1)
-            if inner.src != inner.dst:
-                idx = ed.parts.index(p)
-                ed.step(pv.rw_part(ed.term, idx, pv.congpre(p.action, inner)))
-    ed.canon()
+    ed.map_bodies(lambda body: _reduce(pv, body, use_o1))
     has_yes, has_no, acts, _ = _decompose(ed.term)
     if has_yes and has_no:
         # safety net: the double-verdict branch must win over the flag loop
@@ -913,13 +884,7 @@ def _omega_closed(pv: Prover, t: Monitor, alphabet: Alphabet) -> Pf:
     """Omega-collapse a canonical closed RNF over a finite alphabet."""
     ed = Edit(pv, t)
     while True:
-        for p in list(ed.parts):
-            if isinstance(p, Prefix):
-                inner = _omega_closed(pv, p.body, alphabet)
-                if inner.src != inner.dst:
-                    idx = ed.parts.index(p)
-                    ed.step(pv.rw_part(ed.term, idx, pv.congpre(p.action, inner)))
-        ed.canon()
+        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet))
         if not _try_fold(pv, ed, alphabet):
             return ed.pf
         ed.step(_reduce(pv, ed.term, use_o1=False))
@@ -1085,16 +1050,8 @@ def _finite_act_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
     while True:
         fuel -= 1
         assert fuel > 0, "finite_act_rnf failed to stabilize"
-        t = pf.dst
-        ed = Edit(pv, t)
-        # innermost first
-        for p in list(ed.parts):
-            if isinstance(p, Prefix):
-                inner = _finite_act_rnf(pv, p.body, alphabet)
-                if inner.src != inner.dst:
-                    idx = ed.parts.index(p)
-                    ed.step(pv.rw_part(ed.term, idx, pv.congpre(p.action, inner)))
-        ed.canon()
+        ed = Edit(pv, pf.dst)
+        ed.map_bodies(lambda body: _finite_act_rnf(pv, body, alphabet))
         top_vars = {x for x in _decompose(ed.term)[3]}
         done = True
         for s, x in _var_paths(ed.term):
@@ -1150,9 +1107,11 @@ def _unfold_var_at(
 ) -> Pf:
     """Rewrite the ``x`` at depth ``at_depth`` into ``x + a^delta.x``."""
     if at_depth == 0:
-        parts = _parts(t)
-        i = parts.index(Var(name))
-        pf = pv.rw_part(t, i, _var_unfold(pv, name, action, delta))
+        x = Var(name)
+        unfold = _unfold(
+            pv, x, (action,) * delta, lambda _: pv.ax("V1", subst={"x": x})
+        )
+        pf = pv.rw_part(t, _parts(t).index(x), unfold)
         return pv.trans(pf, pv.flatten(pf.dst))
     parts = _parts(t)
     i = next(
@@ -1229,13 +1188,7 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
         fuel -= 1
         assert fuel > 0, "omega_open_nf failed to stabilize"
         ed = Edit(pv, pf.dst)
-        for p in list(ed.parts):
-            if isinstance(p, Prefix):
-                inner = _omega_open_body(pv, p.body, alphabet)
-                if inner.src != inner.dst:
-                    idx = ed.parts.index(p)
-                    ed.step(pv.rw_part(ed.term, idx, pv.congpre(p.action, inner)))
-        ed.canon()
+        ed.map_bodies(lambda body: _omega_open_body(pv, body, alphabet))
         folded = _try_fold(pv, ed, alphabet)
         pf = pv.trans(pf, ed.pf)
         if folded:
@@ -1247,13 +1200,7 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
 
 def _omega_open_body(pv: Prover, t: Monitor, alphabet: Alphabet) -> Pf:
     ed = Edit(pv, t)
-    for p in list(ed.parts):
-        if isinstance(p, Prefix):
-            inner = _omega_open_body(pv, p.body, alphabet)
-            if inner.src != inner.dst:
-                idx = ed.parts.index(p)
-                ed.step(pv.rw_part(ed.term, idx, pv.congpre(p.action, inner)))
-    ed.canon()
+    ed.map_bodies(lambda body: _omega_open_body(pv, body, alphabet))
     if _try_fold(pv, ed, alphabet):
         ed.step(_reduce(pv, ed.term, use_o1=True))
     return ed.pf

@@ -198,6 +198,10 @@ def check_derivation(derivation: Derivation, claimed: Equation | None = None) ->
 
     Raises :class:`CheckError` on the first failure.
     """
+    if derivation.system not in axioms.SYSTEM_SCHEMAS:
+        raise CheckError(
+            None, AXIOM_NOT_IN_SYSTEM, f"unknown axiom system {derivation.system!r}"
+        )
     if not derivation.steps:
         raise CheckError(None, SHAPE_MISMATCH, "derivation has no steps")
     prior: dict[int, Equation] = {}
@@ -226,10 +230,6 @@ def validate(derivation: Derivation, claimed: Equation | None = None) -> CheckEr
 # Text format
 
 
-def _print_mapping(subst: Iterable[tuple[str, Monitor]]) -> str:
-    return ", ".join(f"{k} -> {syntax.print_monitor(v)}" for k, v in subst)
-
-
 def _print_binding(key: str, value) -> str:
     if key == "s":
         return f"s={' '.join(value)}" if value else "s=<eps>"
@@ -249,12 +249,12 @@ def print_justification(just: Justification) -> str:
         case CongruencePrefix(action, inner):
             return f"prefix({action}, {inner})"
         case Substitutivity(of, subst):
-            return f"subst({of}; {_print_mapping(subst)})"
+            return f"subst({of}; {syntax.print_substitution(subst)})"
         case AxiomUse(name, bindings, subst):
             parts = [name]
             parts.extend(_print_binding(k, v) for k, v in bindings)
             if subst:
-                parts.append(_print_mapping(subst))
+                parts.append(syntax.print_substitution(subst))
             return f"axiom({'; '.join(parts)})"
     raise TypeError(f"unknown justification {just!r}")
 

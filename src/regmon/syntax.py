@@ -30,7 +30,6 @@ from .terms import (
     Monitor,
     No,
     Prefix,
-    Substitution,
     Sum,
     Trace,
     Var,
@@ -319,10 +318,9 @@ def parse_substitution(
     return mapping
 
 
-def print_substitution(sigma: Substitution) -> str:
-    return ", ".join(
-        f"{name} -> {print_monitor(term)}" for name, term in sorted(sigma.items())
-    )
+def print_substitution(pairs: Iterable[tuple[str, Monitor]]) -> str:
+    """``x -> t, y -> u`` for the given pairs, in the order given."""
+    return ", ".join(f"{name} -> {print_monitor(term)}" for name, term in pairs)
 
 
 # ---------------------------------------------------------------------------

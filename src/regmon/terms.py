@@ -230,14 +230,6 @@ def contains_verdict(m: Monitor, v: Monitor) -> bool:
             return False
 
 
-def yes_free(m: Monitor) -> bool:
-    return not contains_verdict(m, YES)
-
-
-def no_free(m: Monitor) -> bool:
-    return not contains_verdict(m, NO)
-
-
 def summands(m: Monitor) -> Iterator[Monitor]:
     """Iterate the non-Sum leaves of the sum tree, left to right."""
     if isinstance(m, Sum):
@@ -277,10 +269,6 @@ def apply_subst(sigma: Substitution, m: Monitor) -> Monitor:
             return Sum(apply_subst(sigma, left), apply_subst(sigma, right))
         case _:
             return m
-
-
-def subst_is_closed(sigma: Substitution) -> bool:
-    return all(is_closed(v) for v in sigma.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from regmon.cli import main
 
 
@@ -110,6 +112,19 @@ def test_check_proof_rejects_corruption(tmp_path, capsys):
     assert "invalid" in out
 
 
+@pytest.mark.parametrize(
+    "record",
+    ["step 1: yes = yes by refl", "step 1: x + yes = yes + x by axiom(A1; x -> x, y -> yes)"],
+    ids=["refl", "axiom"],
+)
+def test_check_proof_rejects_unknown_system(tmp_path, capsys, record):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(f"system: Bogus\nalphabet: a,b\nvars: x\n{record}\n")
+    code, out, err = run(capsys, "check-proof", str(proof))
+    assert code == 1 and err == ""
+    assert out == "invalid at step None: [AxiomNotInSystem] unknown axiom system 'Bogus'\n"
+
+
 def test_axioms_listing_counts(capsys):
     code, out, _ = run(capsys, "axioms", "--system", "Ev", "--alphabet", "a")
     assert code == 0
@@ -162,6 +177,18 @@ def test_fuzz_open_mode(capsys):
     )
     assert code == 0
     assert "0 disagreements" in out
+
+
+def test_bound_zero_is_a_usage_error_for_equiv_and_fuzz(capsys):
+    message = "error: substitution_family requires bound >= 1\n"
+    code, _, err = run(
+        capsys, "equiv", "x", "x + a.x", "--alphabet", "a,b", "--oracle", "--bound", "0"
+    )
+    assert (code, err) == (2, message)
+    code, _, err = run(
+        capsys, "fuzz", "--trials", "3", "--alphabet", "a,b", "--open", "--bound", "0"
+    )
+    assert (code, err) == (2, message)
 
 
 def test_fuzz_unary_open(capsys):

@@ -6,8 +6,11 @@ from conftest import AB, A, INF
 from regmon import equivalence, semantics
 from regmon.axioms import instantiate, prefix_seq
 from regmon.equivalence import (
+    OMEGA,
+    VERDICT,
     Counterexample,
     closed_counterexample,
+    decide,
     omega_equiv_closed,
     omega_equiv_open,
     oracle_counterexample,
@@ -300,3 +303,72 @@ def test_fresh_substitution_uses_disjoint_actions():
         assert image.body == Sum(YES, NO)
     actions = {image.action for image in sigma.values()}
     assert len(actions) == 2
+
+
+# ---------------------------------------------------------------------------
+# decide: the one entry point
+
+
+def _cone(m, trace, verdict, actions):
+    """Whether every infinite extension of ``trace`` reaches ``verdict``."""
+
+    def all_reach(state, fuel):
+        if verdict in state:
+            return True
+        if not state or fuel == 0:
+            return False
+        return all(all_reach(semantics.step_state(state, a), fuel - 1) for a in actions)
+
+    return all_reach(semantics.weak_reach(m, trace), depth(m) + 1)
+
+
+def _replays(m, n, cex, mode, alphabet):
+    """Whether ``cex`` separates ``m`` and ``n`` on its side, through
+    ``accepts``/``rejects`` (or their omega cones for an omega counterexample
+    over a finite alphabet) under its substitution."""
+    sigma = dict(cex.substitution)
+    lhs, rhs = apply_subst(sigma, m), apply_subst(sigma, n)
+    accept = cex.side.startswith("Accepted")
+    if mode == OMEGA and alphabet.is_finite:
+        verdict, actions = (YES if accept else NO), alphabet.sorted_actions()
+        got = tuple(_cone(side, cex.trace, verdict, actions) for side in (lhs, rhs))
+    else:
+        probe = semantics.accepts if accept else semantics.rejects
+        got = (probe(lhs, cex.trace), probe(rhs, cex.trace))
+    left = cex.side.endswith("Left")
+    return got == (left, not left)
+
+
+@pytest.mark.parametrize("mode", [VERDICT, OMEGA])
+@pytest.mark.parametrize("alphabet", [AB, A, INF], ids=["ab", "a", "infinite"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_decide_agrees_with_its_procedure_and_counterexamples_replay(
+    mode, alphabet, closed
+):
+    rng = random.Random(f"{mode} {alphabet} {closed}")
+    gen = random_closed_monitor if closed else random_open_monitor
+    source = alphabet if alphabet.is_finite else AB
+    for i in range(30):
+        m = gen(rng, source, 3)
+        n = m if i % 5 == 0 else gen(rng, source, 3)
+        decision = decide(m, n, alphabet, mode)
+        if closed:
+            procedure = verdict_equiv_closed if mode == VERDICT else omega_equiv_closed
+        else:
+            procedure = verdict_equiv_open if mode == VERDICT else omega_equiv_open
+        assert decision.equal == procedure(m, n, alphabet)
+        cex = decision.counterexample
+        if decision.equal:
+            assert cex is None
+        elif closed:
+            assert cex is not None and cex.substitution == ()
+        if cex is not None:
+            assert _replays(m, n, cex, mode, alphabet), (m, n, cex)
+
+
+def test_decide_open_pair_over_open_ended_alphabet_has_no_counterexample():
+    m, n = Var("x"), t("x + a.x")
+    for mode in (VERDICT, OMEGA):
+        decision = decide(m, n, INF, mode)
+        assert not decision.equal
+        assert decision.counterexample is None

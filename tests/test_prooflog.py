@@ -94,6 +94,23 @@ def test_axiom_not_in_system():
     assert err is not None and err.reason == AXIOM_NOT_IN_SYSTEM
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        Step(1, eq("yes = yes"), Reflexivity()),
+        Step(1, instantiate("A1", {}, AB).equation, AxiomUse("A1")),
+    ],
+    ids=["refl", "axiom"],
+)
+def test_unknown_system_is_rejected_before_any_step(step):
+    err = validate(D(step, system="Bogus"))
+    assert (err.step_id, err.reason, err.message) == (
+        None,
+        AXIOM_NOT_IN_SYSTEM,
+        "unknown axiom system 'Bogus'",
+    )
+
+
 def test_axiom_wrong_equation_is_not_an_instance():
     step = Step(1, eq("yes = yes + b.yes"), AxiomUse("Y_a", (("action", "a"),)))
     err = validate(D(step))
