@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .terms import (
     END,
@@ -27,6 +27,9 @@ from .terms import (
     sum_of,
     vars_of,
 )
+
+if TYPE_CHECKING:
+    from .equivalence import Counterexample
 
 X = Var("x")
 Y = Var("y")
@@ -323,18 +326,11 @@ def list_system(
 
 
 @dataclass(frozen=True, slots=True)
-class FuzzFailure:
-    substitution: tuple[tuple[str, Monitor], ...]
-    trace: Trace
-    side: str
-
-
-@dataclass(frozen=True, slots=True)
 class FuzzReport:
     instance: AxiomInstance
     mode: str
     trials: int
-    failures: tuple[FuzzFailure, ...]
+    failures: tuple[Counterexample, ...]
 
     @property
     def ok(self) -> bool:
@@ -359,7 +355,7 @@ def soundness_fuzz(
 
     fin = _require_finite("soundness_fuzz", alphabet)
     variables = sorted(vars_of(instance.equation.lhs) | vars_of(instance.equation.rhs))
-    failures: list[FuzzFailure] = []
+    failures: list[Counterexample] = []
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         sigma: Substitution = {
@@ -367,20 +363,9 @@ def soundness_fuzz(
         }
         lhs = apply_subst(sigma, instance.equation.lhs)
         rhs = apply_subst(sigma, instance.equation.rhs)
-        if mode == "verdict":
-            cex = equivalence.closed_counterexample(lhs, rhs, fin)
-            if cex is not None:
-                trace, side = cex
-                failures.append(
-                    FuzzFailure(tuple(sorted(sigma.items())), trace, side)
-                )
-        else:
-            witness = equivalence.omega_closed_counterexample(lhs, rhs, fin)
-            if witness is not None:
-                trace, side = witness
-                failures.append(
-                    FuzzFailure(tuple(sorted(sigma.items())), trace, side)
-                )
+        cex = equivalence.closed_search(lhs, rhs, fin, mode, tuple(sorted(sigma.items())))
+        if cex is not None:
+            failures.append(cex)
     return FuzzReport(instance, mode, trials, tuple(failures))
 
 

@@ -38,7 +38,9 @@ def _resolve_term(source: str, alphabet: Alphabet | None, variables) -> tuple[Mo
     """Parse an inline term or an ``@file`` reference.
 
     Returns the term together with the alphabet that governed it: the one
-    passed in, or the file's ``alphabet:`` header when none was given.
+    passed in, or the file's ``alphabet:`` header when none was given.  A
+    header that names another alphabet than the one passed in is a usage
+    error.
     """
     if not source.startswith("@"):
         if alphabet is None:
@@ -47,7 +49,10 @@ def _resolve_term(source: str, alphabet: Alphabet | None, variables) -> tuple[Mo
             )
         return syntax.parse_monitor(source, alphabet, variables), alphabet
     path, _, name = source[1:].partition("#")
-    tf = syntax.parse_term_file(_load_text(path), alphabet)
+    try:
+        tf = syntax.parse_term_file(_load_text(path), alphabet)
+    except syntax.AlphabetConflict as err:
+        raise UsageError(f"{path}: {err}") from None
     assert tf.alphabet is not None
     if name:
         if name not in tf.terms:
@@ -67,8 +72,9 @@ def _alphabet_from(args, required: bool = True) -> Alphabet | None:
 def _terms_and_alphabet(args, *sources) -> tuple[Alphabet, list[Monitor]]:
     """Resolve terms and the effective alphabet.
 
-    An explicit ``--alphabet`` governs every term; otherwise the terms must
-    come from files whose headers agree on one.
+    An explicit ``--alphabet`` governs every term, and a file header that
+    names another alphabet is a usage error; otherwise the terms must come
+    from files whose headers agree on one.
     """
     explicit = _alphabet_from(args, required=False)
     variables = _variables_from(args)
@@ -572,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error at {err.span}: {err.message}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError, normalize.InternalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -121,19 +121,17 @@ def omega_closed_counterexample(
     acc_n = omega_canon(ln.accept_min, alphabet)
     rej_m = omega_canon(lm.reject_min, alphabet)
     rej_n = omega_canon(ln.reject_min, alphabet)
-    witnesses: list[tuple[Trace, str]] = []
-    for t in acc_m - acc_n:
-        if not semantics.covered_by(t, acc_n):
-            witnesses.append((t, ACCEPTED_ONLY_BY_LEFT))
-    for t in acc_n - acc_m:
-        if not semantics.covered_by(t, acc_m):
-            witnesses.append((t, ACCEPTED_ONLY_BY_RIGHT))
-    for t in rej_m - rej_n:
-        if not semantics.covered_by(t, rej_n):
-            witnesses.append((t, REJECTED_ONLY_BY_LEFT))
-    for t in rej_n - rej_m:
-        if not semantics.covered_by(t, rej_m):
-            witnesses.append((t, REJECTED_ONLY_BY_RIGHT))
+    witnesses = [
+        (t, side)
+        for mine, theirs, side in (
+            (acc_m, acc_n, ACCEPTED_ONLY_BY_LEFT),
+            (acc_n, acc_m, ACCEPTED_ONLY_BY_RIGHT),
+            (rej_m, rej_n, REJECTED_ONLY_BY_LEFT),
+            (rej_n, rej_m, REJECTED_ONLY_BY_RIGHT),
+        )
+        for t in mine - theirs
+        if not semantics.covered_by(t, theirs)
+    ]
     if not witnesses:
         return None
     return min(witnesses, key=lambda w: trace_key(w[0]))
@@ -141,6 +139,19 @@ def omega_closed_counterexample(
 
 def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
     return omega_closed_counterexample(m, n, alphabet) is None
+
+
+def closed_search(
+    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str, substitution=()
+) -> Counterexample | None:
+    """Run the product search of ``mode`` on two closed monitors; a
+    separating trace comes back as a counterexample under ``substitution``
+    (the pairs that closed the two monitors, if any)."""
+    if mode == VERDICT:
+        found = closed_counterexample(m, n, alphabet)
+    else:
+        found = omega_closed_counterexample(m, n, alphabet)
+    return None if found is None else Counterexample(substitution, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +234,15 @@ def _oracle_failures(m, n, alphabet, mode, bound, cap, seed):
         bound = depth(m) + depth(n) + 2
     variables = vars_of(m) | vars_of(n)
     for sigma in substitution_family(variables, alphabet, bound, cap=cap, seed=seed):
-        lhs = apply_subst(sigma, m)
-        rhs = apply_subst(sigma, n)
-        if mode == VERDICT:
-            found = closed_counterexample(lhs, rhs, alphabet)
-        else:
-            found = omega_closed_counterexample(lhs, rhs, alphabet)
-        if found is not None:
-            trace, side = found
-            yield Counterexample(tuple(sorted(sigma.items())), trace, side)
+        cex = closed_search(
+            apply_subst(sigma, m),
+            apply_subst(sigma, n),
+            alphabet,
+            mode,
+            tuple(sorted(sigma.items())),
+        )
+        if cex is not None:
+            yield cex
 
 
 def oracle_counterexample(
@@ -355,13 +366,8 @@ def decide(
     for an open pair's counterexample.
     """
     if is_closed(m) and is_closed(n):
-        if mode == VERDICT:
-            found = closed_counterexample(m, n, alphabet)
-        else:
-            found = omega_closed_counterexample(m, n, alphabet)
-        if found is None:
-            return Decision(True, None)
-        return Decision(False, Counterexample((), *found))
+        cex = closed_search(m, n, alphabet, mode)
+        return Decision(cex is None, cex)
     if mode == VERDICT:
         equal = verdict_equiv_open(m, n, alphabet)
     else:

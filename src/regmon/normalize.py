@@ -65,6 +65,14 @@ class AlphabetTooSmall(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A rewriting loop missed its fixpoint: a bug, not a bad input."""
+
+
+# Rounds that the fixpoint loops of fin-rnf and open-omega-nf may take.
+_FUEL = 199
+
+
 @dataclass(frozen=True, slots=True)
 class CanonicalForm:
     term: Monitor
@@ -247,18 +255,26 @@ class Prover:
         spine = _ln(parts[:i])
         return self.rw_spine(term, i, self.congsum(self.refl(spine), inner))
 
-    def swap(self, term: Monitor, i: int) -> Pf:
+    def rw_pair(self, term: Monitor, i: int, inner) -> Pf:
+        """Rewrite the adjacent parts ``a``, ``b`` at ``i``, ``i + 1`` by the
+        proof ``inner(a, b)`` about ``a + b``, regrouping with A2 around it
+        when ``i > 0`` (also after it, for a two-part result).  ``inner`` is
+        called after the first regrouping step is emitted; a caller whose
+        proof must come first passes a closure over it."""
         parts = _parts(term)
         a, b = parts[i], parts[i + 1]
         if i == 0:
-            return self.rw_spine(term, 1, self.ax("A1", subst={"x": a, "y": b}))
+            return self.rw_spine(term, 1, inner(a, b))
         p = _ln(parts[:i])
-        inner = self.trans(
-            self.ax_rev("A2", subst={"x": p, "y": a, "z": b}),
-            self.congsum(self.refl(p), self.ax("A1", subst={"x": a, "y": b})),
-            self.ax("A2", subst={"x": p, "y": b, "z": a}),
-        )
-        return self.rw_spine(term, i + 1, inner)
+        pfs = [self.ax_rev("A2", subst={"x": p, "y": a, "z": b})]
+        pf = inner(a, b)
+        pfs.append(self.congsum(self.refl(p), pf))
+        if isinstance(pf.dst, Sum):
+            pfs.append(self.ax("A2", subst={"x": p, "y": pf.dst.left, "z": pf.dst.right}))
+        return self.rw_spine(term, i + 1, self.trans(*pfs))
+
+    def swap(self, term: Monitor, i: int) -> Pf:
+        return self.rw_pair(term, i, lambda a, b: self.ax("A1", subst={"x": a, "y": b}))
 
     def bubble(self, term: Monitor, i: int, j: int) -> Pf:
         """Move part ``i`` to position ``j`` by adjacent swaps."""
@@ -285,17 +301,7 @@ class Prover:
         return self.rw_spine(term, i, self.ax("A4", subst={"x": _ln(parts[:i])}))
 
     def dedupe_adjacent(self, term: Monitor, i: int) -> Pf:
-        parts = _parts(term)
-        t = parts[i]
-        assert parts[i + 1] == t
-        if i == 0:
-            return self.rw_spine(term, 1, self.ax("A3", subst={"x": t}))
-        p = _ln(parts[:i])
-        inner = self.trans(
-            self.ax_rev("A2", subst={"x": p, "y": t, "z": t}),
-            self.congsum(self.refl(p), self.ax("A3", subst={"x": t})),
-        )
-        return self.rw_spine(term, i + 1, inner)
+        return self.rw_pair(term, i, lambda t, _: self.ax("A3", subst={"x": t}))
 
     def _append(self, left: Monitor, right: Monitor) -> Pf:
         if not isinstance(right, Sum):
@@ -452,26 +458,25 @@ def _unfold(pv: Prover, leaf: Monitor, trace: Trace, grow) -> Pf:
     return pv.trans(s1, s2, s3, s4, s5)
 
 
+def _prefix_index(parts: list[Monitor], action: str) -> int | None:
+    """Position of the ``action`` prefix among ``parts``, if there is one."""
+    return next(
+        (i for i, p in enumerate(parts) if isinstance(p, Prefix) and p.action == action),
+        None,
+    )
+
+
 def _find_verdict_path(t: Monitor, trace: Trace, v: Monitor) -> Trace | None:
     """Shortest prefix of ``trace`` whose node has ``v`` as a summand."""
     node = t
     for i in range(len(trace) + 1):
-        if v in _parts(node):
+        parts = _parts(node)
+        if v in parts:
             return trace[:i]
-        if i == len(trace):
+        j = None if i == len(trace) else _prefix_index(parts, trace[i])
+        if j is None:
             return None
-        nxt = next(
-            (
-                p.body
-                for p in _parts(node)
-                if isinstance(p, Prefix) and p.action == trace[i]
-            ),
-            None,
-        )
-        if nxt is None:
-            return None
-        node = nxt
-    return None
+        node = parts[j].body
 
 
 def _dup_path_verdict(pv: Prover, t: Monitor, path: Trace, v: Monitor) -> Pf:
@@ -488,9 +493,7 @@ def _dup_path_verdict(pv: Prover, t: Monitor, path: Trace, v: Monitor) -> Pf:
         return pf
     head, rest = path[0], path[1:]
     parts = _parts(t)
-    i = next(
-        i for i, p in enumerate(parts) if isinstance(p, Prefix) and p.action == head
-    )
+    i = _prefix_index(parts, head)
     body = parts[i].body
     inner = _dup_path_verdict(pv, body, rest, v)  # body = body + rest.v
     pf = pv.rw_part(t, i, pv.congpre(head, inner))
@@ -548,6 +551,12 @@ def _nf(pv: Prover, m: Monitor) -> Pf:
             return pv.refl(m)
 
 
+def _rnf(pv: Prover, m: Monitor, use_o1: bool) -> Pf:
+    """``m`` to its (open) normal form, then to its reduced normal form."""
+    pf = _nf(pv, m)
+    return pv.trans(pf, _reduce(pv, pf.dst, use_o1))
+
+
 def _merge_nf(pv: Prover, t: Monitor) -> Pf:
     """Canonicalize a sum of normal forms, merging same-action summands."""
     pf = pv.shallow_canon(t)
@@ -573,18 +582,7 @@ def _merge_nf(pv: Prover, t: Monitor) -> Pf:
         )
         if combined.dst == Prefix(a, END):
             combined = pv.trans(combined, pv.ax("E_a", {"action": a}))
-        if pair == 0:
-            step = pv.rw_spine(pf.dst, 1, combined)
-        else:
-            p = _ln(parts[:pair])
-            inner = pv.trans(
-                pv.ax_rev(
-                    "A2", subst={"x": p, "y": parts[pair], "z": parts[pair + 1]}
-                ),
-                pv.congsum(pv.refl(p), combined),
-            )
-            step = pv.rw_spine(pf.dst, pair + 1, inner)
-        pf = pv.trans(pf, step)
+        pf = pv.trans(pf, pv.rw_pair(pf.dst, pair, lambda *_: combined))
         pf = pv.trans(pf, pv.shallow_canon(pf.dst))
 
 
@@ -625,19 +623,7 @@ def _absorb(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
         inner = _absorb(pv, v, body.action, body.body)
         mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
         return pv.trans(push, mid, pv.ax_rev(grow, {"action": action}))
-    assert isinstance(body, Sum), f"absorb on {body!r}"
-    pf = pv.congsum(pv.refl(v), pv.distribute(action, body))
-    pf = pv.trans(pf, pv.flatten(pf.dst))
-    while True:
-        parts = _parts(pf.dst)
-        if len(parts) == 1:
-            assert parts[0] == v
-            return pf
-        target = parts[1]
-        assert isinstance(target, Prefix) and target.action == action
-        pf = pv.trans(
-            pf, pv.rw_spine(pf.dst, 1, _absorb(pv, v, action, target.body))
-        )
+    return _strip(pv, v, action, body)
 
 
 def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
@@ -645,6 +631,7 @@ def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
 
     Pieces that are closed and free of the opposite verdict are absorbed
     outright; open pieces survive with their own ``v`` occurrences removed.
+    When every piece is absorbed the result is ``v + a.body = v``.
     """
     opp = _opposite(v)
     if isinstance(body, Prefix):
@@ -675,7 +662,8 @@ def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
         pf = pv.trans(pf, pv.bubble(pf.dst, 1, len(parts) - 1))
     pf = pv.trans(pf, _fold_prefixes(pv, pf.dst, action))
     parts = _parts(pf.dst)
-    assert len(parts) == 2, "strip absorbed every piece; absorb should apply"
+    if len(parts) == 1:
+        return pf
     inner = pv.congpre(action, pv.shallow_canon(parts[1].body))
     return pv.trans(pf, pv.rw_part(pf.dst, 1, inner))
 
@@ -683,21 +671,14 @@ def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
 def _fold_prefixes(pv: Prover, term: Monitor, action: str) -> Pf:
     """``v + a.n1 + ... + a.nk  =  v + a.(n1 + ... + nk)``."""
     pf = pv.refl(term)
-    while True:
-        parts = _parts(pf.dst)
-        if len(parts) <= 2:
-            return pf
-        head = _ln(parts[:1])
-        u, w = parts[1], parts[2]
-        assert isinstance(u, Prefix) and isinstance(w, Prefix)
-        inner = pv.trans(
-            pv.ax_rev("A2", subst={"x": head, "y": u, "z": w}),
-            pv.congsum(
-                pv.refl(head),
-                pv.ax_rev("D_a", {"action": action}, subst={"x": u.body, "y": w.body}),
-            ),
+    while len(_parts(pf.dst)) > 2:
+        fold = pv.rw_pair(
+            pf.dst,
+            1,
+            lambda u, w: pv.ax_rev("D_a", {"action": action}, subst={"x": u.body, "y": w.body}),
         )
-        pf = pv.trans(pf, pv.rw_spine(pf.dst, 2, inner))
+        pf = pv.trans(pf, fold)
+    return pf
 
 
 def _pair_with_flag(pv: Prover, ed: Edit, v: Monitor, target: Monitor, inner: Pf) -> None:
@@ -710,6 +691,21 @@ def _pair_with_flag(pv: Prover, ed: Edit, v: Monitor, target: Monitor, inner: Pf
     if idx != 1:
         ed.step(pv.bubble(ed.term, idx, 1))
     ed.step(pv.rw_spine(ed.term, 1, inner))
+
+
+def _rewrite_beside_flag(pv: Prover, ed: Edit, flag: Monitor, rewrite) -> None:
+    """Pair the first prefix summand ``p`` that ``rewrite`` applies to with
+    ``flag``, rewrite the pair by ``rewrite(p)`` (a proof about ``flag + p``,
+    None where it does not apply) and canonicalize, until none is left."""
+    while True:
+        for p in ed.parts:
+            inner = rewrite(p) if isinstance(p, Prefix) else None
+            if inner is not None:
+                break
+        else:
+            return
+        _pair_with_flag(pv, ed, flag, p, inner)
+        ed.canon()
 
 
 def _needs_prune(body: Monitor, opp: Monitor) -> bool:
@@ -812,33 +808,20 @@ def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
     if flag is None:
         return ed.pf
     opp = _opposite(flag)
-    changed = True
-    while changed:
-        changed = False
-        for p in ed.parts:
-            if not isinstance(p, Prefix):
-                continue
-            if is_closed(p.body) and _free_of(p.body, opp):
-                _pair_with_flag(pv, ed, flag, p, _absorb(pv, flag, p.action, p.body))
-                changed = True
-                break
-            if contains_verdict(p.body, flag):
-                _pair_with_flag(pv, ed, flag, p, _strip(pv, flag, p.action, p.body))
-                changed = True
-                break
-        if changed:
-            ed.canon()
+
+    def absorb_or_strip(p: Prefix) -> Pf | None:
+        if is_closed(p.body) and _free_of(p.body, opp):
+            return _absorb(pv, flag, p.action, p.body)
+        if contains_verdict(p.body, flag):
+            return _strip(pv, flag, p.action, p.body)
+        return None
+
+    def prune(p: Prefix) -> Pf | None:
+        return _prune(pv, flag, p.action, p.body) if _needs_prune(p.body, opp) else None
+
+    _rewrite_beside_flag(pv, ed, flag, absorb_or_strip)
     if use_o1:
-        changed = True
-        while changed:
-            changed = False
-            for p in ed.parts:
-                if isinstance(p, Prefix) and _needs_prune(p.body, opp):
-                    _pair_with_flag(pv, ed, flag, p, _prune(pv, flag, p.action, p.body))
-                    changed = True
-                    break
-            if changed:
-                ed.canon()
+        _rewrite_beside_flag(pv, ed, flag, prune)
     return ed.pf
 
 
@@ -930,13 +913,14 @@ def covering_k(m: Monitor, s: Trace, alphabet: Alphabet) -> int | None:
     return None
 
 
-def _var_paths(t: Monitor) -> list[tuple[Trace, str]]:
-    """Nonempty traces after which a variable occurs as a summand."""
+def _var_occurrences(t: Monitor) -> list[tuple[Trace, str]]:
+    """``(s, x)`` for each variable ``x`` that occurs as a summand after the
+    trace ``s``, shortest trace first."""
     out: list[tuple[Trace, str]] = []
 
     def walk(node: Monitor, path: Trace) -> None:
         for p in _parts(node):
-            if isinstance(p, Var) and path:
+            if isinstance(p, Var):
                 out.append((path, p.name))
             elif isinstance(p, Prefix):
                 walk(p.body, path + (p.action,))
@@ -950,37 +934,25 @@ def _extract_var(pv: Prover, t: Monitor, s: Trace, name: str) -> Pf:
     x = Var(name)
     head, rest = s[0], s[1:]
     parts = _parts(t)
-    i = next(
-        i for i, p in enumerate(parts) if isinstance(p, Prefix) and p.action == head
-    )
+    i = _prefix_index(parts, head)
     body = parts[i].body
     n = len(parts)
-    if not rest:
-        if body == x:
-            if n == 1:
-                return pv.refl(t)
-            return pv.bubble(t, i, n - 1)
-        rb = _ln([p for p in _parts(body) if p != x])
-        inner = pv.trans(
-            pv.congpre(head, pv.align(body, Sum(rb, x))),
-            pv.ax("D_a", {"action": head}, subst={"x": rb, "y": x}),
-        )
-        pf = pv.rw_part(t, i, inner)
-        pf = pv.trans(pf, pv.flatten(pf.dst))
-        return pv.trans(pf, pv.bubble(pf.dst, i + 1, n))
-    inner = _extract_var(pv, body, rest, name)
-    tail = axioms.prefix_seq(rest, x)
-    if inner.dst == tail:
+    if rest:
+        inner = _extract_var(pv, body, rest, name)
+    elif body == x:
+        inner = pv.refl(x)
+    else:
+        inner = pv.align(body, Sum(_ln([p for p in _parts(body) if p != x]), x))
+    if inner.dst == axioms.prefix_seq(rest, x):
+        # the part is a.s'.x already: move it last
         pf = pv.rw_part(t, i, pv.congpre(head, inner)) if inner.src != inner.dst else pv.refl(t)
-        if n == 1:
-            return pf
-        return pv.trans(pf, pv.bubble(pf.dst, i, n - 1))
-    rb = inner.dst.left
-    step = pv.trans(
+        return pf if n == 1 else pv.trans(pf, pv.bubble(pf.dst, i, n - 1))
+    # a.(R' + s'.x) = a.R' + a.s'.x, with the new summand moved last
+    split = pv.trans(
         pv.congpre(head, inner),
-        pv.ax("D_a", {"action": head}, subst={"x": rb, "y": tail}),
+        pv.ax("D_a", {"action": head}, subst={"x": inner.dst.left, "y": inner.dst.right}),
     )
-    pf = pv.rw_part(t, i, step)
+    pf = pv.rw_part(t, i, split)
     pf = pv.trans(pf, pv.flatten(pf.dst))
     return pv.trans(pf, pv.bubble(pf.dst, i + 1, n))
 
@@ -997,10 +969,8 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
             added.append(axioms.prefix_seq(t0, v))
     flat = _ln(added)
     pf = pv.trans(pf, pv.align(pf.dst, Sum(base, flat)))
-    p1 = _nf(pv, flat)
-    pf_flat = pv.trans(p1, _reduce(pv, p1.dst, use_o1=False))
-    p2 = _nf(pv, guard)
-    pf_guard = pv.trans(p2, _reduce(pv, p2.dst, use_o1=False))
+    pf_flat = _rnf(pv, flat, use_o1=False)
+    pf_guard = _rnf(pv, guard, use_o1=False)
     assert pf_flat.dst == pf_guard.dst, "saturation summands must match the guard"
     pf = pv.trans(pf, pv.congsum(pv.refl(base), pv.trans(pf_flat, pv.sym(pf_guard))))
     return pf
@@ -1039,23 +1009,19 @@ def _eliminate_occurrence(
     remainder = ac_normalize(_ln(rest + [x]))
     ed.step(pv.align(ed.term, Sum(remainder, guard)))
     ed.step(pv.sym(_saturate_to(pv, remainder, members, guard)))
-    renf = _nf(pv, ed.term)
-    ed.step(pv.trans(renf, _reduce(pv, renf.dst, use_o1=True)))
+    ed.step(_rnf(pv, ed.term, use_o1=True))
 
 
 def _finite_act_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
-    pf = _nf(pv, m)
-    pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
-    fuel = 200
-    while True:
-        fuel -= 1
-        assert fuel > 0, "finite_act_rnf failed to stabilize"
+    pf = _rnf(pv, m, use_o1=True)
+    for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
         ed.map_bodies(lambda body: _finite_act_rnf(pv, body, alphabet))
-        top_vars = {x for x in _decompose(ed.term)[3]}
+        occurrences = _var_occurrences(ed.term)
+        top_vars = {x for s, x in occurrences if not s}
         done = True
-        for s, x in _var_paths(ed.term):
-            if x not in top_vars:
+        for s, x in occurrences:
+            if not s or x not in top_vars:
                 continue
             k = covering_k(ed.term, s, alphabet)
             if k is None:
@@ -1066,24 +1032,11 @@ def _finite_act_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
         pf = pv.trans(pf, ed.pf)
         if done and ed.pf.src == ed.pf.dst:
             return pf
+    raise InternalError("finite_act_rnf failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
 # Unary forms
-
-
-def _occurrence_depths(t: Monitor, name: str) -> list[int]:
-    out: list[int] = []
-
-    def walk(node: Monitor, d: int) -> None:
-        for p in _parts(node):
-            if isinstance(p, Var) and p.name == name:
-                out.append(d)
-            elif isinstance(p, Prefix):
-                walk(p.body, d + 1)
-
-    walk(t, 0)
-    return sorted(out)
 
 
 def _remove_var_at(t: Monitor, name: str, target: int, d: int = 0) -> Monitor:
@@ -1114,28 +1067,24 @@ def _unfold_var_at(
         pf = pv.rw_part(t, _parts(t).index(x), unfold)
         return pv.trans(pf, pv.flatten(pf.dst))
     parts = _parts(t)
-    i = next(
-        i for i, p in enumerate(parts) if isinstance(p, Prefix) and p.action == action
-    )
+    i = _prefix_index(parts, action)
     inner = _unfold_var_at(pv, parts[i].body, name, at_depth - 1, delta, action)
     return pv.rw_part(t, i, pv.congpre(action, inner))
 
 
 def _unary_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
     action = alphabet.sorted_actions()[0]
-    pf = _nf(pv, m)
-    pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
+    pf = _rnf(pv, m, use_o1=True)
     while True:
         t = pf.dst
-        worklist = []
-        for name in sorted(vars_of(t)):
-            ds = _occurrence_depths(t, name)
-            if len(ds) > 1:
-                worklist.append((name, ds))
-        if not worklist:
+        depths: dict[str, list[int]] = {}
+        for s, x in _var_occurrences(t):
+            depths.setdefault(x, []).append(len(s))
+        repeated = sorted(x for x, ds in depths.items() if len(ds) > 1)
+        if not repeated:
             return pf
-        name, ds = worklist[0]
-        d0, d1 = ds[0], ds[-1]
+        name = repeated[0]
+        d0, d1 = depths[name][0], depths[name][-1]
         without = _remove_var_at(t, name, d1)
         grow = _unfold_var_at(pv, without, name, d0, d1 - d0, action)
         grow = pv.trans(grow, _nf(pv, grow.dst))
@@ -1183,10 +1132,7 @@ def _unary_omega(pv: Prover, m: Monitor) -> Pf:
 
 def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
     pf = _finite_act_rnf(pv, m, alphabet)
-    fuel = 200
-    while True:
-        fuel -= 1
-        assert fuel > 0, "omega_open_nf failed to stabilize"
+    for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
         ed.map_bodies(lambda body: _omega_open_body(pv, body, alphabet))
         folded = _try_fold(pv, ed, alphabet)
@@ -1196,6 +1142,7 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
             pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst, alphabet))
         elif ed.pf.src == ed.pf.dst:
             return pf
+    raise InternalError("omega_open_nf failed to stabilize")
 
 
 def _omega_open_body(pv: Prover, t: Monitor, alphabet: Alphabet) -> Pf:
@@ -1255,9 +1202,7 @@ def reduced_nf_closed(
 ) -> CanonicalForm:
     require_closed(m, "reduced_nf_closed")
     pv = Prover("Ev", _infer_alphabet(m, alphabet), emit_proof)
-    pf = _nf(pv, m)
-    pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=False))
-    return _finish(pv, m, pf, RNF, emit_proof)
+    return _finish(pv, m, _rnf(pv, m, use_o1=False), RNF, emit_proof)
 
 
 def omega_nf_closed(
@@ -1268,8 +1213,7 @@ def omega_nf_closed(
     if not alphabet.is_finite:
         raise ValueError("omega_nf_closed needs a finite alphabet")
     pv = Prover("Eomega", alphabet, emit_proof)
-    pf = _nf(pv, m)
-    pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=False))
+    pf = _rnf(pv, m, use_o1=False)
     pf = pv.trans(pf, _omega_closed(pv, pf.dst, alphabet))
     return _finish(pv, m, pf, OMEGA_NF, emit_proof)
 
@@ -1285,9 +1229,7 @@ def open_rnf(
     m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
 ) -> CanonicalForm:
     pv = Prover("Ev'", _infer_alphabet(m, alphabet), emit_proof)
-    pf = _nf(pv, m)
-    pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
-    return _finish(pv, m, pf, OPEN_RNF, emit_proof)
+    return _finish(pv, m, _rnf(pv, m, use_o1=True), OPEN_RNF, emit_proof)
 
 
 def finite_act_rnf(

@@ -136,12 +136,6 @@ class TraceLang:
     accept_min: frozenset[Trace]
     reject_min: frozenset[Trace]
 
-    def accepts(self, trace: Trace) -> bool:
-        return covered_by(trace, self.accept_min)
-
-    def rejects(self, trace: Trace) -> bool:
-        return covered_by(trace, self.reject_min)
-
 
 def covered_by(trace: Trace, antichain: frozenset[Trace]) -> bool:
     """Whether some member of the antichain is a prefix of ``trace``."""

@@ -343,21 +343,32 @@ class TermFile:
         return next(iter(self.terms.values()))
 
 
-def parse_term_file(text: str, default_alphabet: Alphabet | None = None) -> TermFile:
+class AlphabetConflict(ValueError):
+    """A term file's ``alphabet:`` header disagrees with the given alphabet."""
+
+
+def parse_term_file(text: str, alphabet: Alphabet | None = None) -> TermFile:
     """Parse a monitor file.
 
     Recognized headers: ``alphabet: a,b`` (or ``infinite``) and ``vars: x,y``.
     Each remaining nonempty line is either ``name := term`` or a bare term
-    (named ``_1``, ``_2``, ... in order).
+    (named ``_1``, ``_2``, ... in order).  A given ``alphabet`` governs the
+    terms; an ``alphabet:`` header that names another raises
+    :class:`AlphabetConflict`.
     """
-    out = TermFile(alphabet=default_alphabet)
+    out = TermFile(alphabet=alphabet)
     body: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("alphabet:"):
-            out.alphabet = parse_alphabet(line[len("alphabet:") :])
+            declared = parse_alphabet(line[len("alphabet:") :])
+            if alphabet is not None and declared != alphabet:
+                raise AlphabetConflict(
+                    f"the file declares alphabet {declared}, but {alphabet} was given"
+                )
+            out.alphabet = declared
             continue
         if line.startswith("vars:"):
             names = [n.strip() for n in line[len("vars:") :].split(",") if n.strip()]
@@ -371,8 +382,7 @@ def parse_term_file(text: str, default_alphabet: Alphabet | None = None) -> Term
             out.variables = out.variables | frozenset(names)
             continue
         body.append(line)
-    alphabet = out.alphabet
-    if alphabet is None:
+    if out.alphabet is None:
         raise ValueError("no alphabet: give one in the file or on the command line")
     counter = 0
     for line in body:
@@ -382,7 +392,7 @@ def parse_term_file(text: str, default_alphabet: Alphabet | None = None) -> Term
         else:
             counter += 1
             name, term_text = f"_{counter}", line
-        out.terms[name] = parse_monitor(term_text, alphabet, out.variables)
+        out.terms[name] = parse_monitor(term_text, out.alphabet, out.variables)
     return out
 
 

@@ -280,9 +280,6 @@ class Equation:
     lhs: Monitor
     rhs: Monitor
 
-    def flipped(self) -> "Equation":
-        return Equation(self.rhs, self.lhs)
-
     def __str__(self) -> str:
         from . import syntax
 
@@ -334,27 +331,3 @@ def ac_normalize(m: Monitor) -> Monitor:
 def ac_equal(m: Monitor, n: Monitor) -> bool:
     """Equality modulo axioms A1-A4 (hereditarily under prefixes)."""
     return ac_normalize(m) == ac_normalize(n)
-
-
-@dataclass(frozen=True, slots=True)
-class SumForm:
-    """A sum as a set of canonical non-Sum, non-End summands.
-
-    The empty set denotes ``end``.  Set semantics silently applies A3.
-    """
-
-    parts: frozenset[Monitor]
-
-    def sorted_parts(self) -> list[Monitor]:
-        return sorted(self.parts, key=sort_key)
-
-
-def to_sum_form(m: Monitor) -> SumForm:
-    canon = ac_normalize(m)
-    if canon == END:
-        return SumForm(frozenset())
-    return SumForm(frozenset(summands(canon)))
-
-
-def from_sum_form(sf: SumForm) -> Monitor:
-    return sum_of(sf.sorted_parts())

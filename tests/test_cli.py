@@ -353,3 +353,53 @@ def test_non_ascii_identifier_is_a_parse_error(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "parse error at 1:1: unexpected character 'é'\n"
+
+
+def test_explicit_alphabet_conflicting_with_file_header_is_exit_2(tmp_path, capsys):
+    f = tmp_path / "f.mon"
+    f.write_text("alphabet: a\nb.yes + x\n")
+    code, out, err = run(capsys, "parse", f"@{f}", "--alphabet", "a,b")
+    assert (code, out) == (2, "")
+    assert err == f"error: {f}: the file declares alphabet a, but a,b was given\n"
+    f.write_text("alphabet: b,a\nb.yes + x\n")  # the same alphabet agrees
+    assert run(capsys, "parse", f"@{f}", "--alphabet", "a,b") == (0, "b.yes + x\n", "")
+
+
+FUEL_TERM = "yes + x + a.(x + a.no + b.no) + b.no"  # needs two rounds of fin-rnf
+
+
+def test_fuel_exhaustion_is_an_error_exit_2(capsys, monkeypatch):
+    from regmon import normalize
+
+    monkeypatch.setattr(normalize, "_FUEL", 1)
+    code, out, err = run(
+        capsys, "normalize", "--form", "fin-rnf", "--alphabet", "a,b", FUEL_TERM
+    )
+    assert (code, out, err) == (2, "", "error: finite_act_rnf failed to stabilize\n")
+
+
+def test_fuel_bound_holds_without_asserts():
+    import os
+    import subprocess
+    import sys
+
+    import regmon
+
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "from regmon import cli, normalize\n"
+        "normalize._FUEL = 1\n"
+        f"sys.exit(cli.main(['normalize', '--form', 'fin-rnf', '--alphabet', 'a,b', {FUEL_TERM!r}]))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regmon.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: finite_act_rnf failed to stabilize\n",
+    )

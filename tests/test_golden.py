@@ -2,9 +2,11 @@
 
 The files under ``tests/golden/`` pin the exact text that the CLI prints for
 every ``regmon`` line of README's "Command line" block (plain and with
-``--json``, the ``timing`` field masked) and the exact derivation text of one
-small term per canonical form.  A refactor that claims to keep behaviour
-must keep both byte for byte.
+``--json``, the ``timing`` field masked), the exact derivation text of one
+small term per canonical form, and one sha256 per form over the derivations
+and pure normal forms of a seeded corpus of random terms
+(``proofs/digests.txt``).  A refactor that claims to keep behaviour must
+keep all three byte for byte.
 
 To regenerate the files after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -14,8 +16,10 @@ review the diff.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
+import random
 import re
 import shlex
 import tempfile
@@ -24,11 +28,13 @@ from pathlib import Path
 import pytest
 
 from regmon import cli, normalize, prooflog, syntax
+from regmon.generate import random_monitor
 from regmon.terms import vars_of
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 README_TRANSCRIPT = GOLDEN / "readme_commands.txt"
+DIGESTS = GOLDEN / "proofs" / "digests.txt"
 
 # One small term per form, chosen so that the proofs run the shared rewriting
 # helpers: the Y_a/N_a unfold of fin-rnf saturation (over traces of length 1
@@ -45,6 +51,64 @@ PROOF_CASES = {
     "unary-omega": ("a", "x + a.(yes + a.x)"),
     "open-omega": ("a,b", "x + a.b.(a.yes + b.yes)"),
 }
+
+# The digest corpus: per form, seeded random terms of two shapes (many small
+# ones, fewer wide ones) over the form's alphabet and variable pool, plus hand
+# terms for paths that random terms almost never take: an O2 elimination of a
+# covered variable occurrence (with guards of k = 1 and k = 2) in the two
+# forms that eliminate variables, and O1 pruning below a prefix in open-rnf.
+DIGEST_SHAPES = ((40, 8, 0.7), (15, 6, 0.85))  # (count, max_depth, descend)
+_O2_TERMS = (
+    "yes + x + a.(x + a.no + b.no) + b.no",
+    "yes + x + a.(x + a.no + b.no)",
+    "no + y + b.(y + a.yes + b.yes) + a.yes + a.b.x",
+    "yes + x + b.no + a.a.no + a.b.(x + a.no + b.no)",
+)
+DIGEST_HAND_TERMS = {
+    "fin-rnf": _O2_TERMS,
+    "open-omega": _O2_TERMS,
+    "open-rnf": (
+        "yes + a.(x + b.(no + y) + a.(x + a.(no + y)))",
+        "no + a.(b.(yes + y) + a.x) + b.(a.(yes + x) + b.(a.(yes + y)))",
+    ),
+}
+
+
+def digest_corpus(form: str):
+    """The alphabet and the terms whose proofs ``digests.txt`` pins for ``form``."""
+    alphabet = syntax.parse_alphabet(PROOF_CASES[form][0])
+    pool = () if form in ("nf", "rnf", "omega") else ("x", "y")
+    rng = random.Random(sorted(PROOF_CASES).index(form))
+    terms = [
+        random_monitor(rng, alphabet, max_depth, pool, descend)
+        for count, max_depth, descend in DIGEST_SHAPES
+        for _ in range(count)
+    ]
+    terms += [syntax.parse_monitor(src, alphabet) for src in DIGEST_HAND_TERMS.get(form, ())]
+    return alphabet, terms
+
+
+def proof_digest(form: str) -> str:
+    """sha256 over each corpus term, its derivation and its pure normal form."""
+    alphabet, terms = digest_corpus(form)
+    pipeline = normalize.PIPELINES[cli.FORM_ALIASES[form]]
+    h = hashlib.sha256()
+    for term in terms:
+        cf = pipeline(term, alphabet, emit_proof=True)
+        pure = pipeline(term, alphabet).term
+        names = vars_of(term) | vars_of(cf.term)
+        for text in (
+            syntax.print_monitor(term),
+            prooflog.print_derivation(cf.derivation, names),
+            syntax.print_monitor(pure),
+        ):
+            h.update(text.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
+def digests_text() -> str:
+    return "".join(f"{form} {proof_digest(form)}\n" for form in sorted(PROOF_CASES))
+
 
 _TIMING = re.compile(r'"timing": [0-9.e+-]+')
 
@@ -106,12 +170,17 @@ def test_proof_text_matches_golden(form):
     assert proof_text(form) == proof_file(form).read_text(encoding="utf-8")
 
 
+def test_proof_digests_match_golden():
+    assert digests_text() == DIGESTS.read_text(encoding="utf-8")
+
+
 def _write_golden() -> None:
     README_TRANSCRIPT.parent.mkdir(parents=True, exist_ok=True)
     README_TRANSCRIPT.write_text(readme_transcript(), encoding="utf-8")
     for form in PROOF_CASES:
         proof_file(form).parent.mkdir(parents=True, exist_ok=True)
         proof_file(form).write_text(proof_text(form), encoding="utf-8")
+    DIGESTS.write_text(digests_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import AB, A
-from regmon import equivalence, prooflog, semantics
+from regmon import equivalence, normalize, prooflog, semantics
 from regmon.axioms import bar_k, witness_family
 from regmon.generate import random_closed_monitor, random_open_monitor
 from regmon.normalize import (
@@ -389,3 +389,20 @@ def test_derivation_systems_match_pipelines():
     mc = t("a.end")
     assert normal_form_closed(mc, AB, emit_proof=True).derivation.system == "Ev"
     assert omega_nf_closed(mc, AB, emit_proof=True).derivation.system == "Eomega"
+
+
+# Terms whose fixpoint loops need a second round: fin-rnf eliminates the
+# deep ``x`` through O2; open-omega-nf folds the full fan into ``yes``.
+@pytest.mark.parametrize(
+    "pipeline, source, loop",
+    [
+        (finite_act_rnf, "yes + x + a.(x + a.no + b.no) + b.no", "finite_act_rnf"),
+        (omega_open_nf, "x + a.yes + b.yes", "omega_open_nf"),
+    ],
+)
+def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, loop):
+    m = parse_monitor(source, AB)
+    assert pipeline(m, AB).term != m  # converges within the real bound
+    monkeypatch.setattr(normalize, "_FUEL", 1)
+    with pytest.raises(normalize.InternalError, match=f"^{loop} failed to stabilize$"):
+        pipeline(m, AB)

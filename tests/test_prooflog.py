@@ -237,7 +237,7 @@ def test_symmetry_closure_of_accepted_steps():
     inst = instantiate("Y_a", {"action": "b"}, AB)
     steps = [
         Step(1, inst.equation, AxiomUse("Y_a", (("action", "b"),))),
-        Step(2, inst.equation.flipped(), Symmetry(1)),
+        Step(2, Equation(inst.equation.rhs, inst.equation.lhs), Symmetry(1)),
     ]
     check_derivation(D(*steps))
 

@@ -15,11 +15,10 @@ from regmon.terms import (
     ac_normalize,
     apply_subst,
     depth,
-    from_sum_form,
     is_closed,
     size_of,
     sum_of,
-    to_sum_form,
+    summands,
     vars_of,
 )
 from regmon.syntax import parse_monitor
@@ -63,17 +62,17 @@ def test_apply_subst_fresh_action_probe():
     assert got == t("a_x.(yes + no) + a.yes", alphabet)
 
 
-def test_to_sum_form_absorbs_unit_and_duplicates():
-    sf = to_sum_form(t("(a.yes + end) + a.yes"))
-    assert sf.parts == frozenset({t("a.yes")})
+def test_ac_normalize_absorbs_unit_and_duplicates():
+    assert list(summands(ac_normalize(t("(a.yes + end) + a.yes")))) == [t("a.yes")]
 
 
-def test_to_sum_form_end_is_empty():
-    assert to_sum_form(END).parts == frozenset()
-    assert from_sum_form(to_sum_form(END)) == END
+def test_ac_normalize_of_end_sums_is_end():
+    assert ac_normalize(END) == END
+    assert ac_normalize(t("end + (end + end)")) == END
+    assert sum_of(summands(ac_normalize(END))) == END
 
 
-def test_to_sum_form_flattening_matches_enumeration():
+def test_summands_flattening_matches_enumeration():
     # oracle: walk the sum tree collecting non-end leaves
     m = t("yes + (x + no)")
 
@@ -82,8 +81,8 @@ def test_to_sum_form_flattening_matches_enumeration():
             return leaves(term.left) + leaves(term.right)
         return [] if term == END else [term]
 
-    assert to_sum_form(m).parts == frozenset(leaves(m))
-    assert to_sum_form(m).parts == {YES, Var("x"), NO}
+    assert set(summands(ac_normalize(m))) == set(leaves(m))
+    assert set(summands(ac_normalize(m))) == {YES, Var("x"), NO}
 
 
 def test_ac_equal_commutes():
@@ -111,13 +110,6 @@ def test_size_and_vars_and_closed():
 @settings(max_examples=200)
 def test_ac_normalize_idempotent(m):
     assert ac_normalize(ac_normalize(m)) == ac_normalize(m)
-
-
-@given(monitors())
-@settings(max_examples=200)
-def test_sum_form_round_trip_idempotent(m):
-    once = to_sum_form(m)
-    assert to_sum_form(from_sum_form(once)) == once
 
 
 @given(monitors(), monitors(), monitors())
