@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .terms import (
     END,
@@ -131,36 +131,63 @@ def bar_k(trace: Trace, k: int, m: Monitor, alphabet: Alphabet) -> Monitor:
 # ---------------------------------------------------------------------------
 # Schema catalog
 
-
-@dataclass(frozen=True, slots=True)
-class AxiomSchema:
-    name: str
-    params: tuple[str, ...]  # subset of ('action', 's', 'k', 'alphabet')
-
-
-SCHEMAS: dict[str, AxiomSchema] = {
-    s.name: s
-    for s in (
-        AxiomSchema("A1", ()),
-        AxiomSchema("A2", ()),
-        AxiomSchema("A3", ()),
-        AxiomSchema("A4", ()),
-        AxiomSchema("E_a", ("action",)),
-        AxiomSchema("Y_a", ("action",)),
-        AxiomSchema("N_a", ("action",)),
-        AxiomSchema("D_a", ("action",)),
-        AxiomSchema("Y", ("alphabet",)),
-        AxiomSchema("N", ("alphabet",)),
-        AxiomSchema("Y_w", ("alphabet",)),
-        AxiomSchema("N_w", ("alphabet",)),
-        AxiomSchema("O1", ()),
-        AxiomSchema("O2", ("s", "k", "alphabet")),
-        AxiomSchema("V1", ()),
-        AxiomSchema("V1_w", ()),
-    )
-}
-
 Bindings = Mapping[str, object]
+Builder = Callable[[Bindings, Alphabet], Equation]
+
+
+class Schema(NamedTuple):
+    """A row of the schema table: the parameters, a subset of ``('action', 's',
+    'k', 'alphabet')`` where ``alphabet`` asks for a finite one; the builder
+    of the instance equation from the bindings and that alphabet; and whether
+    :func:`list_system` lists the schema (derivable ones it does not)."""
+
+    params: tuple[str, ...]
+    build: Builder
+    listed: bool = True
+
+
+def _per_action(f: Callable[[str], Equation]) -> Builder:
+    return lambda b, fin: f(str(b["action"]))
+
+
+def _first_action_of(f: Callable[[str], Equation]) -> Builder:
+    return lambda b, fin: f(fin.sorted_actions()[0])
+
+
+def _o2(b: Bindings, fin: Alphabet) -> Equation:
+    s = tuple(b["s"])  # type: ignore[call-overload]
+    guard = bar_k(s, int(b["k"]), Sum(YES, NO), fin)  # type: ignore[call-overload]
+    return Equation(Sum(Sum(X, prefix_seq(s, X)), guard), Sum(X, guard))
+
+
+# In the order list_system lists them.  The combined summation forms Y and N
+# follow from the Y_a / N_a families over any finite alphabet, so every
+# system that carries those admits them, and no listing shows them.
+SCHEMAS: dict[str, Schema] = {
+    "A1": Schema((), lambda b, fin: Equation(Sum(X, Y), Sum(Y, X))),
+    "A2": Schema((), lambda b, fin: Equation(Sum(X, Sum(Y, Z)), Sum(Sum(X, Y), Z))),
+    "A3": Schema((), lambda b, fin: Equation(Sum(X, X), X)),
+    "A4": Schema((), lambda b, fin: Equation(Sum(X, END), X)),
+    "O1": Schema((), lambda b, fin: Equation(Sum(YES, NO), Sum(Sum(YES, NO), X))),
+    "V1": Schema(("alphabet",), _first_action_of(lambda a: Equation(X, Sum(X, Prefix(a, X))))),
+    "V1_w": Schema(("alphabet",), _first_action_of(lambda a: Equation(X, Prefix(a, X)))),
+    "E_a": Schema(("action",), _per_action(lambda a: Equation(Prefix(a, END), END))),
+    "Y_a": Schema(("action",), _per_action(lambda a: Equation(YES, Sum(YES, Prefix(a, YES))))),
+    "N_a": Schema(("action",), _per_action(lambda a: Equation(NO, Sum(NO, Prefix(a, NO))))),
+    "D_a": Schema(
+        ("action",),
+        _per_action(lambda a: Equation(Prefix(a, Sum(X, Y)), Sum(Prefix(a, X), Prefix(a, Y)))),
+    ),
+    "Y_w": Schema(("alphabet",), lambda b, fin: Equation(YES, action_fan(YES, fin))),
+    "N_w": Schema(("alphabet",), lambda b, fin: Equation(NO, action_fan(NO, fin))),
+    "O2": Schema(("s", "k", "alphabet"), _o2),
+    "Y": Schema(
+        ("alphabet",), lambda b, fin: Equation(YES, Sum(YES, action_fan(YES, fin))), False
+    ),
+    "N": Schema(
+        ("alphabet",), lambda b, fin: Equation(NO, Sum(NO, action_fan(NO, fin))), False
+    ),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,78 +205,25 @@ def _require_finite(name: str, alphabet: Alphabet | None) -> Alphabet:
     return alphabet
 
 
-def _first_action(alphabet: Alphabet | None) -> str:
-    alphabet = _require_finite("V1", alphabet)
-    return alphabet.sorted_actions()[0]
-
-
 def instantiate(
     name: str, bindings: Bindings = {}, alphabet: Alphabet | None = None
 ) -> AxiomInstance:
     """Build the instance equation of a schema at the given parameters.
 
-    ``V1`` and ``V1_w`` take no parameters; they use the first action of the
-    ambient alphabet (over a singleton alphabet, its only action).
+    ``V1`` and ``V1_w`` take no bindings; they use the first action of the
+    finite alphabet (over a singleton alphabet, its only action).
     """
     if name not in SCHEMAS:
         raise ArityMismatch(f"unknown axiom schema {name!r}")
-    schema = SCHEMAS[name]
-    expected = {p for p in schema.params if p != "alphabet"}
-    given = set(bindings)
-    if given != expected:
+    params, build, _ = SCHEMAS[name]
+    expected = set(params) - {"alphabet"}
+    if set(bindings) != expected:
         raise ArityMismatch(
-            f"schema {name} takes parameters {sorted(expected)}, got {sorted(given)}"
+            f"schema {name} takes parameters {sorted(expected)}, got {sorted(bindings)}"
         )
-    if name == "A1":
-        eq = Equation(Sum(X, Y), Sum(Y, X))
-    elif name == "A2":
-        eq = Equation(Sum(X, Sum(Y, Z)), Sum(Sum(X, Y), Z))
-    elif name == "A3":
-        eq = Equation(Sum(X, X), X)
-    elif name == "A4":
-        eq = Equation(Sum(X, END), X)
-    elif name == "E_a":
-        a = str(bindings["action"])
-        eq = Equation(Prefix(a, END), END)
-    elif name == "Y_a":
-        a = str(bindings["action"])
-        eq = Equation(YES, Sum(YES, Prefix(a, YES)))
-    elif name == "N_a":
-        a = str(bindings["action"])
-        eq = Equation(NO, Sum(NO, Prefix(a, NO)))
-    elif name == "D_a":
-        a = str(bindings["action"])
-        eq = Equation(Prefix(a, Sum(X, Y)), Sum(Prefix(a, X), Prefix(a, Y)))
-    elif name == "Y":
-        fin = _require_finite(name, alphabet)
-        eq = Equation(YES, Sum(YES, action_fan(YES, fin)))
-    elif name == "N":
-        fin = _require_finite(name, alphabet)
-        eq = Equation(NO, Sum(NO, action_fan(NO, fin)))
-    elif name == "Y_w":
-        fin = _require_finite(name, alphabet)
-        eq = Equation(YES, action_fan(YES, fin))
-    elif name == "N_w":
-        fin = _require_finite(name, alphabet)
-        eq = Equation(NO, action_fan(NO, fin))
-    elif name == "O1":
-        eq = Equation(Sum(YES, NO), Sum(Sum(YES, NO), X))
-    elif name == "O2":
-        fin = _require_finite(name, alphabet)
-        s = tuple(bindings["s"])
-        k = int(bindings["k"])  # type: ignore[arg-type]
-        guard = bar_k(s, k, Sum(YES, NO), fin)
-        eq = Equation(Sum(Sum(X, prefix_seq(s, X)), guard), Sum(X, guard))
-    elif name == "V1":
-        a = _first_action(alphabet)
-        eq = Equation(X, Sum(X, Prefix(a, X)))
-    elif name == "V1_w":
-        a = _first_action(alphabet)
-        eq = Equation(X, Prefix(a, X))
-    else:  # pragma: no cover
-        raise AssertionError(name)
-    frozen = tuple(sorted(bindings.items()))
-    return AxiomInstance(name, frozen, eq)
+    if "alphabet" in params:
+        alphabet = _require_finite(name, alphabet)
+    return AxiomInstance(name, tuple(sorted(bindings.items())), build(bindings, alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +241,6 @@ SYSTEM_SCHEMAS: dict[str, frozenset[str]] = {
     "Eomegaf'": frozenset(EV_CORE + ("Y_w", "N_w", "O1", "O2")),
 }
 
-# The combined summation forms Y and N are derivable from the Y_a / N_a
-# families over any finite alphabet, so they are admitted as members of
-# every system that carries those families.
-
-
-def is_axiom_in_system(schema: str, system: str) -> bool:
-    if system not in SYSTEM_SCHEMAS:
-        raise ValueError(f"unknown axiom system {system!r}")
-    return schema in SYSTEM_SCHEMAS[system]
-
 
 def list_system(
     system: str,
@@ -284,41 +248,34 @@ def list_system(
     max_trace_len: int | None = None,
     max_k: int | None = None,
 ) -> list[AxiomInstance]:
-    """All instances of a system over a finite alphabet.
-
-    The per-action schemas enumerate the alphabet; the infinite O2 family
-    needs explicit bounds on ``|s|`` and ``k``.
+    """All instances of a system over a finite alphabet, schema by schema:
+    one per action for a schema with an ``action``, one per nonempty ``s``
+    with ``|s| <= max_trace_len`` and ``k <= max_k`` for O2, one otherwise.
     """
     if system not in SYSTEM_SCHEMAS:
         raise ValueError(f"unknown axiom system {system!r}")
     schemas = SYSTEM_SCHEMAS[system]
     fin = _require_finite(system, alphabet)
+    if "O2" in schemas and (max_trace_len is None or max_k is None):
+        raise MissingBounds(
+            f"system {system} contains the O2 family; give max_trace_len and max_k"
+        )
     out: list[AxiomInstance] = []
-    for name in ("A1", "A2", "A3", "A4", "O1", "V1", "V1_w"):
-        if name in schemas:
-            out.append(instantiate(name, {}, fin))
-    for name in ("E_a", "Y_a", "N_a", "D_a"):
-        if name in schemas:
-            for a in fin.sorted_actions():
-                out.append(instantiate(name, {"action": a}, fin))
-    for name in ("Y_w", "N_w"):
-        if name in schemas:
-            out.append(instantiate(name, {}, fin))
-    if "O2" in schemas:
-        if max_trace_len is None or max_k is None:
-            raise MissingBounds(
-                f"system {system} contains the O2 family; give max_trace_len and max_k"
-            )
-        for s in traces_upto(max_trace_len, fin):
-            if not s:
-                continue
-            for k in range(1, max_k + 1):
-                out.append(instantiate("O2", {"s": s, "k": k}, fin))
+    for name, (params, _, listed) in SCHEMAS.items():
+        if name not in schemas or not listed:
+            continue
+        if "action" in params:
+            family: list[Bindings] = [{"action": a} for a in fin.sorted_actions()]
+        elif "s" in params:
+            family = [
+                {"s": s, "k": k}
+                for s in traces_upto(max_trace_len, fin)[1:]
+                for k in range(1, max_k + 1)
+            ]
+        else:
+            family = [{}]
+        out.extend(instantiate(name, b, fin) for b in family)
     return out
-
-
-# The combined Y / N forms are derivable and omitted from listings; Ev over a
-# one-action alphabet therefore lists 4 + 4 instances.
 
 
 # ---------------------------------------------------------------------------

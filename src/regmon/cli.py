@@ -53,7 +53,8 @@ def _resolve_term(source: str, alphabet: Alphabet | None, variables) -> tuple[Mo
         tf = syntax.parse_term_file(_load_text(path), alphabet)
     except syntax.AlphabetConflict as err:
         raise UsageError(f"{path}: {err}") from None
-    assert tf.alphabet is not None
+    if tf.alphabet is None:  # parse_term_file rejects a file without one
+        raise normalize.InternalError(f"{path}: term file read without an alphabet")
     if name:
         if name not in tf.terms:
             raise UsageError(f"{path} does not define {name!r}")
@@ -77,7 +78,7 @@ def _terms_and_alphabet(args, *sources) -> tuple[Alphabet, list[Monitor]]:
     from files whose headers agree on one.
     """
     explicit = _alphabet_from(args, required=False)
-    variables = _variables_from(args)
+    variables = syntax.parse_vars(args.vars or "")
     terms: list[Monitor] = []
     seen: Alphabet | None = explicit
     for source in sources:
@@ -87,15 +88,7 @@ def _terms_and_alphabet(args, *sources) -> tuple[Alphabet, list[Monitor]]:
                 raise UsageError("input files declare different alphabets")
             seen = used
         terms.append(term)
-    if seen is None:
-        raise UsageError("--alphabet is required (e.g. --alphabet a,b or infinite)")
     return seen, terms
-
-
-def _variables_from(args) -> frozenset[str]:
-    if not getattr(args, "vars", None):
-        return frozenset()
-    return frozenset(v.strip() for v in args.vars.split(",") if v.strip())
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -164,8 +157,6 @@ def cmd_equiv(args) -> int:
     alphabet, (m, n) = _terms_and_alphabet(args, args.left, args.right)
     mode = args.mode
     if args.oracle:
-        if not alphabet.is_finite:
-            raise UsageError("the oracle needs a finite alphabet")
         cex = equivalence.oracle_counterexample(
             m, n, alphabet, mode, bound=args.bound, seed=args.seed
         )

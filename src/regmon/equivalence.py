@@ -158,21 +158,23 @@ def closed_search(
 # The substitution oracle for open terms
 
 
-def substitution_values(
-    alphabet: Alphabet, bound: int, max_values: int = 2048
-) -> list[Monitor]:
+# The most probe values that the oracle tries for one variable.
+_MAX_VALUES = 2048
+
+
+def substitution_values(alphabet: Alphabet, bound: int) -> list[Monitor]:
     """The probe values: the three verdicts plus ``t.yes``, ``t.no`` and
     ``t.(yes + no)`` for every trace ``t`` of length at most ``bound``,
-    enumerated shortest-first and truncated at ``max_values``."""
+    enumerated shortest-first and truncated at ``_MAX_VALUES``."""
     values: list[Monitor] = [END, YES, NO]
     seen = set(values)
-    for t in traces_upto(bound, alphabet, limit=max_values):
+    for t in traces_upto(bound, alphabet, limit=_MAX_VALUES):
         for leaf in (YES, NO, Sum(YES, NO)):
             v = prefix_seq(t, leaf)
             if v not in seen:
                 seen.add(v)
                 values.append(v)
-        if len(values) >= max_values:
+        if len(values) >= _MAX_VALUES:
             break
     return values
 
@@ -183,7 +185,6 @@ def substitution_family(
     bound: int,
     cap: int = 4096,
     seed: int = 0,
-    max_values: int = 2048,
 ) -> list[Substitution]:
     """Closed substitutions probing the given variables.
 
@@ -196,7 +197,7 @@ def substitution_family(
     names = sorted(set(variables))
     if not names:
         return [{}]
-    values = substitution_values(alphabet, bound, max_values=max_values)
+    values = substitution_values(alphabet, bound)
     total = len(values) ** len(names)
     if total <= cap:
         return [

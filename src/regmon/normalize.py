@@ -66,7 +66,9 @@ class AlphabetTooSmall(ValueError):
 
 
 class InternalError(RuntimeError):
-    """A rewriting loop missed its fixpoint: a bug, not a bad input."""
+    """A broken invariant of the rewriting, such as a fixpoint loop that ran
+    out of fuel or a proof chain whose ends do not meet: a bug, not a bad
+    input.  Raised explicitly, so that it survives ``python -O``."""
 
 
 # Rounds that the fixpoint loops of fin-rnf and open-omega-nf may take.
@@ -167,7 +169,8 @@ class Prover:
     def _materialize(self, pf: Pf) -> Pf:
         if pf.sid is not None or not self.record:
             return pf
-        assert pf.src == pf.dst
+        if pf.src != pf.dst:
+            raise InternalError(f"reflexivity on distinct sides:\n  {pf.src!r}\n  {pf.dst!r}")
         return self._emit(pf.src, pf.dst, Reflexivity())
 
     def ax(self, name: str, bindings=None, subst=None) -> Pf:
@@ -191,10 +194,12 @@ class Prover:
         return self._emit(pf.dst, pf.src, Symmetry(pf.sid))
 
     def trans(self, *pfs: Pf) -> Pf:
-        assert pfs
+        if not pfs:
+            raise InternalError("transitivity of no proofs")
         acc = pfs[0]
         for nxt in pfs[1:]:
-            assert acc.dst == nxt.src, f"broken chain:\n  {acc.dst!r}\n  {nxt.src!r}"
+            if acc.dst != nxt.src:
+                raise InternalError(f"broken chain:\n  {acc.dst!r}\n  {nxt.src!r}")
             if nxt.src == nxt.dst:
                 continue
             if acc.src == acc.dst:
@@ -241,7 +246,8 @@ class Prover:
 
     def rw_spine(self, term: Monitor, i: int, inner: Pf) -> Pf:
         parts = _parts(term)
-        assert _ln(parts[: i + 1]) == inner.src, "spine mismatch"
+        if _ln(parts[: i + 1]) != inner.src:
+            raise InternalError("spine mismatch")
         pf = inner
         for part in parts[i + 1 :]:
             pf = self.congsum(pf, self.refl(part))
@@ -249,7 +255,8 @@ class Prover:
 
     def rw_part(self, term: Monitor, i: int, inner: Pf) -> Pf:
         parts = _parts(term)
-        assert parts[i] == inner.src, "part mismatch"
+        if parts[i] != inner.src:
+            raise InternalError("part mismatch")
         if i == 0:
             return self.rw_spine(term, 0, inner)
         spine = _ln(parts[:i])
@@ -290,7 +297,8 @@ class Prover:
 
     def drop_end(self, term: Monitor, i: int) -> Pf:
         parts = _parts(term)
-        assert parts[i] == END and len(parts) > 1
+        if parts[i] != END or len(parts) < 2:
+            raise InternalError(f"no end summand to drop at {i}")
         if i == 0:
             nxt = parts[1]
             inner = self.trans(
@@ -355,7 +363,8 @@ class Prover:
                 pf = self.trans(inner, self.shallow_canon(inner.dst))
             case _:
                 pf = self.refl(term)
-        assert pf.dst == ac_normalize(term)
+        if pf.dst != ac_normalize(term):
+            raise InternalError(f"canon missed the AC normal form of {term!r}")
         return pf
 
     def align(self, src: Monitor, dst: Monitor) -> Pf:
@@ -364,7 +373,8 @@ class Prover:
             return self.refl(src)
         p1 = self.canon(src)
         p2 = self.canon(dst)
-        assert p1.dst == p2.dst, "align on non-AC-equal terms"
+        if p1.dst != p2.dst:
+            raise InternalError("align on non-AC-equal terms")
         return self.trans(p1, self.sym(p2))
 
     def distribute(self, action: str, body: Monitor) -> Pf:
@@ -415,7 +425,8 @@ class Edit:
         return _parts(self.term)
 
     def step(self, pf: Pf) -> None:
-        assert pf.src == self.term
+        if pf.src != self.term:
+            raise InternalError("step does not start at the current term")
         self.pf = self.pv.trans(self.pf, pf)
 
     def canon(self) -> None:
@@ -441,7 +452,8 @@ class Edit:
 def _unfold(pv: Prover, leaf: Monitor, trace: Trace, grow) -> Pf:
     """``leaf = leaf + s.leaf`` for a nonempty trace ``s``, where
     ``grow(a)`` proves the one-step case ``leaf = leaf + a.leaf``."""
-    assert trace
+    if not trace:
+        raise InternalError("unfold along the empty trace")
     head, rest = trace[0], trace[1:]
     s1 = grow(head)
     if not rest:
@@ -489,7 +501,8 @@ def _dup_path_verdict(pv: Prover, t: Monitor, path: Trace, v: Monitor) -> Pf:
         pf = pv.rw_part(t, i, pv.ax_rev("A3", subst={"x": v}))
         pf = pv.trans(pf, pv.flatten(pf.dst))
         pf = pv.trans(pf, pv.bubble(pf.dst, i + 1, len(parts)))
-        assert pf.dst == Sum(t, v)
+        if pf.dst != Sum(t, v):
+            raise InternalError("verdict duplication missed its target")
         return pf
     head, rest = path[0], path[1:]
     parts = _parts(t)
@@ -505,7 +518,8 @@ def _dup_path_verdict(pv: Prover, t: Monitor, path: Trace, v: Monitor) -> Pf:
     pf = pv.trans(pf, pv.rw_part(pf.dst, i, split))
     pf = pv.trans(pf, pv.flatten(pf.dst))
     pf = pv.trans(pf, pv.bubble(pf.dst, i + 1, len(parts)))
-    assert pf.dst == Sum(t, axioms.prefix_seq(path, v))
+    if pf.dst != Sum(t, axioms.prefix_seq(path, v)):
+        raise InternalError("verdict duplication missed its target")
     return pf
 
 
@@ -513,7 +527,8 @@ def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
     """``t = t + trace.v`` when ``t`` reaches ``v`` along ``trace`` ignoring
     variables (i.e. a syntactic prefix of ``trace`` hits a ``v`` summand)."""
     path = _find_verdict_path(t, trace, v)
-    assert path is not None, "verdict not syntactically reachable"
+    if path is None:
+        raise InternalError("verdict not syntactically reachable")
     pf = _dup_path_verdict(pv, t, path, v)
     rest = trace[len(path):]
     if not rest:
@@ -528,7 +543,8 @@ def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
     pf = pv.trans(pf, pv.flatten(pf.dst))
     collapse = pv.sym(_dup_path_verdict(pv, t, path, v))
     pf = pv.trans(pf, pv.rw_spine(pf.dst, base_len, collapse))
-    assert pf.dst == Sum(t, axioms.prefix_seq(trace, v))
+    if pf.dst != Sum(t, axioms.prefix_seq(trace, v)):
+        raise InternalError("trace verdict addition missed its target")
     return pf
 
 
@@ -580,8 +596,6 @@ def _merge_nf(pv: Prover, t: Monitor) -> Pf:
             pv.ax_rev("D_a", {"action": a}, subst={"x": b1, "y": b2}),
             pv.congpre(a, _nf(pv, Sum(b1, b2))),
         )
-        if combined.dst == Prefix(a, END):
-            combined = pv.trans(combined, pv.ax("E_a", {"action": a}))
         pf = pv.trans(pf, pv.rw_pair(pf.dst, pair, lambda *_: combined))
         pf = pv.trans(pf, pv.shallow_canon(pf.dst))
 
@@ -609,13 +623,9 @@ def _pop_verdict(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
 
 
 def _absorb(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.body = v`` for closed ``body`` free of the opposite verdict."""
+    """``v + a.body = v`` for closed ``body`` free of the opposite verdict:
+    a prefix body of a normal form, so never ``end``."""
     grow = _grow_axiom(v)
-    if body == END:
-        return pv.trans(
-            pv.congsum(pv.refl(v), pv.ax("E_a", {"action": action})),
-            pv.ax("A4", subst={"x": v}),
-        )
     if body == v:
         return pv.ax_rev(grow, {"action": action})
     if isinstance(body, Prefix):
@@ -640,14 +650,16 @@ def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
         mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
         stripped = inner.dst.right
         return pv.trans(push, mid, _pop_verdict(pv, v, action, stripped))
-    assert isinstance(body, Sum), f"strip on {body!r}"
+    if not isinstance(body, Sum):
+        raise InternalError(f"strip on {body!r}")
     pf = pv.congsum(pv.refl(v), pv.distribute(action, body))
     pf = pv.trans(pf, pv.flatten(pf.dst))
     rounds = len(_parts(pf.dst)) - 1
     for _ in range(rounds):
         parts = _parts(pf.dst)
         target = parts[1]
-        assert isinstance(target, Prefix) and target.action == action
+        if not (isinstance(target, Prefix) and target.action == action):
+            raise InternalError(f"strip expected an {action!r} prefix, got {target!r}")
         piece = target.body
         if piece == v or (is_closed(piece) and _free_of(piece, opp)):
             pf = pv.trans(
@@ -760,7 +772,7 @@ def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
     prunes residue next to reachable opposite verdicts.
     """
     ed = Edit(pv, t)
-    has_yes, has_no, acts, _ = _decompose(t)
+    has_yes, has_no, _, _ = _decompose(t)
     if has_yes and has_no:
         rest = [p for p in ed.parts if p not in (YES, NO)]
         if not rest:
@@ -798,12 +810,9 @@ def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
                     )
         ed.canon()
         return ed.pf
-    # innermost first: reduce every body in its own right
+    # innermost first: reduce every body in its own right (this adds and
+    # drops no top-level verdict, so the flags above still hold)
     ed.map_bodies(lambda body: _reduce(pv, body, use_o1))
-    has_yes, has_no, acts, _ = _decompose(ed.term)
-    if has_yes and has_no:
-        # safety net: the double-verdict branch must win over the flag loop
-        return pv.trans(ed.pf, _reduce(pv, ed.term, use_o1))
     flag = YES if has_yes else NO if has_no else None
     if flag is None:
         return ed.pf
@@ -971,7 +980,8 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
     pf = pv.trans(pf, pv.align(pf.dst, Sum(base, flat)))
     pf_flat = _rnf(pv, flat, use_o1=False)
     pf_guard = _rnf(pv, guard, use_o1=False)
-    assert pf_flat.dst == pf_guard.dst, "saturation summands must match the guard"
+    if pf_flat.dst != pf_guard.dst:
+        raise InternalError("saturation summands must match the guard")
     pf = pv.trans(pf, pv.congsum(pv.refl(base), pv.trans(pf_flat, pv.sym(pf_guard))))
     return pf
 
@@ -1286,7 +1296,7 @@ PIPELINES = {
 
 
 # ---------------------------------------------------------------------------
-# Structural form predicates (used by tests and assertions)
+# Structural form predicates (used by tests)
 
 
 def is_normal_form(t: Monitor, allow_vars: bool = True) -> bool:

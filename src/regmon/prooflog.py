@@ -134,7 +134,8 @@ def check_step(
     prior: dict[int, Equation],
     step: Step,
 ) -> None:
-    """Validate one step against already-checked prior steps."""
+    """Validate one step against already-checked prior steps.  ``system``
+    names an axiom system: :func:`check_derivation` rejects any other."""
     eq = step.equation
     just = step.justification
     sid = step.sid
@@ -170,7 +171,7 @@ def check_step(
             if eq != Equation(apply_subst(sigma, e1.lhs), apply_subst(sigma, e1.rhs)):
                 raise CheckError(sid, SHAPE_MISMATCH, "substitutivity result differs")
         case AxiomUse(name, bindings, subst):
-            if not axioms.is_axiom_in_system(name, system):
+            if name not in axioms.SYSTEM_SCHEMAS[system]:
                 raise CheckError(
                     sid, AXIOM_NOT_IN_SYSTEM, f"{name} is not in system {system}"
                 )
@@ -388,8 +389,7 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
             table = None
             continue
         if line.startswith("vars:"):
-            names = [n.strip() for n in line[len("vars:") :].split(",") if n.strip()]
-            variables = variables | frozenset(names)
+            variables = variables | syntax.parse_vars(line[len("vars:") :])
             table = None
             continue
         if not line.startswith("step "):

@@ -293,29 +293,16 @@ def print_trace(trace: Trace) -> str:
     return " ".join(trace) if trace else "<eps>"
 
 
-def parse_substitution(
-    text: str, alphabet: Alphabet, variables: Iterable[str] = ()
-) -> dict[str, Monitor]:
-    """Parse lines of the form ``x -> term``."""
-    mapping: dict[str, Monitor] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
+def parse_vars(text: str) -> frozenset[str]:
+    """Comma-separated variable names, as ``--vars`` and the ``vars:`` headers
+    of term and derivation files give them."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    for n in names:
+        if not is_identifier(n) or n in RESERVED_WORDS:
             raise ParseError(
-                SourceSpan(1, 1, 0, len(line)), UNEXPECTED_TOKEN, "expected 'x -> term'"
+                SourceSpan(1, 1, 0, len(n)), UNEXPECTED_TOKEN, f"bad variable name {n!r}"
             )
-        name, _, term_text = line.partition("->")
-        name = name.strip()
-        if not is_identifier(name) or name in RESERVED_WORDS:
-            raise ParseError(
-                SourceSpan(1, 1, 0, len(name)),
-                UNEXPECTED_TOKEN,
-                f"bad variable name {name!r}",
-            )
-        mapping[name] = parse_monitor(term_text, alphabet, variables)
-    return mapping
+    return frozenset(names)
 
 
 def print_substitution(pairs: Iterable[tuple[str, Monitor]]) -> str:
@@ -371,15 +358,7 @@ def parse_term_file(text: str, alphabet: Alphabet | None = None) -> TermFile:
             out.alphabet = declared
             continue
         if line.startswith("vars:"):
-            names = [n.strip() for n in line[len("vars:") :].split(",") if n.strip()]
-            for n in names:
-                if not is_identifier(n) or n in RESERVED_WORDS:
-                    raise ParseError(
-                        SourceSpan(1, 1, 0, len(n)),
-                        UNEXPECTED_TOKEN,
-                        f"bad variable name {n!r}",
-                    )
-            out.variables = out.variables | frozenset(names)
+            out.variables = out.variables | parse_vars(line[len("vars:") :])
             continue
         body.append(line)
     if out.alphabet is None:

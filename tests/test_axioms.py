@@ -154,6 +154,8 @@ def test_instantiate_arity_errors():
         instantiate("A1", {"action": "a"}, AB)
     with pytest.raises(InfiniteAlphabetForFiniteSchema):
         instantiate("Y_w", {}, Alphabet.open_ended())
+    with pytest.raises(InfiniteAlphabetForFiniteSchema, match="^schema V1_w needs"):
+        instantiate("V1_w", {}, None)
 
 
 def test_list_system_counts():
@@ -165,6 +167,21 @@ def test_list_system_counts():
     }
     ew1 = list_system("Eomega1'", A)
     assert {i.schema for i in ew1} == {"A1", "A2", "A3", "A4", "V1_w", "O1"}
+
+
+def test_list_system_order():
+    # schema by schema in the table's order; per action, then per (s, k)
+    core = ["A1", "A2", "A3", "A4", "O1"]
+    per_action = ["E_a", "Y_a", "N_a", "D_a"]
+    assert [i.schema for i in list_system("Ev1'", A)] == core + ["V1"] + per_action
+    assert [i.schema for i in list_system("Eomega1'", A)] == core + ["V1_w"]
+    listed = list_system("Eomegaf'", AB, max_trace_len=1, max_k=2)
+    assert [(i.schema, i.bindings) for i in listed] == (
+        [(name, ()) for name in core]
+        + [(name, (("action", a),)) for name in per_action for a in "ab"]
+        + [("Y_w", ()), ("N_w", ())]
+        + [("O2", (("k", k), ("s", (a,)))) for a in "ab" for k in (1, 2)]
+    )
 
 
 def test_list_system_o2_needs_bounds():

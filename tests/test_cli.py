@@ -191,6 +191,13 @@ def test_bound_zero_is_a_usage_error_for_equiv_and_fuzz(capsys):
     assert (code, err) == (2, message)
 
 
+def test_oracle_on_an_open_ended_alphabet_is_exit_2(capsys):
+    code, out, err = run(
+        capsys, "equiv", "x", "x + a.x", "--alphabet", "infinite", "--vars", "x", "--oracle"
+    )
+    assert (code, out, err) == (2, "", "error: the oracle needs a finite alphabet\n")
+
+
 def test_fuzz_unary_open(capsys):
     code, out, _ = run(
         capsys, "fuzz", "--trials", "15", "--depth", "3", "--alphabet", "a",
@@ -403,3 +410,23 @@ def test_fuel_bound_holds_without_asserts():
         "",
         "error: finite_act_rnf failed to stabilize\n",
     )
+
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (None, ["parse", "a.yes", "--alphabet", "infinite", "--vars", "1x"]),
+        ("alphabet: a\nvars: 1x\nyes\n", ["parse", "@{f}"]),
+        (
+            "system: Ev\nalphabet: a\nvars: 1x, yes\nstep 1: yes = yes by refl\n",
+            ["check-proof", "{f}"],
+        ),
+    ],
+    ids=["--vars", "term file", "derivation"],
+)
+def test_every_variable_list_rejects_bad_names(tmp_path, capsys, text, argv):
+    f = tmp_path / "input.txt"
+    f.write_text(text or "")
+    argv = [arg.format(f=f) for arg in argv]
+    assert run(capsys, *argv) == (2, "", "parse error at 1:1: bad variable name '1x'\n")

@@ -406,3 +406,43 @@ def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, lo
     monkeypatch.setattr(normalize, "_FUEL", 1)
     with pytest.raises(normalize.InternalError, match=f"^{loop} failed to stabilize$"):
         pipeline(m, AB)
+
+
+
+# Two broken invariants of the proof layer: a transitivity chain whose ends
+# do not meet, and an alignment of terms that are not AC-equal.
+BROKEN_INVARIANTS = """\
+from regmon import normalize
+from regmon.terms import NO, YES, Alphabet
+pv = normalize.Prover("Ev", Alphabet.finite(["a", "b"]), record=True)
+for broken in (
+    lambda: pv.trans(pv.refl(YES), pv.ax("A4", subst={"x": NO})),
+    lambda: pv.align(YES, NO),
+):
+    try:
+        broken()
+    except normalize.InternalError as err:
+        print(str(err).splitlines()[0])
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_broken_invariants_raise_internal_error(optimize):
+    import os
+    import subprocess
+    import sys
+
+    # Under -O the first line proves that asserts are stripped.
+    script = "assert False, 'asserts are live'\n" * optimize + BROKEN_INVARIANTS
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(normalize.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "broken chain:\nalign on non-AC-equal terms\n",
+        "",
+    )

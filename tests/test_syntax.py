@@ -7,7 +7,6 @@ from regmon.syntax import (
     parse_alphabet,
     parse_equation,
     parse_monitor,
-    parse_substitution,
     parse_term_file,
     parse_trace,
     print_monitor,
@@ -130,11 +129,6 @@ def test_trace_round_trip():
     assert parse_trace("a b a") == ("a", "b", "a")
     assert print_trace(()) == "<eps>"
     assert print_trace(("a", "b")) == "a b"
-
-
-def test_substitution_lines():
-    sigma = parse_substitution("x -> a.yes\ny -> end  # comment", AB)
-    assert sigma == {"x": Prefix("a", YES), "y": parse_monitor("end", AB)}
 
 
 def test_term_file_named_terms_and_headers():
