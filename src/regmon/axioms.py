@@ -197,11 +197,9 @@ class AxiomInstance:
     equation: Equation
 
 
-def _require_finite(name: str, alphabet: Alphabet | None) -> Alphabet:
+def _require_finite(subject: str, alphabet: Alphabet | None) -> Alphabet:
     if alphabet is None or not alphabet.is_finite:
-        raise InfiniteAlphabetForFiniteSchema(
-            f"schema {name} needs a finite alphabet"
-        )
+        raise InfiniteAlphabetForFiniteSchema(f"{subject} needs a finite alphabet")
     return alphabet
 
 
@@ -222,7 +220,7 @@ def instantiate(
             f"schema {name} takes parameters {sorted(expected)}, got {sorted(bindings)}"
         )
     if "alphabet" in params:
-        alphabet = _require_finite(name, alphabet)
+        alphabet = _require_finite(f"schema {name}", alphabet)
     return AxiomInstance(name, tuple(sorted(bindings.items())), build(bindings, alphabet))
 
 
@@ -255,7 +253,7 @@ def list_system(
     if system not in SYSTEM_SCHEMAS:
         raise ValueError(f"unknown axiom system {system!r}")
     schemas = SYSTEM_SCHEMAS[system]
-    fin = _require_finite(system, alphabet)
+    fin = _require_finite(f"system {system}", alphabet)
     if "O2" in schemas and (max_trace_len is None or max_k is None):
         raise MissingBounds(
             f"system {system} contains the O2 family; give max_trace_len and max_k"

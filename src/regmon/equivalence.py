@@ -1,11 +1,12 @@
 """Decision procedures for verdict and omega-verdict equivalence.
 
-The entry point is :func:`decide`.  Closed terms are compared by a product
-search over determinized reachable state sets; the omega variant
-additionally folds the trace antichains to their minimal omega-cone
-generators.  Open terms go through the canonical form that
-:func:`open_form` picks by mode and alphabet cardinality.  An independent
-brute-force substitution oracle is provided for validation.
+The entry point is :func:`decide`.  Closed terms are compared by one product
+search over determinized reachable state sets; the two equivalences differ
+only in the flags read off each state: whether it holds ``yes`` and ``no``,
+or whether every infinite continuation from it is accepted and rejected.
+Open terms go through the canonical form that :func:`open_form` picks by
+mode and alphabet cardinality.  An independent brute-force substitution
+oracle is provided for validation.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import normalize, semantics
-from .semantics import (
-    initial_state,
-    lang_of,
-    omega_canon,
-    step_state,
-    trace_key,
-)
+from .semantics import initial_state, step_state
 from .terms import (
     END,
     NO,
@@ -37,6 +32,7 @@ from .terms import (
     apply_subst,
     depth,
     is_closed,
+    is_verdict,
     require_closed,
     vars_of,
 )
@@ -64,30 +60,64 @@ class Counterexample:
     side: str
 
 
-def _flag_mismatch(sa, sb) -> str | None:
-    a_yes, b_yes = YES in sa, YES in sb
-    if a_yes != b_yes:
-        return ACCEPTED_ONLY_BY_LEFT if a_yes else ACCEPTED_ONLY_BY_RIGHT
-    a_no, b_no = NO in sa, NO in sb
-    if a_no != b_no:
-        return REJECTED_ONLY_BY_LEFT if a_no else REJECTED_ONLY_BY_RIGHT
+def _verdict_flags(state) -> tuple[bool, bool]:
+    return YES in state, NO in state
+
+
+def _cone_flags(actions):
+    """Flags of a state: is every infinite continuation accepted, is every
+    one rejected.  A step shrinks the largest non-verdict member of a state,
+    so apart from the self-loops of verdict-only states the states form a
+    DAG, filled bottom-up into a table that lives for one search."""
+    memo: dict = {}
+
+    def flags(state) -> tuple[bool, bool]:
+        stack = [(state, None)]
+        while stack:
+            s, succ = stack.pop()
+            if s in memo:
+                continue
+            if all(map(is_verdict, s)):
+                memo[s] = _verdict_flags(s)
+            elif succ is None:
+                succ = [step_state(s, a) for a in actions]
+                stack.append((s, succ))
+                stack.extend((t, None) for t in succ if t not in memo)
+            else:
+                memo[s] = (
+                    YES in s or all(memo[t][0] for t in succ),
+                    NO in s or all(memo[t][1] for t in succ),
+                )
+        return memo[state]
+
+    return flags
+
+
+def _flag_mismatch(fa, fb) -> str | None:
+    if fa[0] != fb[0]:
+        return ACCEPTED_ONLY_BY_LEFT if fa[0] else ACCEPTED_ONLY_BY_RIGHT
+    if fa[1] != fb[1]:
+        return REJECTED_ONLY_BY_LEFT if fa[1] else REJECTED_ONLY_BY_RIGHT
     return None
 
 
 def closed_counterexample(
-    m: Monitor, n: Monitor, alphabet: Alphabet
+    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str = VERDICT
 ) -> tuple[Trace, str] | None:
     """Shortest (then lexicographically least) trace separating two closed
-    monitors, or ``None`` if they are verdict equivalent."""
+    monitors in ``mode``, or ``None`` if they are equivalent.  Both modes'
+    flags only turn true as a trace grows, so the first trace whose flags
+    differ is a minimal generator that one side has and the other lacks."""
     require_closed(m, "verdict equivalence")
     require_closed(n, "verdict equivalence")
     actions = semantics.exploration_actions(Sum(m, n), alphabet)
+    flags = _verdict_flags if mode == VERDICT else _cone_flags(actions)
     start = (initial_state(m), initial_state(n))
     seen = {start}
     queue: deque[tuple[tuple, Trace]] = deque([(start, ())])
     while queue:
         (sa, sb), trace = queue.popleft()
-        side = _flag_mismatch(sa, sb)
+        side = _flag_mismatch(flags(sa), flags(sb))
         if side is not None:
             return trace, side
         for action in actions:
@@ -106,35 +136,14 @@ def omega_closed_counterexample(
     m: Monitor, n: Monitor, alphabet: Alphabet
 ) -> tuple[Trace, str] | None:
     """A trace whose omega-cone membership separates two closed monitors.
-
-    With an open-ended alphabet the notions coincide, so this delegates to
-    the verdict comparison.
-    """
+    Verdict-equivalent monitors are omega equivalent, and over an open-ended
+    alphabet the notions coincide, so the verdict search runs first."""
     require_closed(m, "omega-verdict equivalence")
     require_closed(n, "omega-verdict equivalence")
-    if not alphabet.is_finite:
-        return closed_counterexample(m, n, alphabet)
-    if verdict_equiv_closed(m, n, alphabet):
-        return None
-    lm, ln = lang_of(m, alphabet), lang_of(n, alphabet)
-    acc_m = omega_canon(lm.accept_min, alphabet)
-    acc_n = omega_canon(ln.accept_min, alphabet)
-    rej_m = omega_canon(lm.reject_min, alphabet)
-    rej_n = omega_canon(ln.reject_min, alphabet)
-    witnesses = [
-        (t, side)
-        for mine, theirs, side in (
-            (acc_m, acc_n, ACCEPTED_ONLY_BY_LEFT),
-            (acc_n, acc_m, ACCEPTED_ONLY_BY_RIGHT),
-            (rej_m, rej_n, REJECTED_ONLY_BY_LEFT),
-            (rej_n, rej_m, REJECTED_ONLY_BY_RIGHT),
-        )
-        for t in mine - theirs
-        if not semantics.covered_by(t, theirs)
-    ]
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: trace_key(w[0]))
+    found = closed_counterexample(m, n, alphabet)
+    if found is None or not alphabet.is_finite:
+        return found
+    return closed_counterexample(m, n, alphabet, OMEGA)
 
 
 def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:

@@ -1293,47 +1293,3 @@ PIPELINES = {
     UNARY_OMEGA_NF: unary_omega_nf,
     OPEN_OMEGA_NF: omega_open_nf,
 }
-
-
-# ---------------------------------------------------------------------------
-# Structural form predicates (used by tests)
-
-
-def is_normal_form(t: Monitor, allow_vars: bool = True) -> bool:
-    if t == END:
-        return True
-    has_yes = has_no = False
-    seen_actions: set[str] = set()
-    for p in _parts(t):
-        if p == YES:
-            if has_yes:
-                return False
-            has_yes = True
-        elif p == NO:
-            if has_no:
-                return False
-            has_no = True
-        elif isinstance(p, Prefix):
-            if p.action in seen_actions or p.body == END:
-                return False
-            seen_actions.add(p.action)
-            if not is_normal_form(p.body, allow_vars):
-                return False
-        elif isinstance(p, Var):
-            if not allow_vars:
-                return False
-        else:
-            return False
-    return True
-
-
-def is_reduced_nf(t: Monitor, allow_vars: bool = True) -> bool:
-    if not is_normal_form(t, allow_vars):
-        return False
-    has_yes, has_no, acts, variables = _decompose(t)
-    if has_yes and has_no:
-        return not acts and not variables
-    for v, flag in ((YES, has_yes), (NO, has_no)):
-        if flag and any(contains_verdict(b, v) for b in acts.values()):
-            return False
-    return all(is_reduced_nf(b, allow_vars) for b in acts.values())

@@ -26,7 +26,6 @@ from .terms import (
     Sum,
     Trace,
     actions_of,
-    depth,
     is_identifier,
     is_verdict,
     require_closed,
@@ -137,11 +136,6 @@ class TraceLang:
     reject_min: frozenset[Trace]
 
 
-def covered_by(trace: Trace, antichain: frozenset[Trace]) -> bool:
-    """Whether some member of the antichain is a prefix of ``trace``."""
-    return any(trace[: len(t)] == t for t in antichain)
-
-
 def fresh_action(avoid: Iterable[str], stem: str = "_f") -> str:
     taken = set(avoid)
     candidate = stem
@@ -169,11 +163,10 @@ def lang_of(m: Monitor, alphabet: Alphabet) -> TraceLang:
     """Antichain representation of the acceptance and rejection sets."""
     require_closed(m, "lang_of")
     actions = exploration_actions(m, alphabet)
-    bound = depth(m)
     accept_min: set[Trace] = set()
     reject_min: set[Trace] = set()
-    # Breadth-first over traces; a branch is closed once both verdicts are
-    # covered (every extension is then non-minimal on both sides).
+    # Breadth-first over traces; a branch closes once both verdicts are
+    # covered or its state holds only verdicts (extensions add nothing).
     frontier: list[tuple[Trace, frozenset[Monitor], bool, bool]] = [
         ((), initial_state(m), False, False)
     ]
@@ -186,9 +179,7 @@ def lang_of(m: Monitor, alphabet: Alphabet) -> TraceLang:
             if not rej_seen and NO in state:
                 reject_min.add(trace)
                 rej_seen = True
-            if acc_seen and rej_seen:
-                continue
-            if len(trace) >= bound:
+            if acc_seen and rej_seen or all(map(is_verdict, state)):
                 continue
             for action in actions:
                 nxt.append(

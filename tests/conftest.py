@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from regmon import equivalence, semantics
 from regmon.terms import END, NO, YES, Alphabet, Prefix, Sum, Var
 
 AB = Alphabet.finite(["a", "b"])
@@ -21,6 +22,32 @@ def unary():
 @pytest.fixture
 def open_ended():
     return INF
+
+
+class StepBudgetExceeded(Exception):
+    pass
+
+
+@pytest.fixture
+def step_budget(monkeypatch):
+    """``step_budget(n)`` makes ``semantics.step_state`` raise
+    :class:`StepBudgetExceeded` on its ``n + 1``-th call, so that a search
+    that blows up fails fast and without timing."""
+
+    def install(limit):
+        calls = [0]
+        step_state = semantics.step_state
+
+        def counted(state, action):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise StepBudgetExceeded(f"more than {limit} step_state calls")
+            return step_state(state, action)
+
+        monkeypatch.setattr(semantics, "step_state", counted)
+        monkeypatch.setattr(equivalence, "step_state", counted)
+
+    return install
 
 
 def monitors(actions=("a", "b"), variables=("x", "y"), max_depth=4):

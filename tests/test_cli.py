@@ -430,3 +430,15 @@ def test_every_variable_list_rejects_bad_names(tmp_path, capsys, text, argv):
     f.write_text(text or "")
     argv = [arg.format(f=f) for arg in argv]
     assert run(capsys, *argv) == (2, "", "parse error at 1:1: bad variable name '1x'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["axioms", "--system", "Ev"], "system Ev"),
+        (["witness", "--n", "2"], "witness_family"),
+    ],
+)
+def test_finite_alphabet_errors_name_their_subject(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--alphabet", "infinite")
+    assert (code, out, err) == (2, "", f"error: {message} needs a finite alphabet\n")

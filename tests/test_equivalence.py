@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from regmon.equivalence import (
     Counterexample,
     closed_counterexample,
     decide,
+    omega_closed_counterexample,
     omega_equiv_closed,
     omega_equiv_open,
     oracle_counterexample,
@@ -21,12 +23,15 @@ from regmon.equivalence import (
     verdict_equiv_open,
 )
 from regmon.generate import random_closed_monitor, random_open_monitor
+from test_semantics import covered_by
 from regmon.syntax import parse_monitor
 from regmon.terms import (
     END,
     NO,
     YES,
+    Alphabet,
     NonClosedInput,
+    Prefix,
     Sum,
     Var,
     apply_subst,
@@ -89,18 +94,76 @@ def test_closed_equiv_matches_antichain_comparison():
         assert verdict_equiv_closed(m, n, AB) == by_lang
 
 
+def antichain_omega_counterexample(m, n, alphabet):
+    """The omega decision by folded trace antichains, kept as the reference:
+    the minimal accepted / rejected traces of each side, folded to their
+    omega-cone generators, and the least generator the other side lacks."""
+    if verdict_equiv_closed(m, n, alphabet):
+        return None
+    lm, ln = semantics.lang_of(m, alphabet), semantics.lang_of(n, alphabet)
+    acc_m = semantics.omega_canon(lm.accept_min, alphabet)
+    acc_n = semantics.omega_canon(ln.accept_min, alphabet)
+    rej_m = semantics.omega_canon(lm.reject_min, alphabet)
+    rej_n = semantics.omega_canon(ln.reject_min, alphabet)
+    witnesses = [
+        (trace, side)
+        for mine, theirs, side in (
+            (acc_m, acc_n, "AcceptedOnlyByLeft"),
+            (acc_n, acc_m, "AcceptedOnlyByRight"),
+            (rej_m, rej_n, "RejectedOnlyByLeft"),
+            (rej_n, rej_m, "RejectedOnlyByRight"),
+        )
+        for trace in mine - theirs
+        if not covered_by(trace, theirs)
+    ]
+    if not witnesses:
+        return None
+    return min(witnesses, key=lambda w: semantics.trace_key(w[0]))
+
+
+def near_miss(rng, m, alphabet):
+    """``m`` with one leaf replaced: by its full fan (omega equivalent), by
+    the other verdict, or by a small random term."""
+    match m:
+        case Prefix(action, body):
+            return Prefix(action, near_miss(rng, body, alphabet))
+        case Sum(left, right):
+            if rng.random() < 0.5:
+                return Sum(near_miss(rng, left, alphabet), right)
+            return Sum(left, near_miss(rng, right, alphabet))
+    roll = rng.random()
+    if roll < 0.4:
+        fan = [Prefix(a, m) for a in alphabet.sorted_actions()]
+        return functools.reduce(Sum, fan)
+    if roll < 0.6 and m in (YES, NO):
+        return NO if m == YES else YES
+    return random_closed_monitor(rng, alphabet, 2)
+
+
 def test_omega_equiv_matches_folded_antichains():
     rng = random.Random(43)
-    for _ in range(200):
-        m = random_closed_monitor(rng, AB, 4)
-        n = random_closed_monitor(rng, AB, 4)
-        lm, ln = semantics.lang_of(m, AB), semantics.lang_of(n, AB)
-        by_cones = semantics.omega_canon(lm.accept_min, AB) == semantics.omega_canon(
-            ln.accept_min, AB
-        ) and semantics.omega_canon(lm.reject_min, AB) == semantics.omega_canon(
-            ln.reject_min, AB
-        )
-        assert omega_equiv_closed(m, n, AB) == by_cones
+    for alphabet in (A, AB, Alphabet.finite(["a", "b", "c"])):
+        inequivalent = 0
+        for i in range(180):
+            m = random_closed_monitor(rng, alphabet, 4)
+            if i % 3:
+                n = near_miss(rng, m, alphabet)
+            else:
+                n = random_closed_monitor(rng, alphabet, 4)
+            if i % 2:
+                m, n = n, m
+            want = antichain_omega_counterexample(m, n, alphabet)
+            assert omega_closed_counterexample(m, n, alphabet) == want, (m, n)
+            inequivalent += want is not None
+        assert 30 <= inequivalent <= 150, (alphabet, inequivalent)
+
+
+def test_omega_decide_on_a_deep_chain_is_linear(step_budget):
+    # The trace-antichain procedure took over 2**40 steps here.
+    step_budget(2000)
+    m, n = prefix_seq(("a",) * 40, YES), prefix_seq(("a",) * 40, NO)
+    got = decide(m, n, AB, OMEGA)
+    assert got.counterexample == Counterexample((), ("a",) * 40, "AcceptedOnlyByLeft")
 
 
 def test_substitution_values_unary_bound_one():

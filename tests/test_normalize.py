@@ -8,10 +8,10 @@ from regmon.axioms import bar_k, witness_family
 from regmon.generate import random_closed_monitor, random_open_monitor
 from regmon.normalize import (
     AlphabetTooSmall,
+    _decompose,
+    _parts,
     covering_k,
     finite_act_rnf,
-    is_normal_form,
-    is_reduced_nf,
     normal_form_closed,
     omega_nf_closed,
     omega_open_nf,
@@ -31,6 +31,7 @@ from regmon.terms import (
     NonClosedInput,
     Prefix,
     Sum,
+    Var,
     ac_equal,
     ac_normalize,
     contains_verdict,
@@ -42,6 +43,49 @@ YN = Sum(YES, NO)
 
 def t(text, alphabet=AB):
     return parse_monitor(text, alphabet)
+
+
+# Structural form predicates
+
+
+def is_normal_form(t, allow_vars=True):
+    if t == END:
+        return True
+    has_yes = has_no = False
+    seen_actions = set()
+    for p in _parts(t):
+        if p == YES:
+            if has_yes:
+                return False
+            has_yes = True
+        elif p == NO:
+            if has_no:
+                return False
+            has_no = True
+        elif isinstance(p, Prefix):
+            if p.action in seen_actions or p.body == END:
+                return False
+            seen_actions.add(p.action)
+            if not is_normal_form(p.body, allow_vars):
+                return False
+        elif isinstance(p, Var):
+            if not allow_vars:
+                return False
+        else:
+            return False
+    return True
+
+
+def is_reduced_nf(t, allow_vars=True):
+    if not is_normal_form(t, allow_vars):
+        return False
+    has_yes, has_no, acts, variables = _decompose(t)
+    if has_yes and has_no:
+        return not acts and not variables
+    for v, flag in ((YES, has_yes), (NO, has_no)):
+        if flag and any(contains_verdict(b, v) for b in acts.values()):
+            return False
+    return all(is_reduced_nf(b, allow_vars) for b in acts.values())
 
 
 # -- normal form -------------------------------------------------------------

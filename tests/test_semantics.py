@@ -7,7 +7,6 @@ from conftest import AB, closed_monitors
 from regmon.generate import random_closed_monitor
 from regmon.semantics import (
     TAU,
-    covered_by,
     initial_state,
     lang_of,
     omega_canon,
@@ -25,6 +24,11 @@ from regmon.terms import (
     depth,
     is_verdict,
 )
+
+
+def covered_by(trace, antichain):
+    """Whether some member of the antichain is a prefix of ``trace``."""
+    return any(trace[: len(t)] == t for t in antichain)
 
 
 def t(text, alphabet=AB):
@@ -146,6 +150,13 @@ def test_upward_closure():
         for trace in lang.accept_min:
             ext = trace + ("b", "a")
             assert semantics.accepts(m, ext)
+
+
+def test_lang_of_a_deep_chain_is_linear(step_budget):
+    step_budget(2000)
+    lang = lang_of(t(".".join(["a"] * 40 + ["yes"])), AB)
+    assert lang.accept_min == {("a",) * 40}
+    assert lang.reject_min == frozenset()
 
 
 def test_omega_canon_folds_full_fan():
