@@ -572,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, OSError, normalize.InternalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: input nests too deeply for {args.command}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def _verdict_flags(state) -> tuple[bool, bool]:
     return YES in state, NO in state
 
 
-def _cone_flags(actions):
+def _cone_flags(step, actions):
     """Flags of a state: is every infinite continuation accepted, is every
     one rejected.  A step shrinks the largest non-verdict member of a state,
     so apart from the self-loops of verdict-only states the states form a
@@ -80,7 +80,7 @@ def _cone_flags(actions):
             if all(map(is_verdict, s)):
                 memo[s] = _verdict_flags(s)
             elif succ is None:
-                succ = [step_state(s, a) for a in actions]
+                succ = [step(s, a) for a in actions]
                 stack.append((s, succ))
                 stack.extend((t, None) for t in succ if t not in memo)
             else:
@@ -111,7 +111,18 @@ def closed_counterexample(
     require_closed(m, "verdict equivalence")
     require_closed(n, "verdict equivalence")
     actions = semantics.exploration_actions(Sum(m, n), alphabet)
-    flags = _verdict_flags if mode == VERDICT else _cone_flags(actions)
+    # One successor table for the search: the cone flags and the product
+    # step through the same states.
+    successors: dict = {}
+
+    def step(state, action):
+        key = (state, action)
+        nxt = successors.get(key)
+        if nxt is None:
+            nxt = successors[key] = step_state(state, action)
+        return nxt
+
+    flags = _verdict_flags if mode == VERDICT else _cone_flags(step, actions)
     start = (initial_state(m), initial_state(n))
     seen = {start}
     queue: deque[tuple[tuple, Trace]] = deque([(start, ())])
@@ -121,7 +132,7 @@ def closed_counterexample(
         if side is not None:
             return trace, side
         for action in actions:
-            nxt = (step_state(sa, action), step_state(sb, action))
+            nxt = (step(sa, action), step(sb, action))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, trace + (action,)))

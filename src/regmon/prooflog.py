@@ -276,10 +276,11 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
 class _TermTable:
     """Side text -> term, for one derivation under fixed headers.
 
-    Each distinct text is parsed once and every later occurrence gets the
-    same object, so that the checker's structural comparisons of equal
-    sides end at the identity test.  The term grammar has no ``=`` and no
-    ``,``, so equations and mappings split into their terms exactly.
+    Each distinct text is parsed once, which saves re-parsing the sides
+    that recur from step to step.  The checker's comparisons are identity
+    tests whatever the table does: equal terms are one interned object.
+    The term grammar has no ``=`` and no ``,``, so equations and mappings
+    split into their terms exactly.
     """
 
     def __init__(self, alphabet: Alphabet, variables: frozenset[str]):

@@ -23,12 +23,12 @@ from .terms import (
     Alphabet,
     Monitor,
     Prefix,
-    Sum,
     Trace,
     actions_of,
     is_identifier,
     is_verdict,
     require_closed,
+    summands,
 )
 
 
@@ -53,18 +53,16 @@ Label = str | _Tau
 
 
 def strong_steps(m: Monitor, label) -> frozenset[Monitor]:
-    """One-step successors of ``m`` under ``label``."""
-    if is_verdict(m):
-        return frozenset((m,))
-    match m:
-        case Prefix(action, body):
-            if label == action:
-                return frozenset((body,))
-            return frozenset()
-        case Sum(left, right):
-            return strong_steps(left, label) | strong_steps(right, label)
-        case _:  # variables have no transitions
-            return frozenset()
+    """One-step successors of ``m`` under ``label``: the verdict summands of
+    ``m`` and the bodies of its ``label``-prefixed summands (variables have
+    no transitions)."""
+    out = set()
+    for p in summands(m):
+        if is_verdict(p):
+            out.add(p)
+        elif isinstance(p, Prefix) and p.action == label:
+            out.add(p.body)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)

@@ -25,15 +25,12 @@ from .terms import (
     RESERVED_WORDS,
     YES,
     Alphabet,
-    End,
     Equation,
     Monitor,
-    No,
     Prefix,
     Sum,
     Trace,
     Var,
-    Yes,
     is_identifier,
 )
 
@@ -379,36 +376,48 @@ def parse_term_file(text: str, alphabet: Alphabet | None = None) -> TermFile:
 # Printing
 
 
-def _print(m: Monitor, parent: str) -> str:
-    match m:
-        case End():
-            return "end"
-        case Yes():
-            return "yes"
-        case No():
-            return "no"
-        case Var(name):
-            return name
-        case Prefix():
-            # A prefix chain prints as one run of 'a.', without recursing.
+_LEAF_TEXT = {END: "end", YES: "yes", NO: "no"}
+
+
+def print_monitor(m: Monitor) -> str:
+    """Minimal-parentheses rendering that :func:`parse_monitor` inverts.
+
+    A loop over an explicit stack of pending terms and literal text, so that
+    no nesting depth recurses.  A prefix chain prints as one run of ``a.``;
+    ``+`` parses left-associated, so a sum prints its left spine flat, and
+    only a sum that is a right operand or a prefix body gets parentheses.
+    """
+    out: list[str] = []
+    stack: list = [(m, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        m, parenthesize = item
+        if isinstance(m, Prefix):
             actions = []
             while isinstance(m, Prefix):
                 actions.append(m.action)
                 m = m.body
-            return f"{'.'.join(actions)}.{_print(m, 'prefix')}"
-        case Sum(left, right):
-            # '+' parses left-associated, so only a right operand or a prefix
-            # body needs parentheses around a nested sum.
-            text = f"{_print(left, 'sum-left')} + {_print(right, 'sum-right')}"
-            if parent in ("prefix", "sum-right"):
-                return f"({text})"
-            return text
-    raise TypeError(f"not a monitor: {m!r}")
-
-
-def print_monitor(m: Monitor) -> str:
-    """Minimal-parentheses rendering that :func:`parse_monitor` inverts."""
-    return _print(m, "top")
+            out.append(".".join(actions) + ".")
+            stack.append((m, True))
+        elif isinstance(m, Sum):
+            if parenthesize:
+                stack.append(")")
+            while isinstance(m, Sum):
+                stack += ((m.right, True), " + ")
+                m = m.left
+            stack.append((m, False))
+            if parenthesize:
+                stack.append("(")
+        elif isinstance(m, Var):
+            out.append(m.name)
+        elif m in _LEAF_TEXT:
+            out.append(_LEAF_TEXT[m])
+        else:
+            raise TypeError(f"not a monitor: {m!r}")
+    return "".join(out)
 
 
 def print_equation(eq: Equation) -> str:

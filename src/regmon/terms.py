@@ -3,11 +3,19 @@
 Monitors are finite trees built from the three verdicts (``yes``, ``no``,
 ``end``), action prefixing, binary sum and variables.  Everything in this
 module is an immutable value; all functions are pure.
+
+Terms are hash-consed (Filliatre & Conchon, *Type-safe modular
+hash-consing*, 2006): a constructor returns the existing node for a term
+that is still alive, so structurally equal terms are one object and compare
+and hash by identity.  Iterating a set of terms therefore follows memory
+addresses, and nothing that is printed may depend on that order.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -38,11 +46,49 @@ def check_name(name: str, what: str = "name") -> str:
 # ---------------------------------------------------------------------------
 # Monitor terms
 
+# The interning table: constructor fields -> the one node built from them.
+# Keys hold the children themselves, so a key can only match while those
+# very objects are alive (a freed object's ``id`` may be reused).
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Held while a node is built, so that two threads never build two nodes for
+# one term.
+_LOCK = threading.Lock()
+_set = object.__setattr__
+
+
+def _intern(key: tuple, **fields) -> "Monitor":
+    """The live node for ``key``, or a new one of class ``key[0]`` with
+    ``fields``."""
+    with _LOCK:
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(key[0])
+            for name, value in fields.items():
+                _set(node, name, value)
+            _TABLE[key] = node
+        return node
+
 
 class Monitor:
-    """Base class of monitor terms.  Instances compare structurally."""
+    """Base class of monitor terms.
 
-    __slots__ = ()
+    Terms are hash-consed: the constructors return one shared node per
+    structurally distinct term, so ``==`` and ``hash`` are the identity
+    defaults and cost O(1) at any depth.  Nodes are immutable; each carries
+    ``closed`` (no variable occurs in it) and ``depth`` (see :func:`depth`),
+    computed once from its children.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from . import syntax
@@ -50,47 +96,91 @@ class Monitor:
         return f"<{syntax.print_monitor(self)}>"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class End(Monitor):
-    pass
+class _Verdict(Monitor):
+    __slots__ = ()
+    closed = True
+    depth = 0
+
+    def __new__(cls):
+        return _VERDICT_OF[cls]
+
+    def __reduce__(self):
+        return type(self), ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Yes(Monitor):
-    pass
+class End(_Verdict):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class No(Monitor):
-    pass
+class Yes(_Verdict):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+class No(_Verdict):
+    __slots__ = ()
+
+
 class Prefix(Monitor):
+    __slots__ = ("action", "body", "closed", "depth")
+    __match_args__ = ("action", "body")
     action: str
     body: Monitor
 
+    def __new__(cls, action: str, body: Monitor):
+        key = (cls, action, body)
+        return _TABLE.get(key) or _intern(
+            key, action=action, body=body, closed=body.closed, depth=body.depth + 1
+        )
 
-@dataclass(frozen=True, slots=True, repr=False)
+    def __reduce__(self):
+        return Prefix, (self.action, self.body)
+
+
 class Sum(Monitor):
+    __slots__ = ("left", "right", "closed", "depth")
+    __match_args__ = ("left", "right")
     left: Monitor
     right: Monitor
 
+    def __new__(cls, left: Monitor, right: Monitor):
+        key = (cls, left, right)
+        return _TABLE.get(key) or _intern(
+            key,
+            left=left,
+            right=right,
+            closed=left.closed and right.closed,
+            depth=max(left.depth, right.depth),
+        )
 
-@dataclass(frozen=True, slots=True, repr=False)
+    def __reduce__(self):
+        return Sum, (self.left, self.right)
+
+
 class Var(Monitor):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    closed = False
+    depth = 0
     name: str
 
+    def __new__(cls, name: str):
+        key = (cls, name)
+        return _TABLE.get(key) or _intern(key, name=name)
 
-END = End()
-YES = Yes()
-NO = No()
+    def __reduce__(self):
+        return Var, (self.name,)
+
+
+END = object.__new__(End)
+YES = object.__new__(Yes)
+NO = object.__new__(No)
+_VERDICT_OF = {End: END, Yes: YES, No: NO}
 
 VERDICTS = (END, YES, NO)
 
 
 def is_verdict(m: Monitor) -> bool:
-    return isinstance(m, (End, Yes, No))
+    return isinstance(m, _Verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -151,66 +241,65 @@ class Alphabet:
 
 # ---------------------------------------------------------------------------
 # Structural measures and traversals
+#
+# Terms may nest far deeper than Python's recursion limit, so every walk
+# below is a loop over an explicit stack.
 
 
 def depth(m: Monitor) -> int:
     """Syntactic depth.  Variables count as depth 0 (like verdicts)."""
-    match m:
-        case Prefix(_, body):
-            return 1 + depth(body)
-        case Sum(left, right):
-            return max(depth(left), depth(right))
-        case _:
-            return 0
+    return m.depth
 
 
 def size_of(m: Monitor) -> int:
     """Number of AST nodes."""
-    match m:
-        case Prefix(_, body):
-            return 1 + size_of(body)
-        case Sum(left, right):
-            return 1 + size_of(left) + size_of(right)
-        case _:
-            return 1
+    count = 0
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        count += 1
+        if isinstance(t, Prefix):
+            stack.append(t.body)
+        elif isinstance(t, Sum):
+            stack += (t.left, t.right)
+    return count
+
+
+def _nodes(m: Monitor) -> Iterator[Monitor]:
+    """Each distinct node of ``m`` once, parents before their children."""
+    seen = {m}
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Prefix):
+            children = (t.body,)
+        elif isinstance(t, Sum):
+            children = (t.right, t.left)
+        else:
+            continue
+        for c in children:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
 
 
 def vars_of(m: Monitor) -> frozenset[str]:
-    match m:
-        case Var(name):
-            return frozenset((name,))
-        case Prefix(_, body):
-            return vars_of(body)
-        case Sum(left, right):
-            return vars_of(left) | vars_of(right)
-        case _:
-            return frozenset()
+    if m.closed:
+        return frozenset()
+    return frozenset(t.name for t in _nodes(m) if isinstance(t, Var))
 
 
 def actions_of(m: Monitor) -> frozenset[str]:
-    match m:
-        case Prefix(action, body):
-            return actions_of(body) | {action}
-        case Sum(left, right):
-            return actions_of(left) | actions_of(right)
-        case _:
-            return frozenset()
+    return frozenset(t.action for t in _nodes(m) if isinstance(t, Prefix))
 
 
 def is_closed(m: Monitor) -> bool:
-    match m:
-        case Var(_):
-            return False
-        case Prefix(_, body):
-            return is_closed(body)
-        case Sum(left, right):
-            return is_closed(left) and is_closed(right)
-        case _:
-            return True
+    return m.closed
 
 
 def require_closed(m: Monitor, context: str = "operation") -> None:
-    if not is_closed(m):
+    if not m.closed:
         raise NonClosedInput(
             f"{context} requires a closed monitor; free variables: "
             + ", ".join(sorted(vars_of(m)))
@@ -219,24 +308,18 @@ def require_closed(m: Monitor, context: str = "operation") -> None:
 
 def contains_verdict(m: Monitor, v: Monitor) -> bool:
     """Whether the verdict ``v`` occurs anywhere in ``m``."""
-    if m == v:
-        return True
-    match m:
-        case Prefix(_, body):
-            return contains_verdict(body, v)
-        case Sum(left, right):
-            return contains_verdict(left, v) or contains_verdict(right, v)
-        case _:
-            return False
+    return any(t is v for t in _nodes(m))
 
 
 def summands(m: Monitor) -> Iterator[Monitor]:
     """Iterate the non-Sum leaves of the sum tree, left to right."""
-    if isinstance(m, Sum):
-        yield from summands(m.left)
-        yield from summands(m.right)
-    else:
-        yield m
+    stack = [m]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (t.right, t.left)
+        else:
+            yield t
 
 
 def sum_of(parts) -> Monitor:
@@ -246,7 +329,7 @@ def sum_of(parts) -> Monitor:
     """
     acc: Monitor | None = None
     for p in parts:
-        if p == END:
+        if p is END:
             continue
         acc = p if acc is None else Sum(acc, p)
     return END if acc is None else acc
@@ -259,16 +342,36 @@ Substitution = Mapping[str, Monitor]
 
 
 def apply_subst(sigma: Substitution, m: Monitor) -> Monitor:
-    """Replace every variable leaf by its image; unmapped variables stay."""
-    match m:
-        case Var(name):
-            return sigma.get(name, m)
-        case Prefix(action, body):
-            return Prefix(action, apply_subst(sigma, body))
-        case Sum(left, right):
-            return Sum(apply_subst(sigma, left), apply_subst(sigma, right))
-        case _:
-            return m
+    """Replace every variable leaf by its image; unmapped variables stay.
+
+    Closed subterms come back unchanged, and each distinct open subterm is
+    rebuilt once.
+    """
+    done: dict[Monitor, Monitor] = {}
+    stack = [m]
+    while stack:
+        t = stack[-1]
+        if t.closed:
+            done[t] = t
+        elif isinstance(t, Var):
+            done[t] = sigma.get(t.name, t)
+        elif isinstance(t, Prefix):
+            body = done.get(t.body)
+            if body is None:
+                stack.append(t.body)
+                continue
+            done[t] = Prefix(t.action, body)
+        else:
+            left, right = done.get(t.left), done.get(t.right)
+            if left is None or right is None:
+                if right is None:
+                    stack.append(t.right)
+                if left is None:
+                    stack.append(t.left)
+                continue
+            done[t] = Sum(left, right)
+        stack.pop()
+    return done[m]
 
 
 # ---------------------------------------------------------------------------

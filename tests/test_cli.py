@@ -311,6 +311,13 @@ def _fresh_process(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_input_that_nests_too_deeply_is_exit_2():
+    # The normal-form pipelines still recurse on the nesting of a term.
+    chain = "a." * 5000 + "yes"
+    code, out, err = _fresh_process("normalize", "--form", "rnf", "--alphabet", "a,b", chain)
+    assert (code, out, err) == (2, "", "error: input nests too deeply for normalize\n")
+
+
 def test_main_reuses_one_parser_across_calls(capsys):
     import regmon.cli as cli
 

@@ -166,6 +166,15 @@ def test_omega_decide_on_a_deep_chain_is_linear(step_budget):
     assert got.counterexample == Counterexample((), ("a",) * 40, "AcceptedOnlyByLeft")
 
 
+def test_omega_search_steps_each_state_once(step_budget):
+    # The cone flags and the product search share one successor table; with
+    # a table for each they took 488 calls.
+    step_budget(330)
+    m, n = prefix_seq(("a",) * 40, YES), prefix_seq(("a",) * 40, NO)
+    got = decide(m, n, AB, OMEGA)
+    assert got.counterexample == Counterexample((), ("a",) * 40, "AcceptedOnlyByLeft")
+
+
 def test_substitution_values_unary_bound_one():
     # enumeration oracle: {end, yes, no} plus t.yes / t.no / t.(yes+no)
     # for t in {eps, a}, as a set of distinct terms

@@ -18,10 +18,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -178,6 +181,44 @@ def test_proof_text_matches_golden(form):
 
 def test_proof_digests_match_golden():
     assert digests_text() == DIGESTS.read_text(encoding="utf-8")
+
+
+def cli_outputs() -> dict:
+    """The README transcript, the proof digests and, per form, the proof
+    file that ``regmon prove --emit-proof`` writes for the form's case."""
+    proofs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "proof.txt")
+        for form, (actions, source) in PROOF_CASES.items():
+            argv = ["prove", "--form", form, "--alphabet", actions, source, "--emit-proof", path]
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            proofs[form] = Path(path).read_text(encoding="utf-8")
+    return {"readme": readme_transcript(), "digests": digests_text(), "proofs": proofs}
+
+
+def test_output_does_not_depend_on_the_process():
+    # Terms hash by identity, so the iteration order of a set of terms
+    # follows memory addresses; nothing printed may depend on it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    script = "import json, test_golden; print(json.dumps(test_golden.cli_outputs()))"
+    procs = []
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, "-c", script], env=dict(env), stdout=subprocess.PIPE, text=True
+            )
+        )
+    for proc in procs:
+        stdout, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        got = json.loads(stdout)
+        assert got["readme"] == README_TRANSCRIPT.read_text(encoding="utf-8")
+        assert got["digests"] == DIGESTS.read_text(encoding="utf-8")
+        for form, text in got["proofs"].items():
+            assert text == proof_file(form).read_text(encoding="utf-8"), form
 
 
 def _write_golden() -> None:

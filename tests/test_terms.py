@@ -1,18 +1,28 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import AB, closed_monitors, monitors
 from regmon import equivalence
+from regmon.equivalence import OMEGA, VERDICT, Counterexample, decide
 from regmon.terms import (
     END,
     NO,
     YES,
     Alphabet,
+    End,
     Prefix,
     Sum,
     Var,
     ac_equal,
     ac_normalize,
+    actions_of,
     apply_subst,
     depth,
     is_closed,
@@ -21,7 +31,7 @@ from regmon.terms import (
     summands,
     vars_of,
 )
-from regmon.syntax import parse_monitor
+from regmon.syntax import parse_monitor, print_monitor
 
 
 def t(text, alphabet=AB):
@@ -153,3 +163,134 @@ def test_alphabet_validation():
 def test_sum_of_drops_end():
     assert sum_of([END, YES, END]) == YES
     assert sum_of([]) == END
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+
+def test_equal_terms_are_one_object():
+    m = Prefix("a", Sum(YES, Var("x")))
+    assert Prefix("a", Sum(YES, Var("x"))) is m
+    assert t("a.(yes + x)") is m
+    assert t("a.(yes + x) + b.no") is Sum(m, Prefix("b", NO))
+    assert Var("x") is Var("x") and End() is END
+    assert Sum(YES, NO) is not Sum(NO, YES)
+
+
+def test_terms_are_immutable():
+    m = t("a.(yes + x)")
+    with pytest.raises(AttributeError):
+        m.body = NO
+    with pytest.raises(AttributeError):
+        del m.action
+    with pytest.raises(AttributeError):
+        YES.closed = False
+    assert m is t("a.(yes + x)")
+
+
+@pytest.mark.parametrize("text", ["end", "yes", "no", "x", "a.(yes + x) + b.no"])
+def test_copies_and_pickles_are_the_interned_node(text):
+    m = t(text)
+    assert copy.copy(m) is m
+    assert copy.deepcopy(m) is m
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(m, protocol)) is m
+
+
+def test_unreferenced_terms_are_freed():
+    ref = weakref.ref(t("a.b.(x + unreferenced_var)"))
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_building_one_term_get_one_object():
+    threads_n, rounds = 6, 20
+    results = [[] for _ in range(threads_n)]
+    barrier = threading.Barrier(threads_n)
+
+    def build(k):
+        for r in range(rounds):
+            barrier.wait()
+            names = [f"race_{r}_{i}" for i in range(50)]
+            results[k].append([Sum(Var(x), Prefix("a", Var(x))) for x in names])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    for other in results[1:]:
+        assert len(other) == rounds
+        for mine, theirs in zip(results[0], other):
+            assert all(a is b for a, b in zip(mine, theirs))
+
+
+# ---------------------------------------------------------------------------
+# Depth: nothing below recurses on the nesting of a term.
+
+DEEP = 10_000
+
+
+def _chain(leaf, n=DEEP):
+    m = leaf
+    for _ in range(n):
+        m = Prefix("a", m)
+    return m
+
+
+def test_a_deep_prefix_chain():
+    m = _chain(Var("x"))
+    assert m == _chain(Var("x")) and hash(m) == hash(_chain(Var("x")))
+    assert m != _chain(Var("y"))
+    assert not is_closed(m) and depth(m) == DEEP
+    assert vars_of(m) == {"x"} and actions_of(m) == {"a"}
+    closed = apply_subst({"x": YES}, m)
+    assert closed is _chain(YES) and is_closed(closed)
+    assert apply_subst({"x": NO}, closed) is closed
+    text = print_monitor(m)
+    assert text == "a." * DEEP + "x"
+    assert t(text) is m
+
+
+@pytest.mark.parametrize("mode", [VERDICT, OMEGA])
+def test_decide_on_a_deep_prefix_chain(mode):
+    got = decide(_chain(YES), _chain(NO), AB, mode)
+    assert got.counterexample == Counterexample((), ("a",) * DEEP, "AcceptedOnlyByLeft")
+
+
+def _wide(n=DEEP):
+    """A left-nested sum of ``n`` summands, the last of them ``x``."""
+    return sum_of([Prefix("a", YES), Prefix("b", NO)] * ((n - 1) // 2) + [Var("x")])
+
+
+def test_a_sum_of_many_summands():
+    m = _wide()
+    assert len(list(summands(m))) == DEEP - 1
+    assert m == _wide() and hash(m) == hash(_wide())
+    assert m != _wide(DEEP - 2)
+    assert not is_closed(m) and depth(m) == 1
+    assert vars_of(m) == {"x"} and actions_of(m) == {"a", "b"}
+    closed = apply_subst({"x": t("b.no")}, m)
+    assert is_closed(closed) and list(summands(closed))[-1] is t("b.no")
+    text = print_monitor(m)
+    assert text == "a.yes + b.no + " * ((DEEP - 1) // 2) + "x"
+    assert t(text) is m
+    nested = Prefix("a", Sum(YES, m))
+    assert print_monitor(nested) == f"a.(yes + ({text}))"
+
+
+@pytest.mark.parametrize("mode, trace", [(VERDICT, ("b",)), (OMEGA, ())])
+def test_decide_on_a_sum_of_many_summands(mode, trace):
+    m = apply_subst({"x": END}, _wide())
+    assert decide(m, t("a.yes + b.no"), AB, mode).equal
+    # Only the right side accepts b; in omega mode it accepts every
+    # infinite trace from the start.
+    got = decide(m, Sum(m, t("b.yes")), AB, mode)
+    assert got.counterexample == Counterexample((), trace, "AcceptedOnlyByRight")
