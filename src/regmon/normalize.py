@@ -234,11 +234,6 @@ class Prover:
         a = self._materialize(inner)
         return self._emit(src, dst, CongruencePrefix(action, a.sid))
 
-    def congpre_seq(self, trace: Trace, inner: Pf) -> Pf:
-        for action in reversed(trace):
-            inner = self.congpre(action, inner)
-        return inner
-
     # -- sum-list rewriting --------------------------------------------------
     # A sum is the list of its summands in left-nested order; rewrites happen
     # at a spine node (a left-nested prefix of the list) and sum congruences
@@ -390,22 +385,6 @@ class Prover:
         )
         return self.trans(s1, s2)
 
-    def distribute_seq(self, trace: Trace, u1: Monitor, u2: Monitor) -> Pf:
-        """``s.(u1 + u2) = s.u1 + s.u2`` for a prefix sequence ``s``."""
-        if not trace:
-            return self.refl(Sum(u1, u2))
-        head, rest = trace[0], trace[1:]
-        inner = self.congpre(head, self.distribute_seq(rest, u1, u2))
-        step = self.ax(
-            "D_a",
-            {"action": head},
-            subst={
-                "x": axioms.prefix_seq(rest, u1),
-                "y": axioms.prefix_seq(rest, u2),
-            },
-        )
-        return self.trans(inner, step)
-
 
 class Edit:
     """A term being rewritten, with the accumulated proof from its origin."""
@@ -478,71 +457,39 @@ def _prefix_index(parts: list[Monitor], action: str) -> int | None:
     )
 
 
-def _find_verdict_path(t: Monitor, trace: Trace, v: Monitor) -> Trace | None:
-    """Shortest prefix of ``trace`` whose node has ``v`` as a summand."""
-    node = t
-    for i in range(len(trace) + 1):
-        parts = _parts(node)
-        if v in parts:
-            return trace[:i]
-        j = None if i == len(trace) else _prefix_index(parts, trace[i])
-        if j is None:
-            return None
-        node = parts[j].body
+def _split_prefix(pv: Prover, action: str, inner: Pf) -> Pf:
+    """``a.t = a.u + a.w`` from ``inner``, a proof of ``t = u + w``."""
+    pf = pv.congpre(action, inner)
+    u, w = inner.dst.left, inner.dst.right
+    return pv.trans(pf, pv.ax("D_a", {"action": action}, subst={"x": u, "y": w}))
 
 
-def _dup_path_verdict(pv: Prover, t: Monitor, path: Trace, v: Monitor) -> Pf:
-    """``t = t + path.v`` when the node at ``path`` carries ``v``."""
-    if not path:
-        if t == v:
-            return pv.ax_rev("A3", subst={"x": v})
-        parts = _parts(t)
-        i = parts.index(v)
-        pf = pv.rw_part(t, i, pv.ax_rev("A3", subst={"x": v}))
-        pf = pv.trans(pf, pv.flatten(pf.dst))
-        pf = pv.trans(pf, pv.bubble(pf.dst, i + 1, len(parts)))
-        if pf.dst != Sum(t, v):
-            raise InternalError("verdict duplication missed its target")
-        return pf
-    head, rest = path[0], path[1:]
-    parts = _parts(t)
-    i = _prefix_index(parts, head)
-    body = parts[i].body
-    inner = _dup_path_verdict(pv, body, rest, v)  # body = body + rest.v
-    pf = pv.rw_part(t, i, pv.congpre(head, inner))
-    split = pv.ax(
-        "D_a",
-        {"action": head},
-        subst={"x": body, "y": axioms.prefix_seq(rest, v)},
-    )
-    pf = pv.trans(pf, pv.rw_part(pf.dst, i, split))
+def _pull_last(pv: Prover, t: Monitor, i: int, split: Pf) -> Pf:
+    """Rewrite part ``i`` of ``t`` by ``split``, a proof of ``p = p' + u``,
+    and move the new summand ``u`` last."""
+    n = len(_parts(t))
+    pf = pv.rw_part(t, i, split)
     pf = pv.trans(pf, pv.flatten(pf.dst))
-    pf = pv.trans(pf, pv.bubble(pf.dst, i + 1, len(parts)))
-    if pf.dst != Sum(t, axioms.prefix_seq(path, v)):
-        raise InternalError("verdict duplication missed its target")
-    return pf
+    return pv.trans(pf, pv.bubble(pf.dst, i + 1, n))
 
 
 def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
-    """``t = t + trace.v`` when ``t`` reaches ``v`` along ``trace`` ignoring
-    variables (i.e. a syntactic prefix of ``trace`` hits a ``v`` summand)."""
-    path = _find_verdict_path(t, trace, v)
-    if path is None:
-        raise InternalError("verdict not syntactically reachable")
-    pf = _dup_path_verdict(pv, t, path, v)
-    rest = trace[len(path):]
-    if not rest:
-        return pf
-    base_len = len(_parts(t))
-    unfold = _unfold(pv, v, rest, lambda a: pv.ax(_grow_axiom(v), {"action": a}))
-    grow = pv.congpre_seq(path, unfold)
-    pf = pv.trans(pf, pv.rw_part(pf.dst, base_len, grow))
-    dist = pv.distribute_seq(path, v, axioms.prefix_seq(rest, v))
-    if path:
-        pf = pv.trans(pf, pv.rw_part(pf.dst, base_len, dist))
-    pf = pv.trans(pf, pv.flatten(pf.dst))
-    collapse = pv.sym(_dup_path_verdict(pv, t, path, v))
-    pf = pv.trans(pf, pv.rw_spine(pf.dst, base_len, collapse))
+    """``t = t + trace.v`` when a syntactic prefix ``path`` of ``trace``
+    leads to a ``v`` summand: that summand becomes ``v + rest.v`` for the
+    rest of the trace, and the new summand is lifted out along ``path``."""
+    parts = _parts(t)
+    if v in parts:
+        if trace:
+            grow = _unfold(pv, v, trace, lambda a: pv.ax(_grow_axiom(v), {"action": a}))
+        else:
+            grow = pv.ax_rev("A3", subst={"x": v})
+        pf = _pull_last(pv, t, parts.index(v), grow)
+    else:
+        i = _prefix_index(parts, trace[0]) if trace else None
+        if i is None:
+            raise InternalError("verdict not syntactically reachable")
+        inner = _add_trace_verdict(pv, parts[i].body, trace[1:], v)
+        pf = _pull_last(pv, t, i, _split_prefix(pv, trace[0], inner))
     if pf.dst != Sum(t, axioms.prefix_seq(trace, v)):
         raise InternalError("trace verdict addition missed its target")
     return pf
@@ -856,11 +803,8 @@ def _try_fold(pv: Prover, ed: Edit, alphabet: Alphabet) -> bool:
                 continue
             rest = _ln([p for p in _parts(body) if p != v])
             idx = ed.parts.index(Prefix(a, body))
-            inner = pv.trans(
-                pv.congpre(a, pv.align(body, Sum(v, rest))),
-                pv.ax("D_a", {"action": a}, subst={"x": v, "y": rest}),
-            )
-            ed.step(pv.rw_part(ed.term, idx, inner))
+            split = _split_prefix(pv, a, pv.align(body, Sum(v, rest)))
+            ed.step(pv.rw_part(ed.term, idx, split))
             ed.step(pv.flatten(ed.term))
         # gather the fan at the front, in sorted action order
         for rank, a in enumerate(actions):
@@ -872,14 +816,15 @@ def _try_fold(pv: Prover, ed: Edit, alphabet: Alphabet) -> bool:
     return False
 
 
-def _omega_closed(pv: Prover, t: Monitor, alphabet: Alphabet) -> Pf:
-    """Omega-collapse a canonical closed RNF over a finite alphabet."""
+def _omega_closed(pv: Prover, t: Monitor, alphabet: Alphabet, use_o1: bool) -> Pf:
+    """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
+    first; ``use_o1`` as in :func:`_reduce`."""
     ed = Edit(pv, t)
     while True:
-        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet))
+        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet, use_o1))
         if not _try_fold(pv, ed, alphabet):
             return ed.pf
-        ed.step(_reduce(pv, ed.term, use_o1=False))
+        ed.step(_reduce(pv, ed.term, use_o1))
 
 
 # ---------------------------------------------------------------------------
@@ -939,31 +884,22 @@ def _var_occurrences(t: Monitor) -> list[tuple[Trace, str]]:
 
 
 def _extract_var(pv: Prover, t: Monitor, s: Trace, name: str) -> Pf:
-    """``t = R + s.x`` (or ``t = s.x`` when nothing else remains)."""
+    """``t = R + s.x``.  The node after ``s`` is never ``x`` alone:
+    ``covering_k`` found both verdicts after each ``s.c`` with the variables
+    mapped to ``end``, and no path of a reduced normal form passes both
+    verdicts and goes on."""
     x = Var(name)
     head, rest = s[0], s[1:]
     parts = _parts(t)
     i = _prefix_index(parts, head)
     body = parts[i].body
-    n = len(parts)
     if rest:
         inner = _extract_var(pv, body, rest, name)
     elif body == x:
-        inner = pv.refl(x)
+        raise InternalError(f"the node after {s!r} holds only {name}")
     else:
         inner = pv.align(body, Sum(_ln([p for p in _parts(body) if p != x]), x))
-    if inner.dst == axioms.prefix_seq(rest, x):
-        # the part is a.s'.x already: move it last
-        pf = pv.rw_part(t, i, pv.congpre(head, inner)) if inner.src != inner.dst else pv.refl(t)
-        return pf if n == 1 else pv.trans(pf, pv.bubble(pf.dst, i, n - 1))
-    # a.(R' + s'.x) = a.R' + a.s'.x, with the new summand moved last
-    split = pv.trans(
-        pv.congpre(head, inner),
-        pv.ax("D_a", {"action": head}, subst={"x": inner.dst.left, "y": inner.dst.right}),
-    )
-    pf = pv.rw_part(t, i, split)
-    pf = pv.trans(pf, pv.flatten(pf.dst))
-    return pv.trans(pf, pv.bubble(pf.dst, i + 1, n))
+    return _pull_last(pv, t, i, _split_prefix(pv, head, inner))
 
 
 def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor) -> Pf:
@@ -1003,18 +939,12 @@ def _eliminate_occurrence(
     ed.step(pv.congsum(extract, pv.refl(guard)))
     r_term = extract.dst.left  # contains the top-level x summand
     rest = [p for p in _parts(r_term) if p != x]
-    # 3. shuffle into the O2 redex and apply it
-    if rest:
-        target = Sum(_ln(rest), Sum(Sum(x, sx), guard))
-        ed.step(pv.align(ed.term, target))
-        ed.step(
-            pv.congsum(
-                pv.refl(_ln(rest)), pv.ax("O2", {"s": s, "k": k}, subst={"x": x})
-            )
-        )
-    else:
-        ed.step(pv.align(ed.term, Sum(Sum(x, sx), guard)))
-        ed.step(pv.ax("O2", {"s": s, "k": k}, subst={"x": x}))
+    # 3. shuffle into the O2 redex and apply it; with x mapped to end the
+    # verdicts that covering_k found come from ``rest``, so it is not empty
+    if not rest:
+        raise InternalError(f"nothing but {name} is left beside {sx!r}")
+    ed.step(pv.align(ed.term, Sum(_ln(rest), Sum(Sum(x, sx), guard))))
+    ed.step(pv.congsum(pv.refl(_ln(rest)), pv.ax("O2", {"s": s, "k": k}, subst={"x": x})))
     # 4. drop the guard again
     remainder = ac_normalize(_ln(rest + [x]))
     ed.step(pv.align(ed.term, Sum(remainder, guard)))
@@ -1144,7 +1074,7 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
     pf = _finite_act_rnf(pv, m, alphabet)
     for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _omega_open_body(pv, body, alphabet))
+        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet, use_o1=True))
         folded = _try_fold(pv, ed, alphabet)
         pf = pv.trans(pf, ed.pf)
         if folded:
@@ -1153,14 +1083,6 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
         elif ed.pf.src == ed.pf.dst:
             return pf
     raise InternalError("omega_open_nf failed to stabilize")
-
-
-def _omega_open_body(pv: Prover, t: Monitor, alphabet: Alphabet) -> Pf:
-    ed = Edit(pv, t)
-    ed.map_bodies(lambda body: _omega_open_body(pv, body, alphabet))
-    if _try_fold(pv, ed, alphabet):
-        ed.step(_reduce(pv, ed.term, use_o1=True))
-    return ed.pf
 
 
 # ---------------------------------------------------------------------------
@@ -1224,7 +1146,7 @@ def omega_nf_closed(
         raise ValueError("omega_nf_closed needs a finite alphabet")
     pv = Prover("Eomega", alphabet, emit_proof)
     pf = _rnf(pv, m, use_o1=False)
-    pf = pv.trans(pf, _omega_closed(pv, pf.dst, alphabet))
+    pf = pv.trans(pf, _omega_closed(pv, pf.dst, alphabet, use_o1=False))
     return _finish(pv, m, pf, OMEGA_NF, emit_proof)
 
 

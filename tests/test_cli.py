@@ -234,6 +234,39 @@ def test_shrink_driver_minimizes(monkeypatch):
     assert print_monitor(small_m) == "no"
 
 
+def test_fuzz_shrinks_each_disagreement_to_a_local_minimum(capsys, monkeypatch):
+    # a wrong canonical form that calls every pair equal, so each
+    # inequivalent pair is a disagreement for the shrinker to minimize
+    import argparse
+
+    import regmon.cli as cli
+    from regmon import normalize
+    from regmon.syntax import parse_monitor
+    from regmon.terms import END, Alphabet
+
+    monkeypatch.setattr(
+        normalize,
+        "reduced_nf_closed",
+        lambda m, alphabet=None, emit_proof=False: normalize.CanonicalForm(END, normalize.RNF),
+    )
+    argv = ("fuzz", "--trials", "30", "--depth", "3", "--alphabet", "a,b", "--seed", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert 1 <= out.count("disagreement at trial") <= 5
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    reported = json.loads(out)["result"]["disagreements"]
+    assert 1 <= len(reported) <= 5
+    alphabet = Alphabet.finite(["a", "b"])
+    args = argparse.Namespace(open=False, mode="verdict", bound=None, seed=5)
+    for pair in reported:
+        m = parse_monitor(pair["left"], alphabet)
+        n = parse_monitor(pair["right"], alphabet)
+        assert cli._disagrees(m, n, alphabet, args)
+        assert not any(cli._disagrees(c, n, alphabet, args) for c in cli._shrink_candidates(m))
+        assert not any(cli._disagrees(m, c, alphabet, args) for c in cli._shrink_candidates(n))
+
+
 def test_json_envelope(capsys):
     code, out, _ = run(
         capsys, "equiv", "--alphabet", "a,b", "--json", "yes", "no",

@@ -3,9 +3,9 @@
 The files under ``tests/golden/`` pin the exact text that the CLI prints for
 every ``regmon`` line of README's "Command line" block (plain and with
 ``--json``, the ``timing`` field masked), the exact derivation text of one
-small term per canonical form, and one sha256 per form over the derivations
-and pure normal forms of a seeded corpus of random terms
-(``proofs/digests.txt``).  A refactor that claims to keep behaviour must
+small term per canonical form, and two sha256 per form over a seeded corpus
+of random terms (``proofs/digests.txt``): one over the derivations, one over
+the pure normal forms.  A refactor that claims to keep behaviour must
 keep all three byte for byte.
 
 To regenerate the files after a deliberate change of output, run
@@ -32,7 +32,7 @@ import pytest
 
 from regmon import cli, normalize, prooflog, syntax
 from regmon.generate import random_monitor
-from regmon.terms import vars_of
+from regmon.terms import Equation, vars_of
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,8 +71,8 @@ DIGEST_HAND_TERMS = {
     "fin-rnf": _O2_TERMS,
     "open-omega": _O2_TERMS
     + (
-        # Re-folds open-omega bodies: a merge of _omega_open_body into
-        # _omega_closed(use_o1=True) changes this proof and no other golden.
+        # Folds one open-omega body twice in a row, so the loop of
+        # _omega_closed(use_o1=True) takes a second turn inside a body.
         "a.(b.b.no + a.b.(a.(y + yes) + (y + a.yes) + end + b.x)) + a.(end + b.yes"
         " + a.yes + (a.a.a.x + (a.no + (a.a.(x + x) + a.b.b.y) + b.a.no)))",
     ),
@@ -97,26 +97,34 @@ def digest_corpus(form: str):
     return alphabet, terms
 
 
-def proof_digest(form: str) -> str:
-    """sha256 over each corpus term, its derivation and its pure normal form."""
+def corpus_digests(form: str) -> tuple[str, str]:
+    """Two sha256 over the corpus of ``form``: one over each term with its
+    derivation, one over each term with its pure normal form only.  A change
+    of proof text alone moves the first and keeps the second."""
     alphabet, terms = digest_corpus(form)
     pipeline = normalize.PIPELINES[cli.FORM_ALIASES[form]]
-    h = hashlib.sha256()
+    proofs, forms = hashlib.sha256(), hashlib.sha256()
     for term in terms:
         cf = pipeline(term, alphabet, emit_proof=True)
         pure = pipeline(term, alphabet).term
         names = vars_of(term) | vars_of(cf.term)
-        for text in (
-            syntax.print_monitor(term),
-            prooflog.print_derivation(cf.derivation, names),
-            syntax.print_monitor(pure),
+        source = syntax.print_monitor(term)
+        for h, text in (
+            (proofs, source),
+            (proofs, prooflog.print_derivation(cf.derivation, names)),
+            (forms, source),
+            (forms, syntax.print_monitor(pure)),
         ):
             h.update(text.encode("utf-8") + b"\0")
-    return h.hexdigest()
+    return proofs.hexdigest(), forms.hexdigest()
 
 
 def digests_text() -> str:
-    return "".join(f"{form} {proof_digest(form)}\n" for form in sorted(PROOF_CASES))
+    lines = []
+    for form in sorted(PROOF_CASES):
+        proof, nf = corpus_digests(form)
+        lines.append(f"{form} proof:{proof} nf:{nf}\n")
+    return "".join(lines)
 
 
 _TIMING = re.compile(r'"timing": [0-9.e+-]+')
@@ -177,6 +185,18 @@ def test_proof_cases_cover_every_form():
 @pytest.mark.parametrize("form", sorted(PROOF_CASES))
 def test_proof_text_matches_golden(form):
     assert proof_text(form) == proof_file(form).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("form", sorted(PROOF_CASES))
+def test_golden_proof_parses_checks_and_prints_back(form):
+    text = proof_file(form).read_text(encoding="utf-8")
+    derivation, variables = prooflog.parse_derivation(text)
+    actions, source = PROOF_CASES[form]
+    alphabet = syntax.parse_alphabet(actions)
+    term = syntax.parse_monitor(source, alphabet)
+    nf = normalize.PIPELINES[cli.FORM_ALIASES[form]](term, alphabet).term
+    prooflog.check_derivation(derivation, Equation(term, nf))
+    assert prooflog.print_derivation(derivation, variables) == text
 
 
 def test_proof_digests_match_golden():

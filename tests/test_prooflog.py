@@ -135,6 +135,23 @@ def test_substitutivity_rule():
     check_derivation(D(*steps))
 
 
+def test_substitutivity_step_prints_parses_and_checks_its_mapping():
+    text = (
+        "system: Ev\n"
+        "alphabet: a,b\n"
+        "vars: x\n"
+        "step 1: x + end = x by axiom(A4; x -> x)\n"
+        "step 2: a.yes + end = a.yes by subst(1; x -> a.yes)\n"
+    )
+    derivation, variables = parse_derivation(text)
+    assert derivation.steps[1].justification == Substitutivity(1, (("x", t("a.yes")),))
+    assert print_derivation(derivation, variables) == text
+    check_derivation(derivation, eq("a.yes + end = a.yes"))
+    wrong, _ = parse_derivation(text.replace("x -> a.yes)", "x -> b.yes)"))
+    err = validate(wrong)
+    assert err is not None and (err.step_id, err.reason) == (2, "ShapeMismatch")
+
+
 def test_congruence_prefix():
     steps = [
         Step(1, eq("yes = yes + a.yes"), AxiomUse("Y_a", (("action", "a"),))),

@@ -14,7 +14,7 @@ from regmon.semantics import (
     weak_reach,
 )
 from regmon import semantics
-from regmon.syntax import parse_monitor
+from regmon.syntax import parse_monitor, print_monitor
 from regmon.terms import (
     END,
     YES,
@@ -127,7 +127,8 @@ def test_sum_unions_acceptance(m, n):
     from regmon.terms import Sum
 
     both = Sum(m, n)
-    rng = random.Random(ip(m, n))
+    # seeded from the printed terms, so a failing example replays the same traces
+    rng = random.Random(f"{print_monitor(m)} | {print_monitor(n)}")
     for _ in range(12):
         trace = tuple(rng.choice(["a", "b"]) for _ in range(rng.randrange(4)))
         assert semantics.accepts(both, trace) == (
@@ -136,10 +137,6 @@ def test_sum_unions_acceptance(m, n):
         assert semantics.rejects(both, trace) == (
             semantics.rejects(m, trace) or semantics.rejects(n, trace)
         )
-
-
-def ip(m, n):
-    return hash((m, n)) & 0xFFFF
 
 
 def test_upward_closure():
