@@ -102,12 +102,13 @@ def _flag_mismatch(fa, fb) -> str | None:
 
 
 def closed_counterexample(
-    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str = VERDICT
+    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str = VERDICT, limit: int | None = None
 ) -> tuple[Trace, str] | None:
     """Shortest (then lexicographically least) trace separating two closed
     monitors in ``mode``, or ``None`` if they are equivalent.  Both modes'
     flags only turn true as a trace grows, so the first trace whose flags
-    differ is a minimal generator that one side has and the other lacks."""
+    differ is a minimal generator that one side has and the other lacks.
+    With ``limit``, traces longer than ``limit`` are not searched."""
     require_closed(m, "verdict equivalence")
     require_closed(n, "verdict equivalence")
     actions = semantics.exploration_actions(Sum(m, n), alphabet)
@@ -131,6 +132,8 @@ def closed_counterexample(
         side = _flag_mismatch(flags(sa), flags(sb))
         if side is not None:
             return trace, side
+        if len(trace) == limit:
+            continue
         for action in actions:
             nxt = (step(sa, action), step(sb, action))
             if nxt not in seen:
@@ -144,17 +147,20 @@ def verdict_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
 
 
 def omega_closed_counterexample(
-    m: Monitor, n: Monitor, alphabet: Alphabet
+    m: Monitor, n: Monitor, alphabet: Alphabet, limit: int | None = None
 ) -> tuple[Trace, str] | None:
     """A trace whose omega-cone membership separates two closed monitors.
     Verdict-equivalent monitors are omega equivalent, and over an open-ended
-    alphabet the notions coincide, so the verdict search runs first."""
+    alphabet the notions coincide, so the verdict search runs first.  Under
+    a ``limit`` it cannot rule a pair out: a shortest omega trace may be
+    shorter than every verdict trace."""
     require_closed(m, "omega-verdict equivalence")
     require_closed(n, "omega-verdict equivalence")
-    found = closed_counterexample(m, n, alphabet)
-    if found is None or not alphabet.is_finite:
-        return found
-    return closed_counterexample(m, n, alphabet, OMEGA)
+    if not alphabet.is_finite:
+        return closed_counterexample(m, n, alphabet, limit=limit)
+    if limit is None and closed_counterexample(m, n, alphabet) is None:
+        return None
+    return closed_counterexample(m, n, alphabet, OMEGA, limit)
 
 
 def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
@@ -162,15 +168,16 @@ def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
 
 
 def closed_search(
-    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str, substitution=()
+    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str, substitution=(), limit=None
 ) -> Counterexample | None:
     """Run the product search of ``mode`` on two closed monitors; a
-    separating trace comes back as a counterexample under ``substitution``
-    (the pairs that closed the two monitors, if any)."""
+    separating trace of length at most ``limit`` comes back as a
+    counterexample under ``substitution`` (the pairs that closed the two
+    monitors, if any)."""
     if mode == VERDICT:
-        found = closed_counterexample(m, n, alphabet)
+        found = closed_counterexample(m, n, alphabet, limit=limit)
     else:
-        found = omega_closed_counterexample(m, n, alphabet)
+        found = omega_closed_counterexample(m, n, alphabet, limit=limit)
     return None if found is None else Counterexample(substitution, *found)
 
 
@@ -248,22 +255,16 @@ def substitution_family(
     return family
 
 
-def _oracle_failures(m, n, alphabet, mode, bound, cap, seed):
+def _closed_instances(m, n, alphabet, bound, cap, seed):
+    """``m`` and ``n`` under each substitution of the oracle's family, with
+    the substitution's pairs."""
     if not alphabet.is_finite:
         raise ValueError("the oracle needs a finite alphabet")
     if bound is None:
         bound = depth(m) + depth(n) + 2
     variables = vars_of(m) | vars_of(n)
     for sigma in substitution_family(variables, alphabet, bound, cap=cap, seed=seed):
-        cex = closed_search(
-            apply_subst(sigma, m),
-            apply_subst(sigma, n),
-            alphabet,
-            mode,
-            tuple(sorted(sigma.items())),
-        )
-        if cex is not None:
-            yield cex
+        yield apply_subst(sigma, m), apply_subst(sigma, n), tuple(sorted(sigma.items()))
 
 
 def oracle_counterexample(
@@ -279,11 +280,15 @@ def oracle_counterexample(
 
     The reported counterexample is minimal: shortest separating trace
     first, ties broken by the position of the substitution in the family.
-    The result is therefore independent of evaluation order.
+    The result is therefore independent of evaluation order.  After the
+    first failure, each later search is cut off below the length of the
+    best trace so far.
     """
     best: Counterexample | None = None
-    for cex in _oracle_failures(m, n, alphabet, mode, bound, cap, seed):
-        if best is None or len(cex.trace) < len(best.trace):
+    for mi, ni, pairs in _closed_instances(m, n, alphabet, bound, cap, seed):
+        limit = None if best is None else len(best.trace) - 1
+        cex = closed_search(mi, ni, alphabet, mode, pairs, limit)
+        if cex is not None:
             best = cex
             if not best.trace:
                 break
@@ -301,9 +306,10 @@ def oracle_equiv_open(
 ) -> bool:
     """Whether the oracle finds no separating substitution (stops at the
     first failure)."""
-    for _ in _oracle_failures(m, n, alphabet, mode, bound, cap, seed):
-        return False
-    return True
+    return all(
+        closed_search(mi, ni, alphabet, mode) is None
+        for mi, ni, _ in _closed_instances(m, n, alphabet, bound, cap, seed)
+    )
 
 
 # ---------------------------------------------------------------------------

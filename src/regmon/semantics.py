@@ -9,12 +9,13 @@ The transition rules are the least relation with
 
 Variables have no transitions.  Acceptance and rejection go through the weak
 transition relation, which closes each visible step under silent steps.
+Each term memoises its weak successors on its own node (see
+:class:`.terms.Monitor`); this module keeps no table of terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .terms import (
@@ -65,35 +66,41 @@ def strong_steps(m: Monitor, label) -> frozenset[Monitor]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _tau_successors(m: Monitor) -> frozenset[Monitor]:
-    return strong_steps(m, TAU)
-
-
 def tau_closure(states: Iterable[Monitor]) -> frozenset[Monitor]:
     """Reflexive-transitive closure under silent steps."""
     closed = set(states)
     frontier = list(closed)
     while frontier:
         m = frontier.pop()
-        for succ in _tau_successors(m):
+        for succ in strong_steps(m, TAU):
             if succ not in closed:
                 closed.add(succ)
                 frontier.append(succ)
     return frozenset(closed)
 
 
-@lru_cache(maxsize=None)
-def _action_step(m: Monitor, action: str) -> frozenset[Monitor]:
-    return strong_steps(m, action)
+def _weak_step(m: Monitor, action: str) -> frozenset[Monitor]:
+    """``m``'s weak ``action`` successors, memoised on its node.  They are
+    subterms of ``m`` (or ``m`` itself, a verdict), so the memo keeps nothing
+    alive that ``m`` does not; threads that race store equal sets."""
+    steps = m._steps
+    if steps is None:
+        steps = {}
+        object.__setattr__(m, "_steps", steps)
+    succ = steps.get(action)
+    if succ is None:
+        succ = steps[action] = tau_closure(strong_steps(m, action))
+    return succ
 
 
 def step_state(state: frozenset[Monitor], action: str) -> frozenset[Monitor]:
-    """Advance a silent-closed state set by one visible action."""
+    """Advance a silent-closed state set by one visible action.  Silent
+    closure distributes over union, so this is the union of the members'
+    weak steps."""
     nxt: set[Monitor] = set()
     for m in state:
-        nxt.update(_action_step(m, action))
-    return tau_closure(nxt)
+        nxt |= _weak_step(m, action)
+    return frozenset(nxt)
 
 
 def initial_state(m: Monitor) -> frozenset[Monitor]:

@@ -8,7 +8,9 @@ Terms are hash-consed (Filliatre & Conchon, *Type-safe modular
 hash-consing*, 2006): a constructor returns the existing node for a term
 that is still alive, so structurally equal terms are one object and compare
 and hash by identity.  Iterating a set of terms therefore follows memory
-addresses, and nothing that is printed may depend on that order.
+addresses, and nothing that is printed may depend on that order.  Each node
+also carries a private memo of its successors, which :mod:`.semantics` fills
+the first time the node is stepped and which is freed with the node.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def _intern(key: tuple, **fields) -> "Monitor":
             node = object.__new__(key[0])
             for name, value in fields.items():
                 _set(node, name, value)
+            _set(node, "_steps", None)
             _TABLE[key] = node
         return node
 
@@ -76,10 +79,12 @@ class Monitor:
     structurally distinct term, so ``==`` and ``hash`` are the identity
     defaults and cost O(1) at any depth.  Nodes are immutable; each carries
     ``closed`` (no variable occurs in it) and ``depth`` (see :func:`depth`),
-    computed once from its children.
+    computed once from its children.  The private ``_steps`` slot holds the
+    node's weak successors by action once :mod:`.semantics` has stepped it;
+    it plays no part in ``==``, ``hash``, copies or pickles.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_steps")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} terms are immutable")
@@ -171,9 +176,9 @@ class Var(Monitor):
         return Var, (self.name,)
 
 
-END = object.__new__(End)
-YES = object.__new__(Yes)
-NO = object.__new__(No)
+END = _intern((End,))
+YES = _intern((Yes,))
+NO = _intern((No,))
 _VERDICT_OF = {End: END, Yes: YES, No: NO}
 
 VERDICTS = (END, YES, NO)

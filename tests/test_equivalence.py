@@ -245,19 +245,66 @@ def test_oracle_counterexample_trace_is_globally_minimal():
         if cex is None:
             continue
         checked += 1
-        shortest = min(
-            (
-                c.trace
-                for c in equivalence._oracle_failures(
-                    m, n, AB, equivalence.VERDICT, 3, 256, 0
-                )
-            ),
-            key=len,
-        )
+        shortest = min((c.trace for c in _failures(m, n, AB, VERDICT, 3, 256)), key=len)
         assert len(cex.trace) == len(shortest)
         if checked >= 15:
             break
     assert checked
+
+
+def _failures(m, n, alphabet, mode, bound, cap):
+    """Each substitution of the oracle's family that separates ``m`` and
+    ``n``, in family order, with its shortest trace (no cutoff)."""
+    found = []
+    for sigma in substitution_family(vars_of(m) | vars_of(n), alphabet, bound, cap=cap):
+        pairs = tuple(sorted(sigma.items()))
+        cex = equivalence.closed_search(
+            apply_subst(sigma, m), apply_subst(sigma, n), alphabet, mode, pairs
+        )
+        if cex is not None:
+            found.append(cex)
+    return found
+
+
+def _flip_leaf(rng, m):
+    """``m`` with one leaf, reached by a random descent, replaced by another."""
+    path = []
+    while isinstance(m, (Prefix, Sum)):
+        path.append(m)
+        m = m.body if isinstance(m, Prefix) else rng.choice((m.left, m.right))
+    new = rng.choice([v for v in (END, YES, NO, Var("x"), Var("y")) if v is not m])
+    for parent in reversed(path):
+        if isinstance(parent, Prefix):
+            new = Prefix(parent.action, new)
+        elif m is parent.left:
+            new = Sum(new, parent.right)
+        else:
+            new = Sum(parent.left, new)
+        m = parent
+    return new
+
+
+def test_oracle_cutoff_keeps_the_full_scans_counterexample():
+    # Later searches stop below the best trace so far; the answer must still
+    # be the full scan's: shortest trace, ties broken by family position.
+    rng = random.Random(2024)
+    pairs = several = replaced = 0
+    for i in range(280):
+        alphabet = (A, AB)[i % 2]
+        mode = (VERDICT, VERDICT, OMEGA, OMEGA)[i % 4]
+        m = random_open_monitor(rng, alphabet, 3)
+        n = _flip_leaf(rng, m)
+        if not vars_of(m) | vars_of(n):
+            continue
+        pairs += 1
+        failures = _failures(m, n, alphabet, mode, 2, 128)
+        expected = min(failures, key=lambda c: len(c.trace), default=None)
+        assert oracle_counterexample(m, n, alphabet, mode, bound=2, cap=128) == expected
+        several += len(failures) > 1
+        replaced += bool(failures) and len(failures[0].trace) > len(expected.trace)
+    # Both sides of the cutoff ran: later failures cut off, and a shorter
+    # one found under a cutoff replacing the first.
+    assert pairs >= 200 and several >= 100 and replaced >= 5
 
 
 def test_open_verdict_section4_examples():

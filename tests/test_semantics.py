@@ -1,9 +1,14 @@
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import AB, closed_monitors
+from conftest import AB, A, INF, closed_monitors
+from regmon import equivalence
 from regmon.generate import random_closed_monitor
 from regmon.semantics import (
     TAU,
@@ -17,9 +22,12 @@ from regmon import semantics
 from regmon.syntax import parse_monitor, print_monitor
 from regmon.terms import (
     END,
+    NO,
     YES,
     Alphabet,
     NonClosedInput,
+    Prefix,
+    Sum,
     Var,
     depth,
     is_verdict,
@@ -208,3 +216,108 @@ def test_open_ended_exploration_uses_fresh_action():
 
 def test_initial_state_closes_taus():
     assert initial_state(t("yes + a.no")) == {t("yes + a.no"), YES}
+
+
+# ---------------------------------------------------------------------------
+# Weak steps are memoised on the term nodes.
+
+
+def _old_closure(states):
+    """Silent closure as a fixpoint of strong silent steps."""
+    closed = set(states)
+    while True:
+        more = {s for m in closed for s in strong_steps(m, TAU)} - closed
+        if not more:
+            return frozenset(closed)
+        closed |= more
+
+
+def _old_step(state, action):
+    """The definition before the memo: ``tau_closure`` of the union of the
+    members' strong steps."""
+    return _old_closure(set().union(*(strong_steps(m, action) for m in state)))
+
+
+def _reachable_steps(m, actions):
+    """Every ``(state, action) -> step_state(state, action)`` reachable from
+    ``m``; a state repeats once only verdicts are left, so this ends."""
+    start = initial_state(m)
+    steps = {}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for a in actions:
+            if (state, a) not in steps:
+                nxt = steps[state, a] = semantics.step_state(state, a)
+                frontier.append(nxt)
+    return start, steps
+
+
+def _samples(seed, count):
+    """Random closed terms with the actions to step them by: over {a}, over
+    {a,b}, and over the open-ended alphabet (occurring actions plus a fresh
+    one)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = (A, AB, INF)[i % 3]
+        m = random_closed_monitor(rng, AB if alphabet is INF else alphabet, rng.randint(2, 6))
+        yield m, semantics.exploration_actions(m, alphabet)
+
+
+def test_step_state_and_initial_state_match_the_old_definition():
+    terms = states = 0
+    for m, actions in _samples(31, 600):
+        start, steps = _reachable_steps(m, actions)
+        assert start == _old_closure({m})
+        for (state, a), nxt in steps.items():
+            assert nxt == _old_step(state, a)
+            assert semantics.step_state(state, a) == nxt  # memo hit
+        terms += 1
+        states += len(steps)
+    assert terms == 600 and states > 5 * terms
+
+
+def test_threads_stepping_the_same_terms_get_the_same_sets():
+    threads_n = 6
+    for r in range(4):
+        # actions no other test uses, so every memo starts empty
+        actions = [f"race_{r}_a", f"race_{r}_b"]
+        alphabet = Alphabet.finite(actions)
+        rng = random.Random(r)
+        terms = [random_closed_monitor(rng, alphabet, 5) for _ in range(60)]
+        results = [None] * threads_n
+        barrier = threading.Barrier(threads_n)
+
+        def run(k):
+            barrier.wait()
+            results[k] = [_reachable_steps(m, actions) for m in terms]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        for m, (start, steps) in zip(terms, results[0]):
+            assert start == _old_closure({m})
+            assert all(nxt == _old_step(state, a) for (state, a), nxt in steps.items())
+        assert all(other == results[0] for other in results[1:])
+
+
+def test_a_stepped_term_is_freed_once_unreferenced():
+    # A term that no other test builds: only this test can hold it.
+    alphabet = Alphabet.finite(["freed_a", "freed_b"])
+    m = Sum(Prefix("freed_a", Sum(YES, Prefix("freed_b", NO))), Prefix("freed_b", YES))
+    n = Sum(Prefix("freed_a", YES), Prefix("freed_b", YES))
+    for mode in (equivalence.VERDICT, equivalence.OMEGA):
+        assert not equivalence.decide(m, n, alphabet, mode).equal
+    assert lang_of(m, alphabet).reject_min == {("freed_a", "freed_b")}
+    refs = [weakref.ref(m), weakref.ref(n), weakref.ref(m.left.body)]
+    del m, n
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
