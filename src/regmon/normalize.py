@@ -153,6 +153,8 @@ class Prover:
         self.alphabet = alphabet
         self.record = record
         self.steps: list[Step] = []
+        # Axiom instances built so far, by schema and bindings.
+        self.instances: dict = {}
 
     # -- primitives ---------------------------------------------------------
 
@@ -174,7 +176,11 @@ class Prover:
         return self._emit(pf.src, pf.dst, Reflexivity())
 
     def ax(self, name: str, bindings=None, subst=None) -> Pf:
-        inst = axioms.instantiate(name, bindings or {}, self.alphabet)
+        bindings = bindings or {}
+        key = (name, *bindings.items())
+        inst = self.instances.get(key)
+        if inst is None:
+            inst = self.instances[key] = axioms.instantiate(name, bindings, self.alphabet)
         sigma = dict(subst or {})
         lhs = apply_subst(sigma, inst.equation.lhs)
         rhs = apply_subst(sigma, inst.equation.rhs)

@@ -133,9 +133,12 @@ def check_step(
     alphabet: Alphabet,
     prior: dict[int, Equation],
     step: Step,
+    instances: dict,
 ) -> None:
     """Validate one step against already-checked prior steps.  ``system``
-    names an axiom system: :func:`check_derivation` rejects any other."""
+    names an axiom system: :func:`check_derivation` rejects any other.
+    ``instances`` keeps the axiom instances built so far, by schema and
+    bindings, for the steps of one derivation."""
     eq = step.equation
     just = step.justification
     sid = step.sid
@@ -175,10 +178,13 @@ def check_step(
                 raise CheckError(
                     sid, AXIOM_NOT_IN_SYSTEM, f"{name} is not in system {system}"
                 )
-            try:
-                inst = axioms.instantiate(name, dict(bindings), alphabet)
-            except ValueError as exc:
-                raise CheckError(sid, NOT_AN_INSTANCE, str(exc)) from exc
+            inst = instances.get((name, bindings))
+            if inst is None:
+                try:
+                    inst = axioms.instantiate(name, dict(bindings), alphabet)
+                except ValueError as exc:
+                    raise CheckError(sid, NOT_AN_INSTANCE, str(exc)) from exc
+                instances[name, bindings] = inst
             sigma = dict(subst)
             want = Equation(
                 apply_subst(sigma, inst.equation.lhs),
@@ -206,10 +212,11 @@ def check_derivation(derivation: Derivation, claimed: Equation | None = None) ->
     if not derivation.steps:
         raise CheckError(None, SHAPE_MISMATCH, "derivation has no steps")
     prior: dict[int, Equation] = {}
+    instances: dict = {}
     for step in derivation.steps:
         if step.sid in prior:
             raise CheckError(step.sid, SHAPE_MISMATCH, "duplicate step id")
-        check_step(derivation.system, derivation.alphabet, prior, step)
+        check_step(derivation.system, derivation.alphabet, prior, step, instances)
         prior[step.sid] = step.equation
     if claimed is not None and derivation.conclusion != claimed:
         raise CheckError(
@@ -237,7 +244,9 @@ def _print_binding(key: str, value) -> str:
     return f"{key}={value}"
 
 
-def print_justification(just: Justification) -> str:
+def print_justification(just: Justification, table: dict[Monitor, str] | None = None) -> str:
+    """The text of ``just``; ``table`` is a print table for the terms of its
+    mapping (see :func:`syntax.print_term`)."""
     match just:
         case Reflexivity():
             return "refl"
@@ -250,25 +259,33 @@ def print_justification(just: Justification) -> str:
         case CongruencePrefix(action, inner):
             return f"prefix({action}, {inner})"
         case Substitutivity(of, subst):
-            return f"subst({of}; {syntax.print_substitution(subst)})"
+            return f"subst({of}; {syntax.print_substitution(subst, table)})"
         case AxiomUse(name, bindings, subst):
             parts = [name]
             parts.extend(_print_binding(k, v) for k, v in bindings)
             if subst:
-                parts.append(syntax.print_substitution(subst))
+                parts.append(syntax.print_substitution(subst, table))
             return f"axiom({'; '.join(parts)})"
     raise TypeError(f"unknown justification {just!r}")
 
 
 def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> str:
+    """The derivation file text.
+
+    One print table serves the whole derivation, so a term is walked only
+    down to the sides, summands and prefix bodies printed before it, and
+    each step costs about what changed since the steps it cites.
+    """
     lines = [f"system: {derivation.system}", f"alphabet: {derivation.alphabet}"]
     names = sorted(set(variables))
     if names:
         lines.append(f"vars: {', '.join(names)}")
+    table: dict[Monitor, str] = {}
     for step in derivation.steps:
+        lhs = syntax.print_term(step.equation.lhs, table)
+        rhs = syntax.print_term(step.equation.rhs, table)
         lines.append(
-            f"step {step.sid}: {syntax.print_equation(step.equation)}"
-            f" by {print_justification(step.justification)}"
+            f"step {step.sid}: {lhs} = {rhs} by {print_justification(step.justification, table)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -276,26 +293,103 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
 class _TermTable:
     """Side text -> term, for one derivation under fixed headers.
 
-    Each distinct text is parsed once, which saves re-parsing the sides
-    that recur from step to step.  The checker's comparisons are identity
-    tests whatever the table does: equal terms are one interned object.
-    The term grammar has no ``=`` and no ``,``, so equations and mappings
-    split into their terms exactly.
+    ``terms`` maps text to term and ``texts`` is the derivation's print
+    table, term to text (see :func:`syntax.print_term`); every side is
+    printed through ``texts``, which records the side, its top-level
+    summands and their prefix bodies in both.  A side text that is not in
+    ``terms`` is assembled from known pieces: top-level summands are peeled
+    off its right until a known left spine remains, and each peeled summand
+    is known, or a prefix chain over a known body, or parsed alone.  The
+    assembled term is kept only if it prints back to exactly the text, which
+    by the print/parse round trip makes it the term :func:`syntax.
+    parse_monitor` returns; anything else is left to ``parse_monitor``, so
+    every result and every error is the parser's.  The checker's
+    comparisons are identity tests whatever the table does: equal terms are
+    one interned object.  The term grammar has no ``=`` and no ``,``, so
+    equations and mappings split into their terms exactly.
     """
 
     def __init__(self, alphabet: Alphabet, variables: frozenset[str]):
         self.alphabet = alphabet
         self.variables = variables
         self.terms: dict[str, Monitor] = {}
+        self.texts: dict[Monitor, str] = {}
+        # The lengths of the texts in ``terms``: a left spine is looked up
+        # only at a length that some known text has.
+        self.lengths: set[int] = set()
+
+    def __setitem__(self, text: str, term: Monitor) -> None:
+        self.terms[text] = term
+        self.lengths.add(len(text))
 
     def term(self, text: str) -> Monitor:
         # Only the blanks the tokenizer skips: other whitespace is an error.
         key = text.strip(" \t")
         term = self.terms.get(key)
         if term is None:
-            term = syntax.parse_monitor(text, self.alphabet, self.variables)
-            self.terms[key] = term
+            try:
+                term = self._assemble(key)
+            except syntax.ParseError:
+                term = None
+            if term is None or syntax.print_term(term, self.texts, self) != key:
+                term = syntax.parse_monitor(text, self.alphabet, self.variables)
+                syntax.print_term(term, self.texts, self)
+            self[key] = term
         return term
+
+    def _assemble(self, key: str) -> Monitor | None:
+        """``key`` built from a known left spine and its peeled summands, or
+        None if no prefix of ``key`` before a top-level ``+`` is known."""
+        terms, lengths = self.terms, self.lengths
+        cuts = [len(key)]  # the top-level ' + ' peeled so far, right to left
+        idx = len(key)
+        depth = 0  # ')' minus '(' right of idx: 0 at a top-level ' + '
+        left = None
+        while left is None:
+            split = key.rfind(" + ", 0, idx)
+            if split < 0:
+                break
+            depth += key.count(")", split, idx) - key.count("(", split, idx)
+            idx = split
+            if depth == 0:
+                cuts.append(split)
+                if split in lengths:
+                    left = terms.get(key[:split])
+        if left is None:
+            if len(cuts) > 1:
+                return None
+            return self._summand(key)
+        for i in range(len(cuts) - 1, 0, -1):
+            left = Sum(left, self._summand(key[cuts[i] + 3 : cuts[i - 1]]))
+        return left
+
+    def _summand(self, text: str) -> Monitor:
+        """The term of a summand text: known, a prefix chain over a known
+        body, or parsed alone."""
+        term = self.terms.get(text)
+        if term is not None:
+            return term
+        # ``a.b.(x + y)`` or ``a.b.x``: the chain ``a.b`` and the body.  Any
+        # other text splits into pieces that do not print back to it.
+        paren = text.find("(")
+        if paren < 0:
+            chain, _, body = text.rpartition(".")
+        else:
+            chain, body = text[: max(paren - 1, 0)], text[paren + 1 : -1]
+        term = self.terms.get(body)
+        actions = chain.split(".") if chain else ()
+        if term is None or not all(map(self._is_action, actions)):
+            return syntax.parse_monitor(text, self.alphabet, self.variables)
+        for action in reversed(actions):
+            term = Prefix(action, term)
+        return term
+
+    def _is_action(self, name: str) -> bool:
+        # As the parser decides it: the alphabet's actions, or with an
+        # open-ended alphabet every undeclared name.
+        return name in self.alphabet and (
+            self.alphabet.is_finite or name not in self.variables
+        )
 
     def equation(self, text: str) -> Equation:
         lhs, _, rhs = text.partition("=")
@@ -307,7 +401,7 @@ class _TermTable:
 
 
 def _parse_mapping(text: str, table: _TermTable) -> tuple[tuple[str, Monitor], ...]:
-    out: list[tuple[str, Monitor]] = []
+    out: dict[str, Monitor] = {}
     text = text.strip()
     if not text:
         return ()
@@ -315,8 +409,11 @@ def _parse_mapping(text: str, table: _TermTable) -> tuple[tuple[str, Monitor], .
         name, arrow, term_text = part.partition("->")
         if not arrow:
             raise ValueError(f"expected 'x -> term' in {part!r}")
-        out.append((name.strip(), table.term(term_text)))
-    return tuple(sorted(out))
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"variable {name!r} is mapped twice")
+        out[name] = table.term(term_text)
+    return tuple(sorted(out.items(), key=lambda pair: pair[0]))
 
 
 def _parse_justification(text: str, table: _TermTable) -> Justification:
@@ -331,11 +428,11 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
     if head == "sym":
         return Symmetry(int(args))
     if head == "trans":
-        first, second = (int(p) for p in args.split(","))
-        return Transitivity(first, second)
+        first, second = args.split(",")
+        return Transitivity(int(first), int(second))
     if head == "sum":
-        left, right = (int(p) for p in args.split(","))
-        return CongruenceSum(left, right)
+        left, right = args.split(",")
+        return CongruenceSum(int(left), int(right))
     if head == "prefix":
         action, sid = (p.strip() for p in args.split(","))
         return CongruencePrefix(action, int(sid))
@@ -353,6 +450,8 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
         subst: tuple[tuple[str, Monitor], ...] = ()
         for group in groups[1:]:
             if "->" in group:
+                if subst:
+                    raise ValueError("axiom takes one mapping")
                 subst = _parse_mapping(group, table)
             elif "=" in group:
                 key, _, value = group.partition("=")
@@ -379,7 +478,9 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     steps: list[Step] = []
     table: _TermTable | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("system:"):
@@ -405,29 +506,23 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
             table = _TermTable(alphabet, variables)
         # ' by ' may occur inside terms (a variable could be named 'by'), so
         # try split points right to left until both halves parse.
-        candidates = []
         idx = len(body)
+        last_error: Exception | None = None
         while True:
             idx = body.rfind(" by ", 0, idx)
             if idx < 0:
-                break
-            candidates.append(idx)
-        last_error: Exception | None = None
-        for idx in candidates:
-            eq_text, just_text = body[:idx], body[idx + 4 :]
+                raise ValueError(
+                    f"line {lineno}: cannot parse step record"
+                    + (f" ({last_error})" if last_error else "")
+                )
             try:
-                equation = table.equation(eq_text)
-                justification = _parse_justification(just_text, table)
+                equation = table.equation(body[:idx])
+                justification = _parse_justification(body[idx + 4 :], table)
             except ValueError as exc:
                 last_error = exc
                 continue
             steps.append(Step(sid, equation, justification))
             break
-        else:
-            raise ValueError(
-                f"line {lineno}: cannot parse step record"
-                + (f" ({last_error})" if last_error else "")
-            )
     if system is None or alphabet is None:
         raise ValueError("missing system/alphabet headers")
     return Derivation(system, alphabet, tuple(steps)), variables

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, MutableMapping
 
 from .terms import (
     END,
@@ -302,9 +302,12 @@ def parse_vars(text: str) -> frozenset[str]:
     return frozenset(names)
 
 
-def print_substitution(pairs: Iterable[tuple[str, Monitor]]) -> str:
-    """``x -> t, y -> u`` for the given pairs, in the order given."""
-    return ", ".join(f"{name} -> {print_monitor(term)}" for name, term in pairs)
+def print_substitution(
+    pairs: Iterable[tuple[str, Monitor]], table: dict[Monitor, str] | None = None
+) -> str:
+    """``x -> t, y -> u`` for the given pairs, in the order given; ``table``
+    is a print table (see :func:`print_term`)."""
+    return ", ".join(f"{name} -> {print_term(term, table)}" for name, term in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,47 +381,86 @@ def parse_term_file(text: str, alphabet: Alphabet | None = None) -> TermFile:
 
 _LEAF_TEXT = {END: "end", YES: "yes", NO: "no"}
 
+# Where a node sits in a printed term: the term itself, one of its top-level
+# summands, the body after that summand's prefix chain, or anywhere below.
+# A print table records the text of the nodes at the first three levels;
+# ``_DONE`` marks the stack entry that records a node once it is printed.
+_SIDE, _SUMMAND, _BODY, _INNER, _DONE = range(5)
 
-def print_monitor(m: Monitor) -> str:
-    """Minimal-parentheses rendering that :func:`parse_monitor` inverts.
+
+def print_term(
+    m: Monitor,
+    table: dict[Monitor, str] | None = None,
+    texts: MutableMapping[str, Monitor] | None = None,
+) -> str:
+    """The text of ``m``; with a print table, reuse and record node texts.
 
     A loop over an explicit stack of pending terms and literal text, so that
     no nesting depth recurses.  A prefix chain prints as one run of ``a.``;
     ``+`` parses left-associated, so a sum prints its left spine flat, and
     only a sum that is a right operand or a prefix body gets parentheses.
+
+    ``table`` maps nodes to their text.  A node found in it is not walked
+    again, and ``m``, its top-level summands and the body after each such
+    summand's prefix chain are recorded in it.  Nothing deeper is recorded,
+    so the table grows with the text printed through it, not with the
+    square of a nesting depth.  ``texts``, when given, receives every
+    recorded text with its node.
     """
     out: list[str] = []
-    stack: list = [(m, False)]
+    append = out.append
+    # Literal text, (node, parenthesize, level), or (node, start, _DONE):
+    # the node's text is what ``out`` gained from ``start`` on.
+    stack: list = [(m, False, _SIDE)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            append(item)
             continue
-        m, parenthesize = item
+        m, arg, level = item
+        if level == _DONE:
+            text = "".join(out[arg:])
+            out[arg:] = [text]
+            table[m] = text
+            if texts is not None:
+                texts[text] = m
+            continue
+        if arg and isinstance(m, Sum):
+            append("(")
+            stack.append(")")
+        if table is not None:
+            text = table.get(m)
+            if text is not None:
+                append(text)
+                continue
+            if level < _INNER:
+                stack.append((m, len(out), _DONE))
         if isinstance(m, Prefix):
             actions = []
             while isinstance(m, Prefix):
                 actions.append(m.action)
                 m = m.body
-            out.append(".".join(actions) + ".")
-            stack.append((m, True))
+            append(".".join(actions) + ".")
+            stack.append((m, True, _BODY if level < _BODY else _INNER))
         elif isinstance(m, Sum):
-            if parenthesize:
-                stack.append(")")
-            while isinstance(m, Sum):
-                stack += ((m.right, True), " + ")
+            inner = _SUMMAND if level == _SIDE else _INNER
+            while True:
+                stack += ((m.right, True, inner), " + ")
                 m = m.left
-            stack.append((m, False))
-            if parenthesize:
-                stack.append("(")
+                if not isinstance(m, Sum) or (table is not None and m in table):
+                    break
+            stack.append((m, False, inner))
         elif isinstance(m, Var):
-            out.append(m.name)
+            append(m.name)
         elif m in _LEAF_TEXT:
-            out.append(_LEAF_TEXT[m])
+            append(_LEAF_TEXT[m])
         else:
             raise TypeError(f"not a monitor: {m!r}")
     return "".join(out)
 
 
-def print_equation(eq: Equation) -> str:
-    return f"{print_monitor(eq.lhs)} = {print_monitor(eq.rhs)}"
+def print_monitor(m: Monitor) -> str:
+    """Minimal-parentheses rendering that :func:`parse_monitor` inverts:
+    :func:`print_term` without a print table."""
+    return print_term(m)
+

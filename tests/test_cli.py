@@ -125,6 +125,23 @@ def test_check_proof_rejects_unknown_system(tmp_path, capsys, record):
     assert out == "invalid at step None: [AxiomNotInSystem] unknown axiom system 'Bogus'\n"
 
 
+@pytest.mark.parametrize(
+    "justification", ["axiom(A1; x -> x, x -> y)", "subst(1; x -> x, x -> y)"]
+)
+def test_check_proof_reports_a_doubly_mapped_variable_as_exit_2(tmp_path, capsys, justification):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(
+        "system: Ev\nalphabet: a,b\nvars: x, y\n"
+        "step 1: x + y = y + x by axiom(A1; x -> x, y -> y)\n"
+        f"step 2: x + y = y + x by {justification}\n"
+    )
+    code, out, err = run(capsys, "check-proof", str(proof))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 5: cannot parse step record (variable 'x' is mapped twice)\n"
+    )
+
+
 def test_axioms_listing_counts(capsys):
     code, out, _ = run(capsys, "axioms", "--system", "Ev", "--alphabet", "a")
     assert code == 0

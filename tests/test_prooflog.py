@@ -152,6 +152,46 @@ def test_substitutivity_step_prints_parses_and_checks_its_mapping():
     assert err is not None and (err.step_id, err.reason) == (2, "ShapeMismatch")
 
 
+@pytest.mark.parametrize(
+    "justification, message",
+    [
+        ("axiom(A1; x -> x, x -> y)", "variable 'x' is mapped twice"),
+        ("subst(1; y -> x, y -> yes)", "variable 'y' is mapped twice"),
+        ("axiom(A1; x -> x; y -> y)", "axiom takes one mapping"),
+    ],
+)
+def test_a_mapping_that_binds_twice_is_a_step_record_error(justification, message):
+    text = (
+        "system: Ev\nalphabet: a,b\nvars: x, y\n"
+        "step 1: x + y = y + x by axiom(A1; x -> x, y -> y)\n"
+        f"step 2: x + y = y + x by {justification}\n"
+    )
+    parse_derivation(text.rsplit("step 2", 1)[0])
+    with pytest.raises(ValueError) as err:
+        parse_derivation(text)
+    assert str(err.value) == f"line 5: cannot parse step record ({message})"
+
+
+def test_one_derivation_builds_each_axiom_instance_once(monkeypatch):
+    import regmon.axioms
+
+    built = []
+    instantiate = regmon.axioms.instantiate
+
+    def counted(name, bindings={}, alphabet=None):
+        built.append((name, tuple(sorted(bindings.items()))))
+        return instantiate(name, bindings, alphabet)
+
+    monkeypatch.setattr(regmon.axioms, "instantiate", counted)
+    m = t("yes + x + a.(x + a.no + b.no) + b.no")
+    cf = normalize.finite_act_rnf(m, AB, emit_proof=True)
+    uses = [s.justification for s in cf.derivation.steps if isinstance(s.justification, AxiomUse)]
+    assert len(built) == len(set(built)) < len(uses)
+    built.clear()
+    check_derivation(cf.derivation, Equation(m, cf.term))
+    assert len(built) == len(set(built)) == len({(u.name, u.bindings) for u in uses})
+
+
 def test_congruence_prefix():
     steps = [
         Step(1, eq("yes = yes + a.yes"), AxiomUse("Y_a", (("action", "a"),))),
