@@ -3,8 +3,9 @@
 Each pipeline rewrites a monitor into the canonical shape of one
 completeness result and can emit a derivation in the matching axiom system,
 validated by the independent checker in :mod:`regmon.prooflog`.  Recording
-on or off runs the same code path, so the pure result and the proved result
-coincide by construction.
+on or off runs the same rewriting; without recording, the AC bookkeeping of
+:class:`Prover` (flatten, sort, deduplicate, align) is plain list work, and
+``tests/test_normalize.py`` holds the pure and the proved result equal.
 
 Rewriting is innermost-first (children before parents) and terms are kept
 in the AC-canonical order of :func:`regmon.terms.ac_normalize` between
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from . import axioms
 from .prooflog import (
     AxiomUse,
-    CongruencePrefix,
     CongruenceSum,
+    Context,
     Derivation,
     Reflexivity,
     Step,
@@ -38,6 +39,7 @@ from .terms import (
     Sum,
     Trace,
     Var,
+    ac_equal,
     ac_normalize,
     actions_of,
     apply_subst,
@@ -131,22 +133,29 @@ def _decompose(t: Monitor):
 # Proof-carrying rewriting
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Pf:
-    """A proved rewrite ``src = dst``; ``sid`` cites the emitted step.
+    """A proved rewrite ``src = dst``; ``sid`` cites its step once emitted.
 
-    Reflexive proofs keep ``sid`` None and are only materialized when a
-    congruence rule must reference them.
+    While recording, a rule that cites other proofs (``rule`` applied to the
+    step ids of ``cited``) is emitted only when it is cited in turn or is
+    the conclusion (:meth:`Prover._materialize`); a reflexive proof never
+    is.  A lift under a one-hole context cites the innermost proof that is
+    not one, and a chain of ``trans`` is emitted as one step over every link.
     """
 
     src: Monitor
     dst: Monitor
-    sid: int | None
+    sid: int | None = None
+    rule: type | None = None
+    cited: tuple[Pf, ...] = ()
 
 
 class Prover:
     """Emits checkable steps while rewriting; ``record=False`` runs the same
-    operations without building the step list."""
+    rewriting without building the step list, and the AC bookkeeping
+    (:meth:`flatten`, :meth:`shallow_canon`, :meth:`align`, :meth:`bubble`)
+    as plain list operations."""
 
     def __init__(self, system: str, alphabet: Alphabet, record: bool):
         self.system = system
@@ -155,25 +164,62 @@ class Prover:
         self.steps: list[Step] = []
         # Axiom instances built so far, by schema and bindings.
         self.instances: dict = {}
+        # The step of each equation stated so far: each is stated once.
+        self.known: dict[tuple[Monitor, Monitor], int] = {}
 
     # -- primitives ---------------------------------------------------------
 
     def _emit(self, src: Monitor, dst: Monitor, just) -> Pf:
         if not self.record:
-            return Pf(src, dst, None)
-        sid = len(self.steps) + 1
-        self.steps.append(Step(sid, Equation(src, dst), just))
+            return Pf(src, dst)
+        sid = self.known.get((src, dst))
+        if sid is None:
+            sid = self.known[src, dst] = len(self.steps) + 1
+            self.steps.append(Step(sid, Equation(src, dst), just))
         return Pf(src, dst, sid)
 
-    def refl(self, t: Monitor) -> Pf:
-        return Pf(t, t, None)
+    def _rule(self, src: Monitor, dst: Monitor, rule: type, *cited: Pf) -> Pf:
+        return Pf(src, dst, None, rule, cited) if self.record else Pf(src, dst)
 
-    def _materialize(self, pf: Pf) -> Pf:
-        if pf.sid is not None or not self.record:
-            return pf
-        if pf.src != pf.dst:
-            raise InternalError(f"reflexivity on distinct sides:\n  {pf.src!r}\n  {pf.dst!r}")
-        return self._emit(pf.src, pf.dst, Reflexivity())
+    def _materialize(self, pf: Pf) -> int:
+        """Emit ``pf`` and what it cites, innermost first, each equation
+        once; its step id."""
+        todo = [pf]
+        while todo:
+            node = todo[-1]
+            if node.sid is None:
+                node.sid = self.known.get((node.src, node.dst))
+            if node.sid is not None:
+                todo.pop()
+                continue
+            if node.rule is Transitivity:
+                node.cited = self._links(node)
+            pending = [c for c in node.cited if c.sid is None]
+            if pending:
+                todo += reversed(pending)
+                continue
+            todo.pop()
+            just = node.rule(*(c.sid for c in node.cited))
+            node.sid = self._emit(node.src, node.dst, just).sid
+        return pf.sid
+
+    def _links(self, chain: Pf) -> tuple[Pf, ...]:
+        """The links of ``chain``, with the chains among them that are not
+        stated yet spliced in."""
+        links: list[Pf] = []
+        stack = list(reversed(chain.cited))
+        while stack:
+            node = stack.pop()
+            if node.rule is not Transitivity or node.sid is not None:
+                links.append(node)
+            elif (node.src, node.dst) in self.known:
+                links.append(node)
+            else:
+                stack += reversed(node.cited)
+        return tuple(links)
+
+    def refl(self, t: Monitor) -> Pf:
+        return Pf(t, t)
 
     def ax(self, name: str, bindings=None, subst=None) -> Pf:
         bindings = bindings or {}
@@ -192,12 +238,7 @@ class Prover:
         return self.sym(self.ax(name, bindings, subst))
 
     def sym(self, pf: Pf) -> Pf:
-        if pf.src == pf.dst:
-            return pf
-        if not self.record:
-            return Pf(pf.dst, pf.src, None)
-        pf = self._materialize(pf)
-        return self._emit(pf.dst, pf.src, Symmetry(pf.sid))
+        return pf if pf.src == pf.dst else self._rule(pf.dst, pf.src, Symmetry, pf)
 
     def trans(self, *pfs: Pf) -> Pf:
         if not pfs:
@@ -210,35 +251,32 @@ class Prover:
                 continue
             if acc.src == acc.dst:
                 acc = nxt
-                continue
-            if self.record:
-                a = self._materialize(acc)
-                b = self._materialize(nxt)
-                acc = self._emit(a.src, b.dst, Transitivity(a.sid, b.sid))
+            elif acc.src == nxt.dst:
+                acc = Pf(acc.src, nxt.dst)
             else:
-                acc = Pf(acc.src, nxt.dst, None)
+                acc = self._rule(acc.src, nxt.dst, Transitivity, acc, nxt)
         return acc
+
+    def lift(self, src: Monitor, dst: Monitor, inner: Pf) -> Pf:
+        """``src = dst`` where the two sides are one context around the two
+        sides of ``inner``."""
+        if src == inner.src:
+            return inner
+        if src == dst:
+            return Pf(src, dst)
+        return self._rule(src, dst, Context, inner.cited[0] if inner.rule is Context else inner)
 
     def congsum(self, left: Pf, right: Pf) -> Pf:
         src = Sum(left.src, right.src)
         dst = Sum(left.dst, right.dst)
-        if src == dst:
-            return self.refl(src)
-        if not self.record:
-            return Pf(src, dst, None)
-        a = self._materialize(left)
-        b = self._materialize(right)
-        return self._emit(src, dst, CongruenceSum(a.sid, b.sid))
+        if left.src == left.dst:
+            return self.lift(src, dst, right)
+        if right.src == right.dst:
+            return self.lift(src, dst, left)
+        return self._rule(src, dst, CongruenceSum, left, right)
 
     def congpre(self, action: str, inner: Pf) -> Pf:
-        src = Prefix(action, inner.src)
-        dst = Prefix(action, inner.dst)
-        if src == dst:
-            return self.refl(src)
-        if not self.record:
-            return Pf(src, dst, None)
-        a = self._materialize(inner)
-        return self._emit(src, dst, CongruencePrefix(action, a.sid))
+        return self.lift(Prefix(action, inner.src), Prefix(action, inner.dst), inner)
 
     # -- sum-list rewriting --------------------------------------------------
     # A sum is the list of its summands in left-nested order; rewrites happen
@@ -249,19 +287,14 @@ class Prover:
         parts = _parts(term)
         if _ln(parts[: i + 1]) != inner.src:
             raise InternalError("spine mismatch")
-        pf = inner
-        for part in parts[i + 1 :]:
-            pf = self.congsum(pf, self.refl(part))
-        return pf
+        return self.lift(term, _ln([inner.dst, *parts[i + 1 :]]), inner)
 
     def rw_part(self, term: Monitor, i: int, inner: Pf) -> Pf:
         parts = _parts(term)
         if parts[i] != inner.src:
             raise InternalError("part mismatch")
-        if i == 0:
-            return self.rw_spine(term, 0, inner)
-        spine = _ln(parts[:i])
-        return self.rw_spine(term, i, self.congsum(self.refl(spine), inner))
+        parts[i] = inner.dst
+        return self.lift(term, _ln(parts), inner)
 
     def rw_pair(self, term: Monitor, i: int, inner) -> Pf:
         """Rewrite the adjacent parts ``a``, ``b`` at ``i``, ``i + 1`` by the
@@ -286,6 +319,10 @@ class Prover:
 
     def bubble(self, term: Monitor, i: int, j: int) -> Pf:
         """Move part ``i`` to position ``j`` by adjacent swaps."""
+        if not self.record:
+            parts = _parts(term)
+            parts.insert(j, parts.pop(i))
+            return Pf(term, _ln(parts))
         pf = self.refl(term)
         pos = i
         while pos < j:
@@ -320,8 +357,13 @@ class Prover:
         return self.trans(s1, s2)
 
     def flatten(self, term: Monitor) -> Pf:
-        if not isinstance(term, Sum):
+        node = term
+        while isinstance(node, Sum) and not isinstance(node.right, Sum):
+            node = node.left
+        if not isinstance(node, Sum):  # left-nested already
             return self.refl(term)
+        if not self.record:
+            return Pf(term, _ln(_parts(term)))
         pl = self.flatten(term.left)
         pr = self.flatten(term.right)
         pf = self.congsum(pl, pr)
@@ -329,20 +371,20 @@ class Prover:
 
     def shallow_canon(self, term: Monitor) -> Pf:
         """Flatten, drop ``end`` summands, sort, remove duplicates."""
+        if not self.record:
+            parts = sorted([p for p in _parts(term) if p != END] or [END], key=sort_key)
+            return Pf(term, _ln([p for i, p in enumerate(parts) if not i or p != parts[i - 1]]))
         pf = self.flatten(term)
-        while True:
-            parts = _parts(pf.dst)
-            if len(parts) <= 1 or END not in parts:
-                break
+        parts = _parts(pf.dst)
+        while len(parts) > 1 and END in parts:
             pf = self.trans(pf, self.drop_end(pf.dst, parts.index(END)))
-        n = len(_parts(pf.dst))
-        for limit in range(1, n):
+            parts = _parts(pf.dst)
+        keys = [sort_key(p) for p in parts]
+        for limit in range(1, len(keys)):
             pos = limit
-            while pos > 0:
-                parts = _parts(pf.dst)
-                if sort_key(parts[pos]) >= sort_key(parts[pos - 1]):
-                    break
+            while pos > 0 and keys[pos] < keys[pos - 1]:
                 pf = self.trans(pf, self.swap(pf.dst, pos - 1))
+                keys[pos - 1], keys[pos] = keys[pos], keys[pos - 1]
                 pos -= 1
         while True:
             parts = _parts(pf.dst)
@@ -370,8 +412,8 @@ class Prover:
 
     def align(self, src: Monitor, dst: Monitor) -> Pf:
         """Proof of ``src = dst`` for AC-equal terms."""
-        if src == dst:
-            return self.refl(src)
+        if src == dst or not self.record and ac_equal(src, dst):
+            return Pf(src, dst)
         p1 = self.canon(src)
         p2 = self.canon(dst)
         if p1.dst != p2.dst:
@@ -1114,14 +1156,10 @@ def _finish(
     if not emit:
         return CanonicalForm(pf.dst, kind, None)
     if pf.src == pf.dst:
-        pv.steps = []
-        pv._emit(source, source, Reflexivity())
-    else:
-        last = pv.steps[-1]
-        want = Equation(pf.src, pf.dst)
-        if last.equation != want:
-            tail = pv._emit(pf.dst, pf.dst, Reflexivity())
-            pv._emit(pf.src, pf.dst, Transitivity(pf.sid, tail.sid))
+        pv.steps = [Step(1, Equation(source, source), Reflexivity())]
+    elif pv._materialize(pf) != pv.steps[-1].sid:
+        # The conclusion was stated before: restate it last, by the empty context.
+        pv.steps.append(Step(len(pv.steps) + 1, Equation(pf.src, pf.dst), Context(pf.sid)))
     return CanonicalForm(
         pf.dst, kind, Derivation(pv.system, pv.alphabet, tuple(pv.steps))
     )

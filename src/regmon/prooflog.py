@@ -2,12 +2,19 @@
 
 A derivation is a sequence of steps over a declared axiom system.  Each step
 carries the equation it claims and a justification: an axiom instance under
-a substitution, or one of reflexivity, symmetry, transitivity, congruence
-(binary for ``+``, unary for prefixing) and substitutivity applied to
-earlier steps.  The checker recomputes what every justification yields and
-demands structural equality, so uses of commutativity or associativity must
-appear as explicit A1/A2 steps.  It never consults the operational
-semantics.
+a substitution, or one of reflexivity, symmetry, transitivity over two or
+more steps, congruence (binary for ``+``, unary for prefixing, and under a
+one-hole context) and substitutivity applied to earlier steps.  The checker
+recomputes what every justification yields and demands structural equality,
+so uses of commutativity or associativity must appear as explicit A1/A2
+steps.  It never consults the operational semantics.
+
+Congruence under a one-hole context, ``ctx(k)``, is a derived rule: its sides
+are ``C[l]`` and ``C[r]`` for a context ``C`` of prefixes and sum positions,
+where step ``k`` proves ``l = r``.  It stands for the ``prefix``/``sum`` and
+``refl`` steps that would rebuild ``C`` around step ``k``, and the checker
+finds the hole with a loop of identity tests: equal prefixes and the sum
+child that is the same term on both sides are context.
 """
 
 from __future__ import annotations
@@ -54,10 +61,14 @@ class Symmetry:
     of: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transitivity:
-    first: int
-    second: int
+    """``trans(i, j, ...)``: each cited right side is the next left side."""
+
+    steps: tuple[int, ...]
+
+    def __init__(self, *steps: int):
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +81,13 @@ class CongruenceSum:
 class CongruencePrefix:
     action: str
     inner: int
+
+
+@dataclass(frozen=True, slots=True)
+class Context:
+    """``ctx(k)``: step ``k``'s equation under one one-hole context."""
+
+    of: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +109,7 @@ Justification = (
     | Transitivity
     | CongruenceSum
     | CongruencePrefix
+    | Context
     | Substitutivity
     | AxiomUse
 )
@@ -150,14 +169,15 @@ def check_step(
             prev = _ref(prior, of, sid)
             if eq != Equation(prev.rhs, prev.lhs):
                 raise CheckError(sid, SHAPE_MISMATCH, "not the flip of the cited step")
-        case Transitivity(first, second):
-            e1 = _ref(prior, first, sid)
-            e2 = _ref(prior, second, sid)
-            if e1.rhs != e2.lhs:
+        case Transitivity(sids):
+            if len(sids) < 2:
+                raise CheckError(sid, SHAPE_MISMATCH, "transitivity needs two steps")
+            chain = [_ref(prior, k, sid) for k in sids]
+            if any(e1.rhs is not e2.lhs for e1, e2 in zip(chain, chain[1:])):
                 raise CheckError(
                     sid, SHAPE_MISMATCH, "middle terms of transitivity differ"
                 )
-            if eq != Equation(e1.lhs, e2.rhs):
+            if eq != Equation(chain[0].lhs, chain[-1].rhs):
                 raise CheckError(sid, SHAPE_MISMATCH, "conclusion of transitivity differs")
         case CongruenceSum(left, right):
             e1 = _ref(prior, left, sid)
@@ -168,6 +188,21 @@ def check_step(
             e1 = _ref(prior, inner, sid)
             if eq != Equation(Prefix(action, e1.lhs), Prefix(action, e1.rhs)):
                 raise CheckError(sid, SHAPE_MISMATCH, "prefix congruence shape differs")
+        case Context(of):
+            hole = _ref(prior, of, sid)
+            lhs, rhs = eq.lhs, eq.rhs
+            while lhs is not hole.lhs or rhs is not hole.rhs:
+                same = type(lhs) is type(rhs)
+                if same and isinstance(lhs, Prefix) and lhs.action == rhs.action:
+                    lhs, rhs = lhs.body, rhs.body
+                elif same and isinstance(lhs, Sum) and lhs.left is rhs.left:
+                    lhs, rhs = lhs.right, rhs.right
+                elif same and isinstance(lhs, Sum) and lhs.right is rhs.right:
+                    lhs, rhs = lhs.left, rhs.left
+                else:
+                    raise CheckError(
+                        sid, SHAPE_MISMATCH, "no one-hole context leads to the cited step"
+                    )
         case Substitutivity(of, subst):
             e1 = _ref(prior, of, sid)
             sigma = dict(subst)
@@ -252,12 +287,14 @@ def print_justification(just: Justification, table: dict[Monitor, str] | None = 
             return "refl"
         case Symmetry(of):
             return f"sym({of})"
-        case Transitivity(first, second):
-            return f"trans({first}, {second})"
+        case Transitivity(sids):
+            return f"trans({', '.join(map(str, sids))})"
         case CongruenceSum(left, right):
             return f"sum({left}, {right})"
         case CongruencePrefix(action, inner):
             return f"prefix({action}, {inner})"
+        case Context(of):
+            return f"ctx({of})"
         case Substitutivity(of, subst):
             return f"subst({of}; {syntax.print_substitution(subst, table)})"
         case AxiomUse(name, bindings, subst):
@@ -428,8 +465,12 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
     if head == "sym":
         return Symmetry(int(args))
     if head == "trans":
-        first, second = args.split(",")
-        return Transitivity(int(first), int(second))
+        sids = [int(arg) for arg in args.split(",")]
+        if len(sids) < 2:
+            raise ValueError("trans needs two steps or more")
+        return Transitivity(*sids)
+    if head == "ctx":
+        return Context(int(args))
     if head == "sum":
         left, right = args.split(",")
         return CongruenceSum(int(left), int(right))

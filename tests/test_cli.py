@@ -94,6 +94,22 @@ def test_normalize_and_prove(tmp_path, capsys):
     assert code == 0 and out.startswith("valid")
 
 
+def test_rewrite_under_three_hundred_prefixes_takes_one_context_step(tmp_path, capsys):
+    # One rewrite under d prefixes used to cost d congruence steps, each
+    # printing both sides whole: 195 kB at d = 300.
+    term = "a." * 300 + "(yes + yes)"
+    proof = tmp_path / "proof.txt"
+    code, out, _ = run(
+        capsys, "prove", term, "--form", "rnf", "--alphabet", "a,b", "--emit-proof", str(proof)
+    )
+    nf = "a." * 300 + "yes"
+    assert code == 0 and out.splitlines()[0] == nf
+    assert proof.stat().st_size <= 20_000
+    assert "by ctx(" in proof.read_text()
+    code, out, _ = run(capsys, "check-proof", str(proof), "--claim", f"{term} = {nf}")
+    assert code == 0 and out.startswith("valid")
+
+
 def test_check_proof_rejects_corruption(tmp_path, capsys):
     proof = tmp_path / "proof.txt"
     code, _, _ = run(

@@ -3,10 +3,14 @@
 The files under ``tests/golden/`` pin the exact text that the CLI prints for
 every ``regmon`` line of README's "Command line" block (plain and with
 ``--json``, the ``timing`` field masked), the exact derivation text of one
-small term per canonical form, and two sha256 per form over a seeded corpus
-of random terms (``proofs/digests.txt``): one over the derivations, one over
-the pure normal forms.  A refactor that claims to keep behaviour must
-keep all three byte for byte.
+small term per canonical form (``proofs/<form>.compact.txt``), and two sha256
+per form over a seeded corpus of random terms (``proofs/digests.txt``): one
+over the derivations, one over the pure normal forms.  A refactor that
+claims to keep behaviour must keep all three byte for byte.
+
+``proofs/<form>.txt`` hold the same cases' proofs in the format before
+``ctx`` and n-ary ``trans`` steps: fixtures that must still parse, check and
+print back, and that nothing regenerates.
 
 To regenerate the files after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
@@ -170,6 +174,11 @@ def proof_text(form: str) -> str:
 
 
 def proof_file(form: str) -> Path:
+    return GOLDEN / "proofs" / f"{form}.compact.txt"
+
+
+def fixture_file(form: str) -> Path:
+    """The old-format proof of the case of ``form``: read, never written."""
     return GOLDEN / "proofs" / f"{form}.txt"
 
 
@@ -189,14 +198,15 @@ def test_proof_text_matches_golden(form):
 
 @pytest.mark.parametrize("form", sorted(PROOF_CASES))
 def test_golden_proof_parses_checks_and_prints_back(form):
-    text = proof_file(form).read_text(encoding="utf-8")
-    derivation, variables = prooflog.parse_derivation(text)
     actions, source = PROOF_CASES[form]
     alphabet = syntax.parse_alphabet(actions)
     term = syntax.parse_monitor(source, alphabet)
     nf = normalize.PIPELINES[cli.FORM_ALIASES[form]](term, alphabet).term
-    prooflog.check_derivation(derivation, Equation(term, nf))
-    assert prooflog.print_derivation(derivation, variables) == text
+    for path in (fixture_file(form), proof_file(form)):
+        text = path.read_text(encoding="utf-8")
+        derivation, variables = prooflog.parse_derivation(text)
+        prooflog.check_derivation(derivation, Equation(term, nf))
+        assert prooflog.print_derivation(derivation, variables) == text
 
 
 def test_proof_digests_match_golden():

@@ -1,9 +1,13 @@
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import test_golden
 from conftest import AB, A
-from regmon import equivalence, normalize, prooflog, semantics
+from regmon import cli, equivalence, normalize, prooflog, semantics
 from regmon.axioms import bar_k, witness_family
 from regmon.generate import random_closed_monitor, random_open_monitor
 from regmon.normalize import (
@@ -21,7 +25,7 @@ from regmon.normalize import (
     unary_omega_nf,
     unary_rnf,
 )
-from regmon.prooflog import Reflexivity
+from regmon.prooflog import CongruenceSum, Context, Reflexivity, Symmetry, Transitivity
 from regmon.syntax import parse_monitor, print_monitor
 from regmon.terms import (
     END,
@@ -422,6 +426,90 @@ def test_every_emitted_derivation_checks():
             prooflog.check_derivation(cf.derivation, Equation(m, cf.term))
 
 
+def _perfbench_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _agreement_cases():
+    """Per pipeline, the digest corpus of its form, then perfbench-style
+    sized terms: 100 closed, 100 open and 100 unary open ones, 8-60 nodes."""
+    sized_term = _perfbench_gen().sized_term
+    rng = random.Random(1107)
+    drawn = {
+        kind: [
+            sized_term(rng, rng.randint(8, 60), rng.randint(3, 8), actions, pool)
+            for _ in range(100)
+        ]
+        for kind, actions, pool in (
+            ("closed", ("a", "b"), ()),
+            ("open", ("a", "b"), ("x", "y")),
+            ("open-unary", ("a",), ("x", "y")),
+        )
+    }
+    forms = {normalize.PIPELINES[name]: form for form, name in cli.FORM_ALIASES.items()}
+    for fn, kind, alphabet in ALL_PIPELINES:
+        corpus_alphabet, corpus = test_golden.digest_corpus(forms[fn])
+        yield fn, corpus_alphabet, corpus
+        yield fn, alphabet, drawn[kind]
+
+
+def _cited(just) -> tuple[int, ...]:
+    match just:
+        case Transitivity(sids):
+            return sids
+        case CongruenceSum(left, right):
+            return (left, right)
+        case Symmetry(of) | Context(of):
+            return (of,)
+    return ()
+
+
+def _check_compact(steps) -> None:
+    """Each equation is stated once (the last step may restate it), no step
+    is ``refl`` but the only one, a context step cites no context step, and
+    a chain cites another chain only if that one is cited again elsewhere."""
+    stated = {step.equation for step in steps[:-1]}
+    assert len(stated) == len(steps) - 1 and steps[-1].sid == len(steps)
+    if len(steps) > 1:
+        assert not any(isinstance(s.justification, Reflexivity) for s in steps)
+    rule = {s.sid: type(s.justification) for s in steps}
+    uses = Counter(k for s in steps for k in _cited(s.justification))
+    for s in steps[:-1] if steps[-1].equation in stated else steps:
+        if isinstance(s.justification, Context):
+            assert rule[s.justification.of] is not Context
+        if isinstance(s.justification, Transitivity):
+            assert all(rule[k] is not Transitivity or uses[k] > 1 for k in s.justification.steps)
+
+
+def test_pure_and_recorded_pipelines_agree():
+    # Pure runs do their AC bookkeeping as list operations and recorded runs
+    # as A1-A4 steps, so the two no longer share one code path.  Each
+    # derivation also ends with m = NF(m) and is compact (_check_compact).
+    runs = 0
+    for fn, alphabet, terms in _agreement_cases():
+        for m in terms:
+            cf = fn(m, alphabet, emit_proof=True)
+            assert fn(m, alphabet).term == cf.term, (fn.__name__, m)
+            assert cf.derivation.steps[-1].equation == Equation(m, cf.term)
+            _check_compact(cf.derivation.steps)
+            runs += 1
+    # 55 corpus terms per form, and 3, 4 and 2 pipelines on 100 terms each.
+    assert runs >= 9 * 55 + 900
+
+
+def test_conclusion_stated_before_is_restated_last():
+    pv = normalize.Prover("Ev", AB, record=True)
+    pf = pv.ax("A1", subst={"x": YES, "y": NO})
+    pv.ax("A1", subst={"x": NO, "y": YES})
+    cf = normalize._finish(pv, pf.src, pf, normalize.NF, True)
+    assert [s.justification for s in cf.derivation.steps[2:]] == [Context(1)]
+    prooflog.check_derivation(cf.derivation, Equation(Sum(YES, NO), Sum(NO, YES)))
+
+
 def test_derivation_systems_match_pipelines():
     m = t("x + yes + a.b.(no + b.a.x)")
     assert open_rnf(m, AB, emit_proof=True).derivation.system == "Ev'"
@@ -454,19 +542,21 @@ def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, lo
 
 
 # Two broken invariants of the proof layer: a transitivity chain whose ends
-# do not meet, and an alignment of terms that are not AC-equal.
+# do not meet, and an alignment of terms that are not AC-equal; recording,
+# and then with the list shortcuts of a pure run.
 BROKEN_INVARIANTS = """\
 from regmon import normalize
 from regmon.terms import NO, YES, Alphabet
-pv = normalize.Prover("Ev", Alphabet.finite(["a", "b"]), record=True)
-for broken in (
-    lambda: pv.trans(pv.refl(YES), pv.ax("A4", subst={"x": NO})),
-    lambda: pv.align(YES, NO),
-):
-    try:
-        broken()
-    except normalize.InternalError as err:
-        print(str(err).splitlines()[0])
+for record in (True, False):
+    pv = normalize.Prover("Ev", Alphabet.finite(["a", "b"]), record=record)
+    for broken in (
+        lambda: pv.trans(pv.refl(YES), pv.ax("A4", subst={"x": NO})),
+        lambda: pv.align(YES, NO),
+    ):
+        try:
+            broken()
+        except normalize.InternalError as err:
+            print(str(err).splitlines()[0])
 """
 
 
@@ -487,6 +577,6 @@ def test_broken_invariants_raise_internal_error(optimize):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0,
-        "broken chain:\nalign on non-AC-equal terms\n",
+        "broken chain:\nalign on non-AC-equal terms\n" * 2,
         "",
     )

@@ -30,6 +30,7 @@ from regmon.prooflog import (
     Derivation,
     Reflexivity,
     Step,
+    Context,
     Substitutivity,
     Symmetry,
     Transitivity,
@@ -40,8 +41,11 @@ from regmon.prooflog import (
 from regmon.syntax import parse_monitor, print_monitor, print_term
 from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, summands, vars_of
 
+# The golden proofs of both formats: ``<form>.compact.txt`` with ``ctx`` and
+# n-ary ``trans`` steps, and the older ``<form>.txt`` fixtures without them.
 GOLDEN_PROOFS = sorted((Path(__file__).resolve().parent / "golden" / "proofs").glob("*.txt"))
 GOLDEN_PROOFS = [p for p in GOLDEN_PROOFS if p.name != "digests.txt"]
+FIXTURE_PROOFS = [p for p in GOLDEN_PROOFS if not p.name.endswith(".compact.txt")]
 
 
 def _plain_term(table, text):
@@ -142,7 +146,9 @@ def test_digest_corpus_parses_as_without_tables(form):
         assert got == outcome(text, tables=False)
 
 
-@pytest.mark.parametrize("path", GOLDEN_PROOFS, ids=lambda p: p.stem)
+# On the fixtures: the compact omega proofs are three and five steps long, and
+# the first side alone is over a tenth of their text.
+@pytest.mark.parametrize("path", FIXTURE_PROOFS, ids=lambda p: p.stem)
 def test_golden_proof_is_mostly_assembled_from_known_pieces(path, monkeypatch):
     text = path.read_text(encoding="utf-8")
     parsed = []
@@ -229,13 +235,16 @@ def _mutate(text: str, rng: random.Random) -> str:
 
 def _mutation_sources() -> list[str]:
     texts = [p.read_text(encoding="utf-8") for p in GOLDEN_PROOFS]
-    # The fin-rnf proof has 3 476 steps; its first 40 lines are enough.
+    # The fin-rnf proofs have thousands of steps; their first 40 lines are enough.
     return ["\n".join(t.splitlines()[:40]) + "\n" for t in texts]
 
 
 def test_mutated_proofs_parse_as_without_tables():
     rng = random.Random(2006)
     sources = _mutation_sources()
+    # Both formats: context steps and transitivity over more than two steps.
+    assert any(" by ctx(" in text for text in sources)
+    assert any(re.search(r" by trans\(\d+(, \d+){2,}\)", text) for text in sources)
     kinds = {"derivation": 0, "error": 0}
     for _ in range(2400):
         text = rng.choice(sources)
@@ -324,6 +333,25 @@ def test_deep_sides_round_trip_without_recursion(make):
     parsed, _ = parse_derivation(text)
     assert parsed == derivation
     check_derivation(parsed)
+
+
+@pytest.mark.parametrize("make", [_chain, _wide, _nested], ids=["chain", "sum", "nested"])
+def test_deep_context_and_long_chain_steps_round_trip(make):
+    # A context step beside a 10^4-deep side, and transitivity over nine
+    # steps, parsed with the tables and without them.
+    t = make(10_000)
+    yn, ny = Sum(YES, NO), Sum(NO, YES)
+    steps = (
+        Step(1, Equation(yn, ny), AxiomUse("A1", (), (("x", YES), ("y", NO)))),
+        Step(2, Equation(ny, yn), Symmetry(1)),
+        Step(3, Equation(Sum(t, yn), Sum(t, ny)), Context(1)),
+        Step(4, Equation(yn, ny), Transitivity(1, 2, 1, 2, 1, 2, 1, 2, 1)),
+    )
+    derivation = Derivation("Ev", AB, steps)
+    check_derivation(derivation)
+    text = print_derivation(derivation, {"x", "y"})
+    assert " by ctx(1)\n" in text and " by trans(1, 2, 1, 2, 1, 2, 1, 2, 1)\n" in text
+    assert outcome(text) == outcome(text, tables=False) == (derivation, {"x", "y"})
 
 
 def test_nested_sum_tables_stay_within_four_times_the_text():

@@ -11,10 +11,12 @@ from regmon.prooflog import (
     AxiomUse,
     CongruencePrefix,
     CongruenceSum,
+    Context,
     DANGLING_REFERENCE,
     Derivation,
     NOT_AN_INSTANCE,
     Reflexivity,
+    SHAPE_MISMATCH,
     Step,
     Substitutivity,
     Symmetry,
@@ -399,3 +401,87 @@ def test_step_record_error_message_is_unchanged():
     assert str(err.value) == (
         "line 3: cannot parse step record (1:2: action 'a' must be followed by '.')"
     )
+
+
+# ---------------------------------------------------------------------------
+# Congruence under a one-hole context, and transitivity over n steps
+
+GROW = Step(1, eq("yes = yes + a.yes"), AxiomUse("Y_a", (("action", "a"),)))
+SHRINK = Step(2, eq("yes + a.yes = yes"), Symmetry(1))
+
+
+def _round_trip(*steps):
+    derivation = D(*steps)
+    check_derivation(derivation)
+    parsed, _ = parse_derivation(print_derivation(derivation))
+    assert parsed == derivation
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        ("b.a.b.yes", "b.a.b.(yes + a.yes)"),  # under a prefix chain
+        ("yes + no", "yes + a.yes + no"),  # at the left of a sum
+        ("no + yes", "no + (yes + a.yes)"),  # at the right of a sum
+        ("b.(no + a.(yes + b.no))", "b.(no + a.(yes + a.yes + b.no))"),  # mixed
+        ("yes", "yes + a.yes"),  # the empty context
+    ],
+)
+def test_context_step_accepts_a_one_hole_context(lhs, rhs):
+    parsed = _round_trip(GROW, Step(2, eq(f"{lhs} = {rhs}"), Context(1)))
+    assert print_derivation(parsed).endswith(" by ctx(1)\n")
+
+
+def test_context_step_finds_a_hole_ten_thousand_prefixes_deep():
+    lhs, rhs = YES, Sum(YES, Prefix("a", YES))
+    for i in range(10_000):
+        lhs, rhs = Prefix("ab"[i % 2], lhs), Prefix("ab"[i % 2], rhs)
+    _round_trip(GROW, Step(2, Equation(Sum(lhs, YES), Sum(rhs, YES)), Context(1)))
+
+
+@pytest.mark.parametrize(
+    "text, cited, reason",
+    [
+        ("yes + yes = yes + a.yes + (yes + a.yes)", 1, SHAPE_MISMATCH),  # two holes
+        ("a.yes = b.(yes + a.yes)", 1, SHAPE_MISMATCH),  # prefix actions differ
+        ("b.no = b.(no + a.no)", 1, SHAPE_MISMATCH),  # the hole never matches
+        ("a.yes + no = a.yes + a.yes", 1, SHAPE_MISMATCH),  # a leaf against a prefix
+        ("b.yes = yes + a.yes", 1, SHAPE_MISMATCH),  # a prefix against a sum
+        ("yes + a.yes = b.yes", 1, SHAPE_MISMATCH),  # a sum against a prefix
+        ("b.yes = b.(yes + a.yes)", 5, DANGLING_REFERENCE),  # no step 5
+        ("b.yes = b.(yes + a.yes)", 2, DANGLING_REFERENCE),  # itself
+    ],
+)
+def test_context_step_rejects(text, cited, reason):
+    err = validate(D(GROW, Step(2, eq(text), Context(cited))))
+    assert err is not None and (err.step_id, err.reason) == (2, reason)
+
+
+@pytest.mark.parametrize("count", [3, 50])
+def test_transitivity_over_many_steps(count):
+    sids = [1 + i % 2 for i in range(count)]  # yes -> yes + a.yes -> yes -> ...
+    conclusion = "yes = yes + a.yes" if count % 2 else "yes = yes"
+    parsed = _round_trip(GROW, SHRINK, Step(3, eq(conclusion), Transitivity(*sids)))
+    assert parsed.steps[-1].justification.steps == tuple(sids)
+
+
+@pytest.mark.parametrize(
+    "sids, text, reason",
+    [
+        ((1, 1, 2), "yes = yes", SHAPE_MISMATCH),  # a broken middle
+        ((1, 2, 2), "yes = yes", SHAPE_MISMATCH),  # a broken middle further on
+        ((1, 2, 1), "yes = yes", SHAPE_MISMATCH),  # the wrong conclusion
+        ((1,), "yes = yes + a.yes", SHAPE_MISMATCH),  # one step
+        ((1, 2, 7), "yes = yes + a.yes", DANGLING_REFERENCE),
+    ],
+)
+def test_transitivity_over_many_steps_rejects(sids, text, reason):
+    err = validate(D(GROW, SHRINK, Step(3, eq(text), Transitivity(*sids))))
+    assert err is not None and (err.step_id, err.reason) == (3, reason)
+
+
+def test_transitivity_needs_two_steps_in_the_text():
+    head = "system: Ev\nalphabet: a,b\nstep 1: yes = yes by refl\n"
+    with pytest.raises(ValueError, match="trans needs two steps or more"):
+        parse_derivation(head + "step 2: yes = yes by trans(1)\n")
