@@ -258,6 +258,10 @@ def list_system(
         raise MissingBounds(
             f"system {system} contains the O2 family; give max_trace_len and max_k"
         )
+    if "O2" in schemas and min(max_trace_len, max_k) < 1:
+        raise ValueError(
+            f"system {system} contains the O2 family; max_trace_len and max_k must be >= 1"
+        )
     out: list[AxiomInstance] = []
     for name, (params, _, listed) in SCHEMAS.items():
         if name not in schemas or not listed:
@@ -309,6 +313,8 @@ def soundness_fuzz(
     from .generate import random_closed_monitor
 
     fin = _require_finite("soundness_fuzz", alphabet)
+    if trials < 0:
+        raise ValueError(f"soundness_fuzz requires trials >= 0, got {trials}")
     variables = sorted(vars_of(instance.equation.lhs) | vars_of(instance.equation.rhs))
     failures: list[Counterexample] = []
     for trial in range(trials):

@@ -191,17 +191,7 @@ def cmd_equiv(args) -> int:
     return 0 if equal else 1
 
 
-FORM_ALIASES = {
-    "nf": normalize.NF,
-    "rnf": normalize.RNF,
-    "omega": normalize.OMEGA_NF,
-    "open-nf": normalize.OPEN_NF,
-    "open-rnf": normalize.OPEN_RNF,
-    "fin-rnf": normalize.FIN_RNF,
-    "unary-rnf": normalize.UNARY_RNF,
-    "unary-omega": normalize.UNARY_OMEGA_NF,
-    "open-omega": normalize.OPEN_OMEGA_NF,
-}
+FORM_ALIASES = {form.option: kind for kind, form in normalize.FORMS.items()}
 
 
 def _run_normalize(args, emit_proof: bool) -> int:
@@ -482,6 +472,17 @@ def cmd_witness(args) -> int:
 # Argument parsing
 
 
+def _count(low: int = 0):
+    """The argparse type of an integer option that must be at least ``low``."""
+
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    return count
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on the first call."""
@@ -491,12 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, alphabet=True):
+    def common(p, alphabet=True, variables=True, seed=False):
         if alphabet:
             p.add_argument("--alphabet", help="comma-separated actions, or 'infinite'")
+        if variables:
             p.add_argument("--vars", help="declared variables (open-ended alphabets)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("parse", help="parse a term and print it canonically")
     p.add_argument("term")
@@ -512,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     p.add_argument("--oracle", action="store_true", help="force the substitution oracle")
     p.add_argument("--bound", type=int, help="oracle substitution depth bound")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("normalize", help="rewrite into a canonical form")
     p.add_argument("term")
@@ -528,29 +531,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="list an axiom system, optionally fuzzing it")
     p.add_argument("--system", choices=sorted(axioms.SYSTEM_SCHEMAS), required=True)
-    p.add_argument("--max-s", type=int, help="bound on |s| for the O2 family")
-    p.add_argument("--max-k", type=int, help="bound on k for the O2 family")
-    p.add_argument("--fuzz", type=int, help="random closed substitutions per instance")
+    p.add_argument("--max-s", type=_count(1), help="bound on |s| for the O2 family")
+    p.add_argument("--max-k", type=_count(1), help="bound on k for the O2 family")
+    p.add_argument("--fuzz", type=_count(), help="random closed substitutions per instance")
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
-    common(p)
+    common(p, variables=False, seed=True)
 
     p = sub.add_parser("check-proof", help="validate a derivation file")
     p.add_argument("file")
     p.add_argument("--claim", help="equation the derivation must conclude")
-    common(p, alphabet=False)
+    common(p, alphabet=False, variables=False)
 
     p = sub.add_parser("fuzz", help="cross-validate canonical forms against the semantics")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--trials", type=_count(), default=100)
+    p.add_argument("--depth", type=_count(), default=4)
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     p.add_argument("--open", action="store_true", help="generate open terms")
     p.add_argument("--bound", type=int, help="oracle bound for open terms")
-    common(p)
+    common(p, variables=False, seed=True)
 
     p = sub.add_parser("witness", help="emit a member of the one-sided witness family")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--fuzz", type=int, help="soundness trials")
-    common(p)
+    p.add_argument("--fuzz", type=_count(), help="soundness trials")
+    common(p, variables=False, seed=True)
 
     return parser
 

@@ -60,6 +60,11 @@ class Counterexample:
     side: str
 
 
+def _require_mode(mode: str) -> None:
+    if mode not in (VERDICT, OMEGA):
+        raise ValueError(f"unknown mode {mode!r}: expected 'verdict' or 'omega'")
+
+
 def _verdict_flags(state) -> tuple[bool, bool]:
     return YES in state, NO in state
 
@@ -174,6 +179,7 @@ def closed_search(
     separating trace of length at most ``limit`` comes back as a
     counterexample under ``substitution`` (the pairs that closed the two
     monitors, if any)."""
+    _require_mode(mode)
     if mode == VERDICT:
         found = closed_counterexample(m, n, alphabet, limit=limit)
     else:
@@ -335,6 +341,7 @@ def open_form(mode: str, alphabet: Alphabet):
     ``None`` for an open-ended alphabet: there the two equivalences coincide
     and open terms are decided under :func:`fresh_substitution` instead.
     """
+    _require_mode(mode)
     if not alphabet.is_finite:
         return None
     unary = len(alphabet) == 1
@@ -392,6 +399,7 @@ def decide(
     of :func:`open_form`; ``bound`` and ``seed`` steer only the oracle search
     for an open pair's counterexample.
     """
+    _require_mode(mode)
     if is_closed(m) and is_closed(n):
         cex = closed_search(m, n, alphabet, mode)
         return Decision(cex is None, cex)

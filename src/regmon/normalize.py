@@ -2,10 +2,12 @@
 
 Each pipeline rewrites a monitor into the canonical shape of one
 completeness result and can emit a derivation in the matching axiom system,
-validated by the independent checker in :mod:`regmon.prooflog`.  Recording
-on or off runs the same rewriting; without recording, the AC bookkeeping of
-:class:`Prover` (flatten, sort, deduplicate, align) is plain list work, and
-``tests/test_normalize.py`` holds the pure and the proved result equal.
+validated by the independent checker in :mod:`regmon.prooflog`.  ``FORMS``
+has one row per form, and the nine public pipelines are built from it.
+Recording on or off runs the same rewriting; without recording, the AC
+bookkeeping of :class:`Prover` (flatten, sort, deduplicate, align) is plain
+list work, and ``tests/test_normalize.py`` holds the pure and the proved
+result equal.
 
 Rewriting is innermost-first (children before parents) and terms are kept
 in the AC-canonical order of :func:`regmon.terms.ac_normalize` between
@@ -14,6 +16,7 @@ stages.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import axioms
@@ -833,9 +836,9 @@ def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
 # Omega collapse (closed and open share the fold)
 
 
-def _try_fold(pv: Prover, ed: Edit, alphabet: Alphabet) -> bool:
+def _try_fold(pv: Prover, ed: Edit) -> bool:
     """Fold a full fan ``sum of a.(v + rest_a)`` into ``v + sum of a.rest_a``."""
-    actions = alphabet.sorted_actions()
+    actions = pv.alphabet.sorted_actions()
     for v in (YES, NO):
         has_yes, has_no, acts, _ = _decompose(ed.term)
         if (v == YES and has_yes) or (v == NO and has_no):
@@ -864,15 +867,20 @@ def _try_fold(pv: Prover, ed: Edit, alphabet: Alphabet) -> bool:
     return False
 
 
-def _omega_closed(pv: Prover, t: Monitor, alphabet: Alphabet, use_o1: bool) -> Pf:
+def _omega_closed(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
     first; ``use_o1`` as in :func:`_reduce`."""
     ed = Edit(pv, t)
     while True:
-        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet, use_o1))
-        if not _try_fold(pv, ed, alphabet):
+        ed.map_bodies(lambda body: _omega_closed(pv, body, use_o1))
+        if not _try_fold(pv, ed):
             return ed.pf
         ed.step(_reduce(pv, ed.term, use_o1))
+
+
+def _omega_nf(pv: Prover, m: Monitor) -> Pf:
+    pf = _rnf(pv, m, use_o1=False)
+    return pv.trans(pf, _omega_closed(pv, pf.dst, use_o1=False))
 
 
 # ---------------------------------------------------------------------------
@@ -970,14 +978,12 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
     return pf
 
 
-def _eliminate_occurrence(
-    pv: Prover, ed: Edit, s: Trace, name: str, k: int, alphabet: Alphabet
-) -> None:
+def _eliminate_occurrence(pv: Prover, ed: Edit, s: Trace, name: str, k: int) -> None:
     """Remove the occurrence of the top variable ``name`` after ``s``
     through the O2 instance at ``(s, k)``."""
     t = ed.term
-    guard = axioms.bar_k(s, k, Sum(YES, NO), alphabet)
-    members = both_verdict_members(s, k, alphabet)
+    guard = axioms.bar_k(s, k, Sum(YES, NO), pv.alphabet)
+    members = both_verdict_members(s, k, pv.alphabet)
     x = Var(name)
     sx = axioms.prefix_seq(s, x)
     # 1. t = t + guard
@@ -1000,21 +1006,21 @@ def _eliminate_occurrence(
     ed.step(_rnf(pv, ed.term, use_o1=True))
 
 
-def _finite_act_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
+def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
     pf = _rnf(pv, m, use_o1=True)
     for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _finite_act_rnf(pv, body, alphabet))
+        ed.map_bodies(lambda body: _finite_act_rnf(pv, body))
         occurrences = _var_occurrences(ed.term)
         top_vars = {x for s, x in occurrences if not s}
         done = True
         for s, x in occurrences:
             if not s or x not in top_vars:
                 continue
-            k = covering_k(ed.term, s, alphabet)
+            k = covering_k(ed.term, s, pv.alphabet)
             if k is None:
                 continue
-            _eliminate_occurrence(pv, ed, s, x, k, alphabet)
+            _eliminate_occurrence(pv, ed, s, x, k)
             done = False
             break
         pf = pv.trans(pf, ed.pf)
@@ -1060,8 +1066,8 @@ def _unfold_var_at(
     return pv.rw_part(t, i, pv.congpre(action, inner))
 
 
-def _unary_rnf(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
-    action = alphabet.sorted_actions()[0]
+def _unary_rnf(pv: Prover, m: Monitor) -> Pf:
+    action = pv.alphabet.sorted_actions()[0]
     pf = _rnf(pv, m, use_o1=True)
     while True:
         t = pf.dst
@@ -1118,16 +1124,16 @@ def _unary_omega(pv: Prover, m: Monitor) -> Pf:
     return pf
 
 
-def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
-    pf = _finite_act_rnf(pv, m, alphabet)
+def _omega_open(pv: Prover, m: Monitor) -> Pf:
+    pf = _finite_act_rnf(pv, m)
     for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _omega_closed(pv, body, alphabet, use_o1=True))
-        folded = _try_fold(pv, ed, alphabet)
+        ed.map_bodies(lambda body: _omega_closed(pv, body, use_o1=True))
+        folded = _try_fold(pv, ed)
         pf = pv.trans(pf, ed.pf)
         if folded:
             pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
-            pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst, alphabet))
+            pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
         elif ed.pf.src == ed.pf.dst:
             return pf
     raise InternalError("omega_open_nf failed to stabilize")
@@ -1135,19 +1141,6 @@ def _omega_open(pv: Prover, m: Monitor, alphabet: Alphabet) -> Pf:
 
 # ---------------------------------------------------------------------------
 # Public pipelines
-
-
-def _infer_alphabet(m: Monitor, alphabet: Alphabet | None) -> Alphabet:
-    if alphabet is not None:
-        if alphabet.is_finite:
-            missing = actions_of(m) - alphabet.actions
-            if missing:
-                raise ValueError(
-                    f"monitor uses actions outside the alphabet: {sorted(missing)}"
-                )
-        return alphabet
-    acts = actions_of(m)
-    return Alphabet.finite(sorted(acts)) if acts else Alphabet.open_ended()
 
 
 def _finish(
@@ -1165,97 +1158,79 @@ def _finish(
     )
 
 
-def normal_form_closed(
-    m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
-) -> CanonicalForm:
-    require_closed(m, "normal_form_closed")
-    pv = Prover("Ev", _infer_alphabet(m, alphabet), emit_proof)
-    return _finish(pv, m, _nf(pv, m), NF, emit_proof)
+# What a form may need of its alphabet: a test, the error that a failed test
+# raises, and the need as that error words it.
+_FINITE = (lambda a: a.is_finite, ValueError, "a finite alphabet")
+_TWO = (
+    lambda a: a.is_finite and len(a) >= 2, AlphabetTooSmall, "a finite alphabet with >= 2 actions"
+)
+_ONE = (lambda a: a.is_finite and len(a) == 1, ValueError, "a one-action alphabet")
 
 
-def reduced_nf_closed(
-    m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
-) -> CanonicalForm:
-    require_closed(m, "reduced_nf_closed")
-    pv = Prover("Ev", _infer_alphabet(m, alphabet), emit_proof)
-    return _finish(pv, m, _rnf(pv, m, use_o1=False), RNF, emit_proof)
+@dataclass(frozen=True, slots=True)
+class Form:
+    """A canonical form: its ``--form`` name, the name of its public
+    pipeline, the axiom system of its derivations, whether it takes closed
+    terms only, what it needs of its alphabet, and its rewriting (which
+    reads the alphabet off the :class:`Prover`)."""
+
+    option: str
+    name: str
+    system: str
+    closed: bool
+    needs: tuple | None
+    rewrite: Callable[[Prover, Monitor], Pf]
 
 
-def omega_nf_closed(
-    m: Monitor, alphabet: Alphabet, emit_proof: bool = False
-) -> CanonicalForm:
-    require_closed(m, "omega_nf_closed")
-    alphabet = _infer_alphabet(m, alphabet)
-    if not alphabet.is_finite:
-        raise ValueError("omega_nf_closed needs a finite alphabet")
-    pv = Prover("Eomega", alphabet, emit_proof)
-    pf = _rnf(pv, m, use_o1=False)
-    pf = pv.trans(pf, _omega_closed(pv, pf.dst, alphabet, use_o1=False))
-    return _finish(pv, m, pf, OMEGA_NF, emit_proof)
-
-
-def open_nf(
-    m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
-) -> CanonicalForm:
-    pv = Prover("Ev", _infer_alphabet(m, alphabet), emit_proof)
-    return _finish(pv, m, _nf(pv, m), OPEN_NF, emit_proof)
-
-
-def open_rnf(
-    m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
-) -> CanonicalForm:
-    pv = Prover("Ev'", _infer_alphabet(m, alphabet), emit_proof)
-    return _finish(pv, m, _rnf(pv, m, use_o1=True), OPEN_RNF, emit_proof)
-
-
-def finite_act_rnf(
-    m: Monitor, alphabet: Alphabet, emit_proof: bool = False
-) -> CanonicalForm:
-    alphabet = _infer_alphabet(m, alphabet)
-    if not alphabet.is_finite or len(alphabet) < 2:
-        raise AlphabetTooSmall("finite_act_rnf needs a finite alphabet with >= 2 actions")
-    pv = Prover("Evf'", alphabet, emit_proof)
-    return _finish(pv, m, _finite_act_rnf(pv, m, alphabet), FIN_RNF, emit_proof)
-
-
-def unary_rnf(
-    m: Monitor, alphabet: Alphabet, emit_proof: bool = False
-) -> CanonicalForm:
-    alphabet = _infer_alphabet(m, alphabet)
-    if not alphabet.is_finite or len(alphabet) != 1:
-        raise ValueError("unary_rnf needs a one-action alphabet")
-    pv = Prover("Ev1'", alphabet, emit_proof)
-    return _finish(pv, m, _unary_rnf(pv, m, alphabet), UNARY_RNF, emit_proof)
-
-
-def unary_omega_nf(
-    m: Monitor, alphabet: Alphabet, emit_proof: bool = False
-) -> CanonicalForm:
-    alphabet = _infer_alphabet(m, alphabet)
-    if not alphabet.is_finite or len(alphabet) != 1:
-        raise ValueError("unary_omega_nf needs a one-action alphabet")
-    pv = Prover("Eomega1'", alphabet, emit_proof)
-    return _finish(pv, m, _unary_omega(pv, m), UNARY_OMEGA_NF, emit_proof)
-
-
-def omega_open_nf(
-    m: Monitor, alphabet: Alphabet, emit_proof: bool = False
-) -> CanonicalForm:
-    alphabet = _infer_alphabet(m, alphabet)
-    if not alphabet.is_finite or len(alphabet) < 2:
-        raise AlphabetTooSmall("omega_open_nf needs a finite alphabet with >= 2 actions")
-    pv = Prover("Eomegaf'", alphabet, emit_proof)
-    return _finish(pv, m, _omega_open(pv, m, alphabet), OPEN_OMEGA_NF, emit_proof)
-
-
-PIPELINES = {
-    NF: normal_form_closed,
-    RNF: reduced_nf_closed,
-    OMEGA_NF: omega_nf_closed,
-    OPEN_NF: open_nf,
-    OPEN_RNF: open_rnf,
-    FIN_RNF: finite_act_rnf,
-    UNARY_RNF: unary_rnf,
-    UNARY_OMEGA_NF: unary_omega_nf,
-    OPEN_OMEGA_NF: omega_open_nf,
+FORMS = {
+    NF: Form("nf", "normal_form_closed", "Ev", True, None, _nf),
+    RNF: Form("rnf", "reduced_nf_closed", "Ev", True, None, lambda pv, m: _rnf(pv, m, False)),
+    OMEGA_NF: Form("omega", "omega_nf_closed", "Eomega", True, _FINITE, _omega_nf),
+    OPEN_NF: Form("open-nf", "open_nf", "Ev", False, None, _nf),
+    OPEN_RNF: Form("open-rnf", "open_rnf", "Ev'", False, None, lambda pv, m: _rnf(pv, m, True)),
+    FIN_RNF: Form("fin-rnf", "finite_act_rnf", "Evf'", False, _TWO, _finite_act_rnf),
+    UNARY_RNF: Form("unary-rnf", "unary_rnf", "Ev1'", False, _ONE, _unary_rnf),
+    UNARY_OMEGA_NF: Form("unary-omega", "unary_omega_nf", "Eomega1'", False, _ONE, _unary_omega),
+    OPEN_OMEGA_NF: Form("open-omega", "omega_open_nf", "Eomegaf'", False, _TWO, _omega_open),
 }
+
+
+def _pipeline(kind: str) -> Callable[..., CanonicalForm]:
+    """The public pipeline of ``FORMS[kind]``: the input is checked against
+    the form's contract (closedness first, then the alphabet's actions, then
+    its size), rewritten, and its derivation recorded if ``emit_proof``.
+    Without an alphabet, the term's actions are the alphabet."""
+    form = FORMS[kind]
+
+    def pipeline(
+        m: Monitor, alphabet: Alphabet | None = None, emit_proof: bool = False
+    ) -> CanonicalForm:
+        if form.closed:
+            require_closed(m, form.name)
+        if alphabet is None:
+            acts = actions_of(m)
+            alphabet = Alphabet.finite(sorted(acts)) if acts else Alphabet.open_ended()
+        elif alphabet.is_finite and not actions_of(m) <= alphabet.actions:
+            missing = sorted(actions_of(m) - alphabet.actions)
+            raise ValueError(f"monitor uses actions outside the alphabet: {missing}")
+        if form.needs is not None:
+            fits, error, need = form.needs
+            if not fits(alphabet):
+                raise error(f"{form.name} needs {need}")
+        pv = Prover(form.system, alphabet, emit_proof)
+        return _finish(pv, m, form.rewrite(pv, m), kind, emit_proof)
+
+    pipeline.__name__ = pipeline.__qualname__ = form.name
+    return pipeline
+
+
+PIPELINES = {kind: _pipeline(kind) for kind in FORMS}
+normal_form_closed = PIPELINES[NF]
+reduced_nf_closed = PIPELINES[RNF]
+omega_nf_closed = PIPELINES[OMEGA_NF]
+open_nf = PIPELINES[OPEN_NF]
+open_rnf = PIPELINES[OPEN_RNF]
+finite_act_rnf = PIPELINES[FIN_RNF]
+unary_rnf = PIPELINES[UNARY_RNF]
+unary_omega_nf = PIPELINES[UNARY_OMEGA_NF]
+omega_open_nf = PIPELINES[OPEN_OMEGA_NF]

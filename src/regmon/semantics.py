@@ -50,8 +50,6 @@ class _Tau:
 
 TAU = _Tau()
 
-Label = str | _Tau
-
 
 def strong_steps(m: Monitor, label) -> frozenset[Monitor]:
     """One-step successors of ``m`` under ``label``: the verdict summands of
@@ -67,15 +65,12 @@ def strong_steps(m: Monitor, label) -> frozenset[Monitor]:
 
 
 def tau_closure(states: Iterable[Monitor]) -> frozenset[Monitor]:
-    """Reflexive-transitive closure under silent steps."""
+    """Reflexive-transitive closure under silent steps.  One step from each
+    member closes the set: a silent step only reaches a verdict summand, and
+    a verdict's only silent step leads back to itself."""
     closed = set(states)
-    frontier = list(closed)
-    while frontier:
-        m = frontier.pop()
-        for succ in strong_steps(m, TAU):
-            if succ not in closed:
-                closed.add(succ)
-                frontier.append(succ)
+    for m in tuple(closed):
+        closed |= strong_steps(m, TAU)
     return frozenset(closed)
 
 

@@ -193,6 +193,28 @@ def test_list_system_o2_needs_bounds():
     assert len(o2) == 12
 
 
+@pytest.mark.parametrize("system", ["Evf'", "Eomegaf'"])
+@pytest.mark.parametrize("max_trace_len, max_k", [(1, 0), (0, 1), (-1, 2), (2, -3)])
+def test_list_system_o2_bounds_below_one_are_rejected(system, max_trace_len, max_k):
+    with pytest.raises(ValueError) as caught:
+        list_system(system, AB, max_trace_len=max_trace_len, max_k=max_k)
+    assert str(caught.value) == (
+        f"system {system} contains the O2 family; max_trace_len and max_k must be >= 1"
+    )
+
+
+def test_list_system_ignores_o2_bounds_without_o2():
+    assert list_system("Ev", AB, max_trace_len=0, max_k=0) == list_system("Ev", AB)
+
+
+@pytest.mark.parametrize("trials", [-1, -4])
+def test_soundness_fuzz_rejects_negative_trials(trials):
+    inst = instantiate("Y_a", {"action": "a"}, AB)
+    with pytest.raises(ValueError, match=rf"^soundness_fuzz requires trials >= 0, got {trials}$"):
+        soundness_fuzz(inst, AB, "verdict", trials)
+    assert soundness_fuzz(inst, AB, "verdict", 0).trials == 0
+
+
 def test_soundness_fuzz_y_a_clean():
     report = soundness_fuzz(instantiate("Y_a", {"action": "a"}, AB), AB, "verdict", 100)
     assert report.ok

@@ -515,3 +515,53 @@ def test_every_variable_list_rejects_bad_names(tmp_path, capsys, text, argv):
 def test_finite_alphabet_errors_name_their_subject(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--alphabet", "infinite")
     assert (code, out, err) == (2, "", f"error: {message} needs a finite alphabet\n")
+
+
+# Each subcommand takes only the options that its handler reads.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "yes", "--alphabet", "a", "--seed", "1"],
+        ["lang", "yes", "--alphabet", "a", "--seed", "1"],
+        ["normalize", "yes", "--form", "nf", "--alphabet", "a", "--seed", "1"],
+        ["prove", "yes", "--form", "nf", "--alphabet", "a", "--seed", "1"],
+        ["check-proof", "proof.txt", "--seed", "1"],
+        ["axioms", "--system", "Ev", "--alphabet", "a", "--vars", "x"],
+        ["fuzz", "--trials", "1", "--alphabet", "a", "--vars", "x"],
+        ["witness", "--n", "1", "--alphabet", "a", "--vars", "x"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_options_that_nothing_reads_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["axioms", "--system", "Ev", "--alphabet", "a", "--fuzz", "-1"],
+         "argument --fuzz: must be >= 0, got -1"),
+        (["witness", "--n", "2", "--alphabet", "a,b", "--fuzz", "-4"],
+         "argument --fuzz: must be >= 0, got -4"),
+        (["fuzz", "--alphabet", "a,b", "--trials", "-2"], "argument --trials: must be >= 0, got -2"),
+        (["fuzz", "--alphabet", "a,b", "--depth", "-1"], "argument --depth: must be >= 0, got -1"),
+        (["axioms", "--system", "Evf'", "--alphabet", "a,b", "--max-s", "1", "--max-k", "0"],
+         "argument --max-k: must be >= 1, got 0"),
+        (["axioms", "--system", "Evf'", "--alphabet", "a,b", "--max-s", "0", "--max-k", "1"],
+         "argument --max-s: must be >= 1, got 0"),
+    ],
+)
+def test_counts_below_their_least_value_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out, _ = run(capsys, "fuzz", "--alphabet", "a,b", "--trials", "0", "--depth", "0")
+    assert code == 0
+    assert out.startswith("0 trials, 0 disagreements (mode=verdict, depth<=0,")
+    code, out, _ = run(capsys, "axioms", "--system", "Ev", "--alphabet", "a", "--fuzz", "0")
+    assert code == 0 and "# sound" not in out

@@ -1,3 +1,6 @@
+"""Each demo runs, and its stdout matches ``tests/golden/demos/<script>.txt``
+byte for byte (``PYTHONPATH=src python tests/test_golden.py`` writes them)."""
+
 import subprocess
 import sys
 from pathlib import Path
@@ -5,12 +8,27 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden" / "demos"
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def demo_golden(script: Path) -> Path:
+    return GOLDEN / f"{script.stem}.txt"
+
+
+def demo_stdout(script: Path) -> str:
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=180
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    stdout = demo_stdout(script)
+    assert stdout.strip()
+    assert stdout == demo_golden(script).read_text(encoding="utf-8")
+
+
+def test_every_demo_has_a_golden():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [p.stem for p in DEMOS]

@@ -491,3 +491,26 @@ def test_decide_open_pair_over_open_ended_alphabet_has_no_counterexample():
         decision = decide(m, n, INF, mode)
         assert not decision.equal
         assert decision.counterexample is None
+
+
+@pytest.mark.parametrize("mode", ["Verdict", "bogus", "", "OMEGA"])
+def test_unknown_mode_is_rejected_by_every_entry_point(mode):
+    from regmon.axioms import soundness_fuzz
+
+    closed = (YES, parse_monitor("a.yes + b.yes", AB))
+    opened = (parse_monitor("x", AB), parse_monitor("x + a.x", AB))
+    calls = [
+        lambda: decide(*closed, AB, mode),
+        lambda: decide(*opened, AB, mode),
+        lambda: decide(*opened, INF, mode),
+        lambda: equivalence.closed_search(*closed, AB, mode),
+        lambda: equivalence.open_form(mode, AB),
+        lambda: equivalence.open_form(mode, INF),
+        lambda: soundness_fuzz(instantiate("Y_w", {}, AB), AB, mode, 3),
+        lambda: oracle_counterexample(*opened, AB, mode, bound=2),
+        lambda: oracle_equiv_open(*opened, AB, mode, bound=2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown mode .*: expected 'verdict' or 'omega'$"):
+            call()
+

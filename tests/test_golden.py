@@ -5,8 +5,9 @@ every ``regmon`` line of README's "Command line" block (plain and with
 ``--json``, the ``timing`` field masked), the exact derivation text of one
 small term per canonical form (``proofs/<form>.compact.txt``), and two sha256
 per form over a seeded corpus of random terms (``proofs/digests.txt``): one
-over the derivations, one over the pure normal forms.  A refactor that
-claims to keep behaviour must keep all three byte for byte.
+over the derivations, one over the pure normal forms.  ``demos/<script>.txt``
+hold the stdout of each demo, which ``test_demos.py`` compares.  A refactor
+that claims to keep behaviour must keep all four byte for byte.
 
 ``proofs/<form>.txt`` hold the same cases' proofs in the format before
 ``ctx`` and n-ary ``trans`` steps: fixtures that must still parse, check and
@@ -191,6 +192,12 @@ def test_proof_cases_cover_every_form():
     assert sorted(PROOF_CASES) == sorted(cli.FORM_ALIASES)
 
 
+def test_readme_lists_every_form_once():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Forms for `normalize` / `prove`", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([a-z-]+)`", paragraph)) == sorted(cli.FORM_ALIASES)
+
+
 @pytest.mark.parametrize("form", sorted(PROOF_CASES))
 def test_proof_text_matches_golden(form):
     assert proof_text(form) == proof_file(form).read_text(encoding="utf-8")
@@ -252,12 +259,17 @@ def test_output_does_not_depend_on_the_process():
 
 
 def _write_golden() -> None:
+    import test_demos
+
     README_TRANSCRIPT.parent.mkdir(parents=True, exist_ok=True)
     README_TRANSCRIPT.write_text(readme_transcript(), encoding="utf-8")
     for form in PROOF_CASES:
         proof_file(form).parent.mkdir(parents=True, exist_ok=True)
         proof_file(form).write_text(proof_text(form), encoding="utf-8")
     DIGESTS.write_text(digests_text(), encoding="utf-8")
+    test_demos.GOLDEN.mkdir(parents=True, exist_ok=True)
+    for script in test_demos.DEMOS:
+        test_demos.demo_golden(script).write_text(test_demos.demo_stdout(script), encoding="utf-8")
 
 
 if __name__ == "__main__":

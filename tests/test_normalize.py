@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import test_golden
-from conftest import AB, A
+from conftest import AB, INF, A
 from regmon import cli, equivalence, normalize, prooflog, semantics
 from regmon.axioms import bar_k, witness_family
 from regmon.generate import random_closed_monitor, random_open_monitor
@@ -311,6 +311,75 @@ def test_fin_rnf_closed_matches_rnf():
 def test_fin_rnf_needs_two_actions():
     with pytest.raises(AlphabetTooSmall):
         finite_act_rnf(t("x", A), A)
+
+
+def test_forms_table_is_the_one_source_of_the_pipelines():
+    import pickle
+
+    import regmon
+
+    assert list(normalize.PIPELINES) == list(normalize.FORMS)
+    assert cli.FORM_ALIASES == {f.option: kind for kind, f in normalize.FORMS.items()}
+    assert sorted(CONTRACT_OUTCOMES) == sorted(f.name for f in normalize.FORMS.values())
+    for kind, form in normalize.FORMS.items():
+        pipeline = normalize.PIPELINES[kind]
+        assert getattr(normalize, form.name) is pipeline
+        assert getattr(regmon, form.name) is pipeline
+        assert pipeline.__name__ == form.name
+        assert pickle.loads(pickle.dumps(pipeline)) is pipeline
+        alphabet = A if form.option.startswith("unary") else AB
+        assert pipeline(YES, alphabet).form_kind == kind
+
+
+# Inputs outside some form's contract, and what each pipeline makes of them.
+# "outside" pins that the actions are checked before the alphabet's size,
+# and "open outside" that the closed forms check closedness before both.
+CONTRACT_INPUTS = {
+    "open": ("x + a.yes", AB),
+    "open-ended": ("a.yes", INF),
+    "one action": ("a.yes", A),
+    "outside": ("b.yes", A),
+    "no alphabet": ("yes + no", None),
+    "open outside": ("x + b.yes", A),
+}
+_OPEN = (NonClosedInput, "{} requires a closed monitor; free variables: x")
+_OUTSIDE = (ValueError, "monitor uses actions outside the alphabet: ['b']")
+_FINITE = (ValueError, "{} needs a finite alphabet")
+_TWO = (AlphabetTooSmall, "{} needs a finite alphabet with >= 2 actions")
+_ONE = (ValueError, "{} needs a one-action alphabet")
+# Per pipeline, in the order of CONTRACT_INPUTS: None for a result, else the
+# exception class and message ("{}" is the pipeline's name).
+CONTRACT_OUTCOMES = {
+    "normal_form_closed": (_OPEN, None, None, _OUTSIDE, None, _OPEN),
+    "reduced_nf_closed": (_OPEN, None, None, _OUTSIDE, None, _OPEN),
+    "omega_nf_closed": (_OPEN, _FINITE, None, _OUTSIDE, _FINITE, _OPEN),
+    "open_nf": (None, None, None, _OUTSIDE, None, _OUTSIDE),
+    "open_rnf": (None, None, None, _OUTSIDE, None, _OUTSIDE),
+    "finite_act_rnf": (None, _TWO, _TWO, _OUTSIDE, _TWO, _OUTSIDE),
+    "unary_rnf": (_ONE, _ONE, None, _OUTSIDE, _ONE, _OUTSIDE),
+    "unary_omega_nf": (_ONE, _ONE, None, _OUTSIDE, _ONE, _OUTSIDE),
+    "omega_open_nf": (None, _TWO, _TWO, _OUTSIDE, _TWO, _OUTSIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_OUTCOMES))
+@pytest.mark.parametrize("case", list(CONTRACT_INPUTS))
+def test_pipeline_input_contract(name, case):
+    pipeline = getattr(normalize, name)
+    assert pipeline in normalize.PIPELINES.values()
+    text, alphabet = CONTRACT_INPUTS[case]
+    m = parse_monitor(text, AB)
+    expected = CONTRACT_OUTCOMES[name][list(CONTRACT_INPUTS).index(case)]
+    if expected is None:
+        for emit_proof in (False, True):
+            cf = pipeline(m, alphabet, emit_proof=emit_proof)
+            assert cf.term == pipeline(cf.term, alphabet).term
+        return
+    error, message = expected
+    with pytest.raises(error) as caught:
+        pipeline(m, alphabet)
+    assert type(caught.value) is error
+    assert str(caught.value) == message.format(name)
 
 
 # -- unary forms ------------------------------------------------------------------
