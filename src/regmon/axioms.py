@@ -313,6 +313,7 @@ def soundness_fuzz(
     from .generate import random_closed_monitor
 
     fin = _require_finite("soundness_fuzz", alphabet)
+    equivalence._require_mode(mode)
     if trials < 0:
         raise ValueError(f"soundness_fuzz requires trials >= 0, got {trials}")
     variables = sorted(vars_of(instance.equation.lhs) | vars_of(instance.equation.rhs))

@@ -3,7 +3,8 @@
 Each pipeline rewrites a monitor into the canonical shape of one
 completeness result and can emit a derivation in the matching axiom system,
 validated by the independent checker in :mod:`regmon.prooflog`.  ``FORMS``
-has one row per form, and the nine public pipelines are built from it.
+has one row per form, and the nine public pipelines are built from it.  A
+rewrite cites O1 exactly when its form's axiom system has it.
 Recording on or off runs the same rewriting; without recording, the AC
 bookkeeping of :class:`Prover` (flatten, sort, deduplicate, align) is plain
 list work, and ``tests/test_normalize.py`` holds the pure and the proved
@@ -48,7 +49,6 @@ from .terms import (
     apply_subst,
     contains_verdict,
     depth,
-    is_closed,
     require_closed,
     sort_key,
     summands,
@@ -109,10 +109,6 @@ def _grow_axiom(v: Monitor) -> str:
 
 def _fan_axiom(v: Monitor) -> str:
     return "Y_w" if v == YES else "N_w"
-
-
-def _free_of(m: Monitor, v: Monitor) -> bool:
-    return not contains_verdict(m, v)
 
 
 def _decompose(t: Monitor):
@@ -565,10 +561,10 @@ def _nf(pv: Prover, m: Monitor) -> Pf:
             return pv.refl(m)
 
 
-def _rnf(pv: Prover, m: Monitor, use_o1: bool) -> Pf:
+def _rnf(pv: Prover, m: Monitor) -> Pf:
     """``m`` to its (open) normal form, then to its reduced normal form."""
     pf = _nf(pv, m)
-    return pv.trans(pf, _reduce(pv, pf.dst, use_o1))
+    return pv.trans(pf, _reduce(pv, pf.dst))
 
 
 def _merge_nf(pv: Prover, t: Monitor) -> Pf:
@@ -615,61 +611,40 @@ def _push_verdict(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
     return pv.trans(s1, s2, s3)
 
 
-def _pop_verdict(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.(v + body) = v + a.body``."""
-    return pv.sym(_push_verdict(pv, v, action, body))
+def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
+    """``v + a.body = v + a.body'`` with ``body'`` free of ``v``, for a
+    prefix body of a normal form (so never ``end``).
 
-
-def _absorb(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.body = v`` for closed ``body`` free of the opposite verdict:
-    a prefix body of a normal form, so never ``end``."""
+    Pieces that are closed and free of the opposite verdict are absorbed
+    outright; open pieces survive with their own ``v`` occurrences removed.
+    When every piece is absorbed (``body`` is ``v``, or closed and free of
+    the opposite verdict) the result is ``v + a.body = v``.
+    """
     grow = _grow_axiom(v)
     if body == v:
         return pv.ax_rev(grow, {"action": action})
     if isinstance(body, Prefix):
         push = _push_verdict(pv, v, action, body)
-        inner = _absorb(pv, v, body.action, body.body)
-        mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
-        return pv.trans(push, mid, pv.ax_rev(grow, {"action": action}))
-    return _strip(pv, v, action, body)
-
-
-def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.body = v + a.body'`` with ``body'`` free of ``v``.
-
-    Pieces that are closed and free of the opposite verdict are absorbed
-    outright; open pieces survive with their own ``v`` occurrences removed.
-    When every piece is absorbed the result is ``v + a.body = v``.
-    """
-    opp = _opposite(v)
-    if isinstance(body, Prefix):
-        push = _push_verdict(pv, v, action, body)
         inner = _strip(pv, v, body.action, body.body)
         mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
-        stripped = inner.dst.right
-        return pv.trans(push, mid, _pop_verdict(pv, v, action, stripped))
+        if inner.dst == v:
+            return pv.trans(push, mid, pv.ax_rev(grow, {"action": action}))
+        return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, inner.dst.right)))
     if not isinstance(body, Sum):
         raise InternalError(f"strip on {body!r}")
     pf = pv.congsum(pv.refl(v), pv.distribute(action, body))
     pf = pv.trans(pf, pv.flatten(pf.dst))
     rounds = len(_parts(pf.dst)) - 1
     for _ in range(rounds):
-        parts = _parts(pf.dst)
-        target = parts[1]
+        target = _parts(pf.dst)[1]
         if not (isinstance(target, Prefix) and target.action == action):
             raise InternalError(f"strip expected an {action!r} prefix, got {target!r}")
-        piece = target.body
-        if piece == v or (is_closed(piece) and _free_of(piece, opp)):
-            pf = pv.trans(
-                pf, pv.rw_spine(pf.dst, 1, _absorb(pv, v, action, piece))
-            )
-            continue
-        if contains_verdict(piece, v):
-            pf = pv.trans(
-                pf, pv.rw_spine(pf.dst, 1, _strip(pv, v, action, piece))
-            )
-        parts = _parts(pf.dst)
-        pf = pv.trans(pf, pv.bubble(pf.dst, 1, len(parts) - 1))
+        if contains_verdict(target.body, v):
+            inner = _strip(pv, v, action, target.body)
+            pf = pv.trans(pf, pv.rw_spine(pf.dst, 1, inner))
+            if inner.dst == v:
+                continue
+        pf = pv.trans(pf, pv.bubble(pf.dst, 1, len(_parts(pf.dst)) - 1))
     pf = pv.trans(pf, _fold_prefixes(pv, pf.dst, action))
     parts = _parts(pf.dst)
     if len(parts) == 1:
@@ -738,96 +713,73 @@ def _prune(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
         inner = pv.trans(inner, pv.ax_rev("O1", subst={"x": _ln(rest)}))
         inner = pv.trans(inner, pv.align(inner.dst, Sum(v, opp)))
         mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
-        return pv.trans(push, mid, _pop_verdict(pv, v, action, opp))
+        return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, opp)))
     # recurse into the sub-parts that still reach the opposite verdict
     work = Edit(pv, Sum(v, body))
     work.step(pv.flatten(work.term))
-    changed = True
-    while changed:
-        changed = False
-        for p in work.parts:
-            if isinstance(p, Prefix) and _needs_prune(p.body, opp):
-                idx = work.parts.index(p)
-                if idx != 1:
-                    work.step(pv.bubble(work.term, idx, 1))
-                work.step(
-                    pv.rw_spine(work.term, 1, _prune(pv, v, p.action, p.body))
-                )
-                changed = True
-                break
-    new_parts = work.parts
-    body2 = ac_normalize(_ln(new_parts[1:]))
+    while True:
+        p = next(
+            (p for p in work.parts if isinstance(p, Prefix) and _needs_prune(p.body, opp)), None
+        )
+        if p is None:
+            break
+        idx = work.parts.index(p)
+        if idx != 1:
+            work.step(pv.bubble(work.term, idx, 1))
+        work.step(pv.rw_spine(work.term, 1, _prune(pv, v, p.action, p.body)))
+    body2 = ac_normalize(_ln(work.parts[1:]))
     work.step(pv.align(work.term, Sum(v, body2)))
     mid = pv.congsum(pv.refl(v), pv.congpre(action, work.pf))
-    return pv.trans(push, mid, _pop_verdict(pv, v, action, body2))
+    return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, body2)))
 
 
-def _reduce(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
+def _reduce(pv: Prover, t: Monitor) -> Pf:
     """Canonical (open) NF to canonical (open) reduced NF.
 
-    With ``use_o1`` off the input must be closed and only E_v steps are
-    emitted; with it on, O1 removes summands under a double verdict and
-    prunes residue next to reachable opposite verdicts.
+    Where the system of ``pv`` has O1, O1 removes the summands under a
+    double verdict and prunes residue next to reachable opposite verdicts.
+    Where it has not, the input must be closed, and each prefix summand
+    under a double verdict is stripped of ``yes`` if it holds ``yes`` and
+    then absorbed by ``no``: E_a removed the ``end`` bodies, so a closed
+    body free of ``no`` holds ``yes``.
     """
     ed = Edit(pv, t)
     has_yes, has_no, _, _ = _decompose(t)
+    o1 = "O1" in axioms.SYSTEM_SCHEMAS[pv.system]
     if has_yes and has_no:
         rest = [p for p in ed.parts if p not in (YES, NO)]
         if not rest:
             return ed.pf
-        if use_o1:
-            target = Sum(Sum(YES, NO), _ln(rest))
-            ed.step(pv.align(ed.term, target))
+        if o1:
+            ed.step(pv.align(ed.term, Sum(Sum(YES, NO), _ln(rest))))
             ed.step(pv.ax_rev("O1", subst={"x": _ln(rest)}))
         else:
-            while True:
-                target = next(
-                    (p for p in ed.parts if isinstance(p, Prefix)), None
-                )
-                if target is None:
-                    break
-                body = target.body
-                if _free_of(body, NO):
-                    _pair_with_flag(
-                        pv, ed, YES, target, _absorb(pv, YES, target.action, body)
-                    )
-                elif _free_of(body, YES):
-                    _pair_with_flag(
-                        pv, ed, NO, target, _absorb(pv, NO, target.action, body)
-                    )
-                else:
-                    inner = _strip(pv, YES, target.action, body)
+            for target in rest:
+                if contains_verdict(target.body, YES):
+                    inner = _strip(pv, YES, target.action, target.body)
                     _pair_with_flag(pv, ed, YES, target, inner)
-                    new_target = inner.dst.right
-                    _pair_with_flag(
-                        pv,
-                        ed,
-                        NO,
-                        new_target,
-                        _absorb(pv, NO, new_target.action, new_target.body),
-                    )
+                    if inner.dst == YES:
+                        continue
+                    target = inner.dst.right
+                _pair_with_flag(pv, ed, NO, target, _strip(pv, NO, target.action, target.body))
         ed.canon()
         return ed.pf
     # innermost first: reduce every body in its own right (this adds and
     # drops no top-level verdict, so the flags above still hold)
-    ed.map_bodies(lambda body: _reduce(pv, body, use_o1))
+    ed.map_bodies(lambda body: _reduce(pv, body))
     flag = YES if has_yes else NO if has_no else None
     if flag is None:
         return ed.pf
     opp = _opposite(flag)
 
-    def absorb_or_strip(p: Prefix) -> Pf | None:
-        if is_closed(p.body) and _free_of(p.body, opp):
-            return _absorb(pv, flag, p.action, p.body)
-        if contains_verdict(p.body, flag):
-            return _strip(pv, flag, p.action, p.body)
-        return None
+    def strip(p: Prefix) -> Pf | None:
+        return _strip(pv, flag, p.action, p.body) if contains_verdict(p.body, flag) else None
 
     def prune(p: Prefix) -> Pf | None:
         return _prune(pv, flag, p.action, p.body) if _needs_prune(p.body, opp) else None
 
-    _rewrite_beside_flag(pv, ed, flag, absorb_or_strip)
-    if use_o1:
+    _rewrite_beside_flag(pv, ed, flag, strip)
+    if o1:
         _rewrite_beside_flag(pv, ed, flag, prune)
     return ed.pf
 
@@ -867,20 +819,20 @@ def _try_fold(pv: Prover, ed: Edit) -> bool:
     return False
 
 
-def _omega_closed(pv: Prover, t: Monitor, use_o1: bool) -> Pf:
+def _omega_closed(pv: Prover, t: Monitor) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
-    first; ``use_o1`` as in :func:`_reduce`."""
+    first."""
     ed = Edit(pv, t)
     while True:
-        ed.map_bodies(lambda body: _omega_closed(pv, body, use_o1))
+        ed.map_bodies(lambda body: _omega_closed(pv, body))
         if not _try_fold(pv, ed):
             return ed.pf
-        ed.step(_reduce(pv, ed.term, use_o1))
+        ed.step(_reduce(pv, ed.term))
 
 
 def _omega_nf(pv: Prover, m: Monitor) -> Pf:
-    pf = _rnf(pv, m, use_o1=False)
-    return pv.trans(pf, _omega_closed(pv, pf.dst, use_o1=False))
+    pf = _rnf(pv, m)
+    return pv.trans(pf, _omega_closed(pv, pf.dst))
 
 
 # ---------------------------------------------------------------------------
@@ -970,8 +922,8 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
             added.append(axioms.prefix_seq(t0, v))
     flat = _ln(added)
     pf = pv.trans(pf, pv.align(pf.dst, Sum(base, flat)))
-    pf_flat = _rnf(pv, flat, use_o1=False)
-    pf_guard = _rnf(pv, guard, use_o1=False)
+    pf_flat = _rnf(pv, flat)
+    pf_guard = _rnf(pv, guard)
     if pf_flat.dst != pf_guard.dst:
         raise InternalError("saturation summands must match the guard")
     pf = pv.trans(pf, pv.congsum(pv.refl(base), pv.trans(pf_flat, pv.sym(pf_guard))))
@@ -1003,11 +955,11 @@ def _eliminate_occurrence(pv: Prover, ed: Edit, s: Trace, name: str, k: int) -> 
     remainder = ac_normalize(_ln(rest + [x]))
     ed.step(pv.align(ed.term, Sum(remainder, guard)))
     ed.step(pv.sym(_saturate_to(pv, remainder, members, guard)))
-    ed.step(_rnf(pv, ed.term, use_o1=True))
+    ed.step(_rnf(pv, ed.term))
 
 
 def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
-    pf = _rnf(pv, m, use_o1=True)
+    pf = _rnf(pv, m)
     for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
         ed.map_bodies(lambda body: _finite_act_rnf(pv, body))
@@ -1068,7 +1020,7 @@ def _unfold_var_at(
 
 def _unary_rnf(pv: Prover, m: Monitor) -> Pf:
     action = pv.alphabet.sorted_actions()[0]
-    pf = _rnf(pv, m, use_o1=True)
+    pf = _rnf(pv, m)
     while True:
         t = pf.dst
         depths: dict[str, list[int]] = {}
@@ -1084,7 +1036,7 @@ def _unary_rnf(pv: Prover, m: Monitor) -> Pf:
         grow = pv.trans(grow, _nf(pv, grow.dst))
         grow = pv.trans(grow, pv.align(grow.dst, t))
         pf = pv.trans(pf, pv.sym(grow))
-        pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
+        pf = pv.trans(pf, _reduce(pv, pf.dst))
 
 
 def _strip_prefixes(pv: Prover, m: Monitor) -> Pf:
@@ -1113,26 +1065,18 @@ def _strip_prefixes(pv: Prover, m: Monitor) -> Pf:
 
 def _unary_omega(pv: Prover, m: Monitor) -> Pf:
     pf = _strip_prefixes(pv, m)
-    pf = pv.trans(pf, pv.shallow_canon(pf.dst))
-    has_yes, has_no, _, _ = _decompose(pf.dst)
-    if has_yes and has_no:
-        rest = [p for p in _parts(pf.dst) if p not in (YES, NO)]
-        if rest:
-            pf = pv.trans(pf, pv.align(pf.dst, Sum(Sum(YES, NO), _ln(rest))))
-            pf = pv.trans(pf, pv.ax_rev("O1", subst={"x": _ln(rest)}))
-            pf = pv.trans(pf, pv.shallow_canon(pf.dst))
-    return pf
+    return pv.trans(pf, _reduce(pv, pf.dst))
 
 
 def _omega_open(pv: Prover, m: Monitor) -> Pf:
     pf = _finite_act_rnf(pv, m)
     for _ in range(_FUEL):
         ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _omega_closed(pv, body, use_o1=True))
+        ed.map_bodies(lambda body: _omega_closed(pv, body))
         folded = _try_fold(pv, ed)
         pf = pv.trans(pf, ed.pf)
         if folded:
-            pf = pv.trans(pf, _reduce(pv, pf.dst, use_o1=True))
+            pf = pv.trans(pf, _reduce(pv, pf.dst))
             pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
         elif ed.pf.src == ed.pf.dst:
             return pf
@@ -1184,10 +1128,10 @@ class Form:
 
 FORMS = {
     NF: Form("nf", "normal_form_closed", "Ev", True, None, _nf),
-    RNF: Form("rnf", "reduced_nf_closed", "Ev", True, None, lambda pv, m: _rnf(pv, m, False)),
+    RNF: Form("rnf", "reduced_nf_closed", "Ev", True, None, _rnf),
     OMEGA_NF: Form("omega", "omega_nf_closed", "Eomega", True, _FINITE, _omega_nf),
     OPEN_NF: Form("open-nf", "open_nf", "Ev", False, None, _nf),
-    OPEN_RNF: Form("open-rnf", "open_rnf", "Ev'", False, None, lambda pv, m: _rnf(pv, m, True)),
+    OPEN_RNF: Form("open-rnf", "open_rnf", "Ev'", False, None, _rnf),
     FIN_RNF: Form("fin-rnf", "finite_act_rnf", "Evf'", False, _TWO, _finite_act_rnf),
     UNARY_RNF: Form("unary-rnf", "unary_rnf", "Ev1'", False, _ONE, _unary_rnf),
     UNARY_OMEGA_NF: Form("unary-omega", "unary_omega_nf", "Eomega1'", False, _ONE, _unary_omega),

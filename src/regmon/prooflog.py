@@ -30,6 +30,7 @@ from .terms import (
     Prefix,
     Sum,
     apply_subst,
+    nodes,
 )
 
 NOT_AN_INSTANCE = "NotAnInstance"
@@ -147,6 +148,22 @@ def _ref(prior: dict[int, Equation], sid: int, current: int) -> Equation:
     return prior[sid]
 
 
+def _outgrows(bindings: dict, alphabet: Alphabet, side: Monitor) -> bool:
+    """Whether each O2 instance at ``bindings`` is larger than ``side``, the
+    right side of a step that cites it.  A substitution replaces only ``x``,
+    so the guard ``bar_k(s, k, yes + no)`` is a subterm of that side: it is
+    ``k * |s| + 1`` prefixes deep and has a distinct subterm for each trace
+    of length ``<= |s|`` that is not a prefix of ``s``."""
+    s, k = bindings.get("s"), bindings.get("k")
+    if not (isinstance(s, tuple) and isinstance(k, int) and alphabet.is_finite):
+        return False
+    if k * len(s) + 1 > side.depth:
+        return True
+    n = len(alphabet)
+    traces = len(s) + 1 if n == 1 else (n ** (len(s) + 1) - 1) // (n - 1)
+    return traces - len(s) - 1 > sum(1 for _ in nodes(side))
+
+
 def check_step(
     system: str,
     alphabet: Alphabet,
@@ -215,6 +232,9 @@ def check_step(
                 )
             inst = instances.get((name, bindings))
             if inst is None:
+                if name == "O2" and _outgrows(dict(bindings), alphabet, eq.rhs):
+                    msg = "each O2 instance at these bindings is larger than the step"
+                    raise CheckError(sid, NOT_AN_INSTANCE, msg)
                 try:
                     inst = axioms.instantiate(name, dict(bindings), alphabet)
                 except ValueError as exc:

@@ -270,7 +270,7 @@ def size_of(m: Monitor) -> int:
     return count
 
 
-def _nodes(m: Monitor) -> Iterator[Monitor]:
+def nodes(m: Monitor) -> Iterator[Monitor]:
     """Each distinct node of ``m`` once, parents before their children."""
     seen = {m}
     stack = [m]
@@ -292,11 +292,11 @@ def _nodes(m: Monitor) -> Iterator[Monitor]:
 def vars_of(m: Monitor) -> frozenset[str]:
     if m.closed:
         return frozenset()
-    return frozenset(t.name for t in _nodes(m) if isinstance(t, Var))
+    return frozenset(t.name for t in nodes(m) if isinstance(t, Var))
 
 
 def actions_of(m: Monitor) -> frozenset[str]:
-    return frozenset(t.action for t in _nodes(m) if isinstance(t, Prefix))
+    return frozenset(t.action for t in nodes(m) if isinstance(t, Prefix))
 
 
 def is_closed(m: Monitor) -> bool:
@@ -313,7 +313,7 @@ def require_closed(m: Monitor, context: str = "operation") -> None:
 
 def contains_verdict(m: Monitor, v: Monitor) -> bool:
     """Whether the verdict ``v`` occurs anywhere in ``m``."""
-    return any(t is v for t in _nodes(m))
+    return any(t is v for t in nodes(m))
 
 
 def summands(m: Monitor) -> Iterator[Monitor]:

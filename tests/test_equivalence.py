@@ -507,6 +507,7 @@ def test_unknown_mode_is_rejected_by_every_entry_point(mode):
         lambda: equivalence.open_form(mode, AB),
         lambda: equivalence.open_form(mode, INF),
         lambda: soundness_fuzz(instantiate("Y_w", {}, AB), AB, mode, 3),
+        lambda: soundness_fuzz(instantiate("Y_w", {}, AB), AB, mode, 0),
         lambda: oracle_counterexample(*opened, AB, mode, bound=2),
         lambda: oracle_equiv_open(*opened, AB, mode, bound=2),
     ]

@@ -15,7 +15,7 @@ print back, and that nothing regenerates.
 
 To regenerate the files after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root and
-review the diff.
+review the diff.  It prints the path of each file whose content it changed.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ DIGEST_HAND_TERMS = {
     "open-omega": _O2_TERMS
     + (
         # Folds one open-omega body twice in a row, so the loop of
-        # _omega_closed(use_o1=True) takes a second turn inside a body.
+        # _omega_closed takes a second turn inside a body.
         "a.(b.b.no + a.b.(a.(y + yes) + (y + a.yes) + end + b.x)) + a.(end + b.yes"
         " + a.yes + (a.a.a.x + (a.no + (a.a.(x + x) + a.b.b.y) + b.a.no)))",
     ),
@@ -220,6 +220,20 @@ def test_proof_digests_match_golden():
     assert digests_text() == DIGESTS.read_text(encoding="utf-8")
 
 
+# The most steps that the digest corpus of each form may take in all: its
+# total when the ceiling was set.  Regenerating ``digests.txt`` cannot hide a
+# proof that grew.
+STEP_CEILINGS = {"fin-rnf": 6923, "open-omega": 7016}
+
+
+@pytest.mark.parametrize("form", sorted(STEP_CEILINGS))
+def test_digest_corpus_proofs_stay_under_their_step_ceiling(form):
+    alphabet, terms = digest_corpus(form)
+    pipeline = normalize.PIPELINES[cli.FORM_ALIASES[form]]
+    steps = sum(len(pipeline(term, alphabet, emit_proof=True).derivation.steps) for term in terms)
+    assert steps <= STEP_CEILINGS[form]
+
+
 def cli_outputs() -> dict:
     """The README transcript, the proof digests and, per form, the proof
     file that ``regmon prove --emit-proof`` writes for the form's case."""
@@ -258,18 +272,24 @@ def test_output_does_not_depend_on_the_process():
             assert text == proof_file(form).read_text(encoding="utf-8"), form
 
 
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` and print the path, unless it holds ``text``."""
+    if path.exists() and path.read_text(encoding="utf-8") == text:
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    print(path.resolve().relative_to(ROOT))
+
+
 def _write_golden() -> None:
     import test_demos
 
-    README_TRANSCRIPT.parent.mkdir(parents=True, exist_ok=True)
-    README_TRANSCRIPT.write_text(readme_transcript(), encoding="utf-8")
+    _write(README_TRANSCRIPT, readme_transcript())
     for form in PROOF_CASES:
-        proof_file(form).parent.mkdir(parents=True, exist_ok=True)
-        proof_file(form).write_text(proof_text(form), encoding="utf-8")
-    DIGESTS.write_text(digests_text(), encoding="utf-8")
-    test_demos.GOLDEN.mkdir(parents=True, exist_ok=True)
+        _write(proof_file(form), proof_text(form))
+    _write(DIGESTS, digests_text())
     for script in test_demos.DEMOS:
-        test_demos.demo_golden(script).write_text(test_demos.demo_stdout(script), encoding="utf-8")
+        _write(test_demos.demo_golden(script), test_demos.demo_stdout(script))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import AB
-from regmon import equivalence, normalize
+from regmon import cli, equivalence, normalize
 from regmon.axioms import action_fan, instantiate
 from regmon.generate import random_closed_monitor
 from regmon.prooflog import (
@@ -485,3 +485,35 @@ def test_transitivity_needs_two_steps_in_the_text():
     head = "system: Ev\nalphabet: a,b\nstep 1: yes = yes by refl\n"
     with pytest.raises(ValueError, match="trans needs two steps or more"):
         parse_derivation(head + "step 2: yes = yes by trans(1)\n")
+
+
+# ---------------------------------------------------------------------------
+# O2 steps whose instance would be larger than the step itself
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        # k * |s| + 1 = 20001 prefixes deep, against a right side of depth 0
+        "x = x by axiom(O2; s=a; k=20000)",
+        # deep enough (19 prefixes), but 2^19 - 20 traces of length <= 18
+        # are not prefixes of s, against 22 nodes on the right side
+        f"x = x + {'a.' * 19}yes by axiom(O2; s={' '.join('a' * 18)}; k=1)",
+    ],
+)
+def test_check_proof_rejects_an_o2_step_smaller_than_its_instance(tmp_path, capsys, step):
+    path = tmp_path / "proof.txt"
+    path.write_text(f"system: Evf'\nalphabet: a,b\nvars: x\nstep 1: {step}\n", encoding="utf-8")
+    assert cli.main(["check-proof", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "invalid at step 1: [NotAnInstance] each O2 instance at these bindings"
+        " is larger than the step\n"
+    )
+
+
+@pytest.mark.parametrize("s, k", [(("a",), 1), (("a", "b"), 3), (("b", "a", "a"), 2)])
+def test_o2_instances_at_the_size_bounds_are_accepted(s, k):
+    inst = instantiate("O2", {"s": s, "k": k}, AB)
+    check_derivation(D(Step(1, inst.equation, AxiomUse("O2", inst.bindings)), system="Evf'"))
+    # the guard is exactly k * |s| + 1 prefixes deep
+    assert inst.equation.rhs.depth == k * len(s) + 1
