@@ -112,10 +112,9 @@ def _fan_axiom(v: Monitor) -> str:
 
 
 def _decompose(t: Monitor):
-    """Flags, action map, and variable names of a canonical sum."""
+    """Flags and action map of a canonical sum."""
     has_yes = has_no = False
     acts: dict[str, Monitor] = {}
-    variables: list[str] = []
     for p in _parts(t):
         if p == YES:
             has_yes = True
@@ -123,9 +122,7 @@ def _decompose(t: Monitor):
             has_no = True
         elif isinstance(p, Prefix):
             acts[p.action] = p.body
-        elif isinstance(p, Var):
-            variables.append(p.name)
-    return has_yes, has_no, acts, variables
+    return has_yes, has_no, acts
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +160,14 @@ class Prover:
         self.steps: list[Step] = []
         # Axiom instances built so far, by schema and bindings.
         self.instances: dict = {}
+        # Each axiom use so far, by schema, bindings and sorted mapping: its
+        # two sides and its justification.
+        self.uses: dict = {}
         # The step of each equation stated so far: each is stated once.
         self.known: dict[tuple[Monitor, Monitor], int] = {}
+        # The proof of ``t = NF(t)`` for each term normalized so far, and a
+        # reflexive one for each normal form reached.
+        self.nfs: dict[Monitor, Pf] = {}
 
     # -- primitives ---------------------------------------------------------
 
@@ -223,15 +226,19 @@ class Prover:
     def ax(self, name: str, bindings=None, subst=None) -> Pf:
         bindings = bindings or {}
         key = (name, *bindings.items())
-        inst = self.instances.get(key)
-        if inst is None:
-            inst = self.instances[key] = axioms.instantiate(name, bindings, self.alphabet)
-        sigma = dict(subst or {})
-        lhs = apply_subst(sigma, inst.equation.lhs)
-        rhs = apply_subst(sigma, inst.equation.rhs)
-        return self._emit(
-            lhs, rhs, AxiomUse(inst.schema, inst.bindings, tuple(sorted(sigma.items())))
-        )
+        mapping = tuple(sorted(subst.items())) if subst else ()
+        use = self.uses.get((key, mapping))
+        if use is None:
+            inst = self.instances.get(key)
+            if inst is None:
+                inst = self.instances[key] = axioms.instantiate(name, bindings, self.alphabet)
+            sigma = dict(mapping)
+            use = self.uses[key, mapping] = (
+                apply_subst(sigma, inst.equation.lhs),
+                apply_subst(sigma, inst.equation.rhs),
+                AxiomUse(inst.schema, inst.bindings, mapping),
+            )
+        return self._emit(*use)
 
     def ax_rev(self, name: str, bindings=None, subst=None) -> Pf:
         return self.sym(self.ax(name, bindings, subst))
@@ -547,18 +554,23 @@ def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
 
 
 def _nf(pv: Prover, m: Monitor) -> Pf:
+    pf = pv.nfs.get(m)
+    if pf is not None:
+        return pf
     match m:
         case Prefix(action, body):
             inner = _nf(pv, body)
             pf = pv.congpre(action, inner)
             if inner.dst == END:
                 pf = pv.trans(pf, pv.ax("E_a", {"action": action}))
-            return pf
         case Sum(left, right):
             pf = pv.congsum(_nf(pv, left), _nf(pv, right))
-            return pv.trans(pf, _merge_nf(pv, pf.dst))
+            pf = pv.trans(pf, _merge_nf(pv, pf.dst))
         case _:
-            return pv.refl(m)
+            pf = pv.refl(m)
+    pv.nfs[m] = pf
+    pv.nfs.setdefault(pf.dst, pv.refl(pf.dst))
+    return pf
 
 
 def _rnf(pv: Prover, m: Monitor) -> Pf:
@@ -744,7 +756,7 @@ def _reduce(pv: Prover, t: Monitor) -> Pf:
     body free of ``no`` holds ``yes``.
     """
     ed = Edit(pv, t)
-    has_yes, has_no, _, _ = _decompose(t)
+    has_yes, has_no, _ = _decompose(t)
     o1 = "O1" in axioms.SYSTEM_SCHEMAS[pv.system]
     if has_yes and has_no:
         rest = [p for p in ed.parts if p not in (YES, NO)]
@@ -792,7 +804,7 @@ def _try_fold(pv: Prover, ed: Edit) -> bool:
     """Fold a full fan ``sum of a.(v + rest_a)`` into ``v + sum of a.rest_a``."""
     actions = pv.alphabet.sorted_actions()
     for v in (YES, NO):
-        has_yes, has_no, acts, _ = _decompose(ed.term)
+        has_yes, has_no, acts = _decompose(ed.term)
         if (v == YES and has_yes) or (v == NO and has_no):
             continue
         if set(acts) != set(actions):

@@ -19,6 +19,7 @@ child that is the same term on both sides are context.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -32,6 +33,8 @@ from .terms import (
     apply_subst,
     nodes,
 )
+
+_PAREN_RE = re.compile(r"[()]")
 
 NOT_AN_INSTANCE = "NotAnInstance"
 SHAPE_MISMATCH = "ShapeMismatch"
@@ -347,6 +350,23 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
     return "\n".join(lines) + "\n"
 
 
+# A mark on the stack of :meth:`_TermTable._summand`: add up the two top
+# terms.
+_SUM = object()
+
+
+def _openings(text: str) -> dict[int, int]:
+    """The offset of each matched ``)`` of ``text`` -> that of its ``(``."""
+    opening: dict[int, int] = {}
+    stack: list[int] = []
+    for mo in _PAREN_RE.finditer(text):
+        if mo.group() == "(":
+            stack.append(mo.start())
+        elif stack:
+            opening[mo.start()] = stack.pop()
+    return opening
+
+
 class _TermTable:
     """Side text -> term, for one derivation under fixed headers.
 
@@ -356,7 +376,9 @@ class _TermTable:
     summands and their prefix bodies in both.  A side text that is not in
     ``terms`` is assembled from known pieces: top-level summands are peeled
     off its right until a known left spine remains, and each peeled summand
-    is known, or a prefix chain over a known body, or parsed alone.  The
+    is known, or a prefix chain over a known body, or parsed alone.  A
+    parenthesized body that is new is assembled the same way when it has a
+    known left spine, at any nesting, by a loop over an explicit stack.  The
     assembled term is kept only if it prints back to exactly the text, which
     by the print/parse round trip makes it the term :func:`syntax.
     parse_monitor` returns; anything else is left to ``parse_monitor``, so
@@ -371,8 +393,8 @@ class _TermTable:
         self.variables = variables
         self.terms: dict[str, Monitor] = {}
         self.texts: dict[Monitor, str] = {}
-        # The lengths of the texts in ``terms``: a left spine is looked up
-        # only at a length that some known text has.
+        # The lengths of the texts in ``terms``: a piece is looked up only
+        # at a length that some known text has.
         self.lengths: set[int] = set()
 
     def __setitem__(self, text: str, term: Monitor) -> None:
@@ -397,7 +419,6 @@ class _TermTable:
     def _assemble(self, key: str) -> Monitor | None:
         """``key`` built from a known left spine and its peeled summands, or
         None if no prefix of ``key`` before a top-level ``+`` is known."""
-        terms, lengths = self.terms, self.lengths
         cuts = [len(key)]  # the top-level ' + ' peeled so far, right to left
         idx = len(key)
         depth = 0  # ')' minus '(' right of idx: 0 at a top-level ' + '
@@ -410,8 +431,7 @@ class _TermTable:
             idx = split
             if depth == 0:
                 cuts.append(split)
-                if split in lengths:
-                    left = terms.get(key[:split])
+                left = self._known(key, 0, split)
         if left is None:
             if len(cuts) > 1:
                 return None
@@ -421,25 +441,85 @@ class _TermTable:
         return left
 
     def _summand(self, text: str) -> Monitor:
-        """The term of a summand text: known, a prefix chain over a known
-        body, or parsed alone."""
+        """The term of a summand text: known, or a prefix chain over a body
+        that is known, or new and parenthesized with a known left spine, or
+        parsed alone.
+
+        A new body's summands are terms of the same kind, so the text is
+        built by a loop over an explicit stack, and no nesting depth
+        recurses: the stack holds slices of ``text`` to build, ``_SUM``
+        marks (add the top term to the one below it) and tuples of actions
+        (prefix the top term with them).
+        """
         term = self.terms.get(text)
         if term is not None:
             return term
-        # ``a.b.(x + y)`` or ``a.b.x``: the chain ``a.b`` and the body.  Any
-        # other text splits into pieces that do not print back to it.
-        paren = text.find("(")
-        if paren < 0:
-            chain, _, body = text.rpartition(".")
-        else:
-            chain, body = text[: max(paren - 1, 0)], text[paren + 1 : -1]
-        term = self.terms.get(body)
-        actions = chain.split(".") if chain else ()
-        if term is None or not all(map(self._is_action, actions)):
-            return syntax.parse_monitor(text, self.alphabet, self.variables)
-        for action in reversed(actions):
-            term = Prefix(action, term)
-        return term
+        opening: dict[int, int] | None = None
+        todo: list = [slice(0, len(text))]
+        built: list[Monitor] = []
+        while todo:
+            item = todo.pop()
+            if item is _SUM:
+                right = built.pop()
+                built[-1] = Sum(built[-1], right)
+                continue
+            if isinstance(item, tuple):
+                term = built[-1]
+                for action in reversed(item):
+                    term = Prefix(action, term)
+                built[-1] = term
+                continue
+            start, end = item.start, item.stop
+            term = self._known(text, start, end)
+            if term is None:
+                # ``a.b.(x + y)`` or ``a.b.x``: the chain ``a.b`` and the
+                # body.  Any other text splits into pieces that do not print
+                # back to it.
+                paren = text.find("(", start, end)
+                if paren >= 0:
+                    chain, body = text[start : max(paren - 1, start)], (paren + 1, end - 1)
+                else:
+                    dot = text.rfind(".", start, end)
+                    chain, body = text[start : max(dot, start)], (max(dot + 1, start), end)
+                actions = tuple(chain.split(".")) if chain else ()
+                if all(map(self._is_action, actions)):
+                    left, pieces = self._known(text, *body), []
+                    if left is None and paren >= 0:
+                        if opening is None:
+                            opening = _openings(text)
+                        left, pieces = self._spine(text, *body, opening)
+                    if left is not None:
+                        built.append(left)
+                        todo.append(actions)
+                        for piece in reversed(pieces):
+                            todo += (_SUM, piece)
+                        continue
+                term = syntax.parse_monitor(text[start:end], self.alphabet, self.variables)
+            built.append(term)
+        return built[0]
+
+    def _known(self, text: str, start: int, end: int) -> Monitor | None:
+        """The known term of ``text[start:end]``; the slice is taken only at
+        a length that some known text has."""
+        return self.terms.get(text[start:end]) if end - start in self.lengths else None
+
+    def _spine(
+        self, text: str, start: int, end: int, opening: dict[int, int]
+    ) -> tuple[Monitor | None, list[slice]]:
+        """The longest known left spine of the body ``text[start:end]`` and
+        the slices of the summands after it; None for the spine if none is
+        known.  ``opening`` leads from each summand's closing parenthesis to
+        its opening one, so each summand costs one step."""
+        cuts = [end]  # the top-level ' + ' peeled so far, right to left
+        left = None
+        while left is None:
+            idx = cuts[-1]
+            split = text.rfind(" + ", start, opening.get(idx - 1, idx))
+            if split < 0:
+                return None, []
+            cuts.append(split)
+            left = self._known(text, start, split)
+        return left, [slice(cuts[i] + 3, cuts[i - 1]) for i in range(len(cuts) - 1, 0, -1)]
 
     def _is_action(self, name: str) -> bool:
         # As the parser decides it: the alphabet's actions, or with an

@@ -9,8 +9,9 @@ hash-consing*, 2006): a constructor returns the existing node for a term
 that is still alive, so structurally equal terms are one object and compare
 and hash by identity.  Iterating a set of terms therefore follows memory
 addresses, and nothing that is printed may depend on that order.  Each node
-also carries a private memo of its successors, which :mod:`.semantics` fills
-the first time the node is stepped and which is freed with the node.
+also carries two private memos, freed with the node: its successors, which
+:mod:`.semantics` fills the first time the node is stepped, and its
+:func:`sort_key`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,16 @@ def check_name(name: str, what: str = "name") -> str:
 # Keys hold the children themselves, so a key can only match while those
 # very objects are alive (a freed object's ``id`` may be reused).
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The live node for a key, or None: one probe of the table's dict of weak
+# references and a call of the reference found, or of ``type(None)`` where
+# none is.  A dead node's reference leaves that dict through the table's own
+# callback, which deletes an entry only while it still holds a dead
+# reference, so it never drops the entry of a node built again since.
+_live = _TABLE.data.get
+_NO_REF = type(None)
 # Held while a node is built, so that two threads never build two nodes for
-# one term.
+# one term.  The table's callback never takes it: a collection can run the
+# callback inside ``_intern`` while the lock is held.
 _LOCK = threading.Lock()
 _set = object.__setattr__
 
@@ -62,12 +71,13 @@ def _intern(key: tuple, **fields) -> "Monitor":
     """The live node for ``key``, or a new one of class ``key[0]`` with
     ``fields``."""
     with _LOCK:
-        node = _TABLE.get(key)
+        node = _live(key, _NO_REF)()
         if node is None:
             node = object.__new__(key[0])
+            _set(node, "_steps", None)
+            _set(node, "_key", None)
             for name, value in fields.items():
                 _set(node, name, value)
-            _set(node, "_steps", None)
             _TABLE[key] = node
         return node
 
@@ -79,12 +89,14 @@ class Monitor:
     structurally distinct term, so ``==`` and ``hash`` are the identity
     defaults and cost O(1) at any depth.  Nodes are immutable; each carries
     ``closed`` (no variable occurs in it) and ``depth`` (see :func:`depth`),
-    computed once from its children.  The private ``_steps`` slot holds the
-    node's weak successors by action once :mod:`.semantics` has stepped it;
-    it plays no part in ``==``, ``hash``, copies or pickles.
+    computed once from its children.  Two private slots are memos: ``_steps``
+    holds the node's weak successors by action once :mod:`.semantics` has
+    stepped it, and ``_key`` its :func:`sort_key` once asked for, sharing
+    the children's keys.  They play no part in ``==``, ``hash``, copies or
+    pickles, and are freed with the node.
     """
 
-    __slots__ = ("__weakref__", "_steps")
+    __slots__ = ("__weakref__", "_steps", "_key")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} terms are immutable")
@@ -133,7 +145,7 @@ class Prefix(Monitor):
 
     def __new__(cls, action: str, body: Monitor):
         key = (cls, action, body)
-        return _TABLE.get(key) or _intern(
+        return _live(key, _NO_REF)() or _intern(
             key, action=action, body=body, closed=body.closed, depth=body.depth + 1
         )
 
@@ -149,7 +161,7 @@ class Sum(Monitor):
 
     def __new__(cls, left: Monitor, right: Monitor):
         key = (cls, left, right)
-        return _TABLE.get(key) or _intern(
+        return _live(key, _NO_REF)() or _intern(
             key,
             left=left,
             right=right,
@@ -170,15 +182,15 @@ class Var(Monitor):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        return _TABLE.get(key) or _intern(key, name=name)
+        return _live(key, _NO_REF)() or _intern(key, name=name)
 
     def __reduce__(self):
         return Var, (self.name,)
 
 
-END = _intern((End,))
-YES = _intern((Yes,))
-NO = _intern((No,))
+END = _intern((End,), _key=(0,))
+YES = _intern((Yes,), _key=(1,))
+NO = _intern((No,), _key=(2,))
 _VERDICT_OF = {End: END, Yes: YES, No: NO}
 
 VERDICTS = (END, YES, NO)
@@ -402,22 +414,44 @@ def sort_key(m: Monitor):
     """Total order on terms: verdicts (yes < no), prefixes, variables.
 
     ``end`` sorts first and sums last; neither occurs as a summand of a
-    canonical sum, but both can appear in other positions.
+    canonical sum, but both can appear in other positions.  A prefix's key
+    holds its body's and a sum's its summands', so comparing two keys that
+    differ deep down still recurses (in C).
+
+    The key is memoised in the node's ``_key`` slot (set at birth for the
+    verdicts), filled bottom-up over an explicit stack, so no nesting depth
+    recurses here.
     """
-    match m:
-        case End():
-            return (0,)
-        case Yes():
-            return (1,)
-        case No():
-            return (2,)
-        case Prefix(action, body):
-            return (3, action, sort_key(body))
-        case Var(name):
-            return (4, name)
-        case Sum(_, _):
-            return (5, tuple(sort_key(p) for p in summands(m)))
-    raise TypeError(f"not a monitor: {m!r}")
+    try:
+        key = m._key
+    except AttributeError:
+        raise TypeError(f"not a monitor: {m!r}") from None
+    if key is not None:
+        return key
+    stack = [m]
+    while stack:
+        t = stack[-1]
+        if t._key is not None:
+            stack.pop()
+            continue
+        if isinstance(t, Prefix):
+            body = t.body._key
+            if body is None:
+                stack.append(t.body)
+                continue
+            key = (3, t.action, body)
+        elif isinstance(t, Sum):
+            parts = list(summands(t))
+            missing = [p for p in parts if p._key is None]
+            if missing:
+                stack += missing
+                continue
+            key = (5, tuple([p._key for p in parts]))
+        else:
+            key = (4, t.name)
+        _set(t, "_key", key)
+        stack.pop()
+    return m._key
 
 
 def ac_normalize(m: Monitor) -> Monitor:

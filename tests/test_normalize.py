@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -83,9 +85,9 @@ def is_normal_form(t, allow_vars=True):
 def is_reduced_nf(t, allow_vars=True):
     if not is_normal_form(t, allow_vars):
         return False
-    has_yes, has_no, acts, variables = _decompose(t)
+    has_yes, has_no, acts = _decompose(t)
     if has_yes and has_no:
-        return not acts and not variables
+        return not acts and not any(isinstance(p, Var) for p in _parts(t))
     for v, flag in ((YES, has_yes), (NO, has_no)):
         if flag and any(contains_verdict(b, v) for b in acts.values()):
             return False
@@ -568,6 +570,33 @@ def test_pure_and_recorded_pipelines_agree():
             runs += 1
     # 55 corpus terms per form, and 3, 4 and 2 pipelines on 100 terms each.
     assert runs >= 9 * 55 + 900
+
+
+def _held_by_no_one(kind: str):
+    """A term that no other test builds: a 29-deep ``b.a`` chain beside a
+    variable of its own, or over the one action ``a`` of the unary forms."""
+    actions = "a" if kind == "open-unary" else "ba"
+    m = YES
+    for i in range(29):
+        m = Prefix(actions[i % len(actions)], m)
+    if kind == "closed":
+        return Sum(Prefix("a", NO), m)
+    x = Var("held_by_no_one")
+    return Sum(x, Prefix("a", Sum(x, m)))
+
+
+def test_no_memo_keeps_a_term_alive_past_a_pipeline():
+    # The per-Prover memos die with their Prover, and the node memos
+    # (``_steps``, ``_key``) hold no parent of their node.
+    for fn, kind, alphabet in ALL_PIPELINES:
+        for emit in (False, True):
+            m = _held_by_no_one(kind)
+            ref = weakref.ref(m)
+            cf = fn(m, alphabet, emit_proof=emit)
+            assert (cf.derivation is not None) == emit
+            del m, cf
+            gc.collect()
+            assert ref() is None, (fn.__name__, emit)
 
 
 def test_conclusion_stated_before_is_restated_last():

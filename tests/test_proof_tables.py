@@ -164,6 +164,45 @@ def test_golden_proof_is_mostly_assembled_from_known_pieces(path, monkeypatch):
     assert sum(map(len, parsed)) < 0.1 * len(text)
 
 
+def _parsed_texts(text: str, monkeypatch) -> list[str]:
+    """The texts that ``parse_monitor`` reads while ``text`` is parsed."""
+    parsed = []
+    parse = syntax.parse_monitor
+
+    def counted(source, *args):
+        parsed.append(source)
+        return parse(source, *args)
+
+    monkeypatch.setattr(syntax, "parse_monitor", counted)
+    parse_derivation(text)
+    monkeypatch.setattr(syntax, "parse_monitor", parse)
+    return parsed
+
+
+def test_a_new_nested_body_is_assembled_from_known_pieces(monkeypatch):
+    # After the first side, ``x + yes`` is known; both bodies are new, and
+    # each is that spine plus one summand, so only the new leaf is parsed.
+    head = "system: Ev\nalphabet: a,b\nvars: x\nstep 1: x + yes = x + yes by refl\n"
+    side = "a.(x + yes + b.(x + yes + no))"
+    text = head + f"step 2: {side} = {side} by refl\n"
+    assert _parsed_texts(text, monkeypatch) == [" x + yes ", "no"]
+    assert outcome(text) == outcome(text, tables=False)
+
+
+def test_deep_new_nested_bodies_are_assembled_without_recursion(monkeypatch):
+    # Every body of the 10^4-deep side is new and starts with the known
+    # ``x``, so the stack of ``_TermTable._summand`` goes 10^4 bodies deep.
+    t = _nested(10_000)
+    side = print_monitor(t)
+    text = (
+        "system: Ev\nalphabet: a,b\nvars: x\nstep 1: x + yes = x + yes by refl\n"
+        f"step 2: {side} = {side} by refl\n"
+    )
+    assert _parsed_texts(text, monkeypatch) == [" x + yes "]
+    parsed, _ = parse_derivation(text)
+    assert parsed.steps[-1].equation == Equation(t, t)
+
+
 _WORDS = ("a", "b", "c", "x", "y", "yes", "no", "end")
 _WORD_RE = re.compile(r"\b(?:a|b|x|y|yes|no|end)\b")
 _HEADERS = (

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 import weakref
@@ -8,8 +9,9 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
+import test_golden
 from conftest import AB, closed_monitors, monitors
-from regmon import equivalence
+from regmon import equivalence, terms
 from regmon.equivalence import OMEGA, VERDICT, Counterexample, decide
 from regmon.terms import (
     END,
@@ -27,11 +29,13 @@ from regmon.terms import (
     depth,
     is_closed,
     size_of,
+    sort_key,
     sum_of,
     summands,
     vars_of,
 )
 from regmon.syntax import parse_monitor, print_monitor
+from test_normalize import _perfbench_gen
 
 
 def t(text, alphabet=AB):
@@ -294,3 +298,78 @@ def test_decide_on_a_sum_of_many_summands(mode, trace):
     # infinite trace from the start.
     got = decide(m, Sum(m, t("b.yes")), AB, mode)
     assert got.counterexample == Counterexample((), trace, "AcceptedOnlyByRight")
+
+
+def test_sort_key_of_a_deep_prefix_chain():
+    m = _chain(YES)
+    key = sort_key(m)
+    for _ in range(DEEP):
+        assert key[:2] == (3, "a")
+        key = key[2]
+    assert key == (1,)
+    assert sort_key(Prefix("b", m))[2] is sort_key(m)  # children's keys are shared
+
+
+def test_sort_key_of_a_sum_of_many_summands():
+    m = _wide()
+    key = sort_key(m)
+    assert key[0] == 5 and len(key[1]) == DEEP - 1
+    assert key[1][:2] == ((3, "a", (1,)), (3, "b", (2,))) and key[1][-1] == (4, "x")
+    assert all(k is sort_key(p) for k, p in zip(key[1], summands(m)))
+
+
+# ---------------------------------------------------------------------------
+# The node memos against their table-free definitions
+
+
+def _reference_key(m):
+    """``sort_key`` without its memo: rebuilt by recursion on every call."""
+    match m:
+        case End():
+            return (0,)
+        case Prefix(action, body):
+            return (3, action, _reference_key(body))
+        case Var(name):
+            return (4, name)
+        case Sum(_, _):
+            return (5, tuple(_reference_key(p) for p in summands(m)))
+    return (1,) if m is YES else (2,)
+
+
+def _key_corpus():
+    """The nine digest corpora and 200 perfbench-style sized terms, each
+    with its alphabet."""
+    for form in sorted(test_golden.PROOF_CASES):
+        alphabet, corpus = test_golden.digest_corpus(form)
+        yield from ((alphabet, m) for m in corpus)
+    sized_term = _perfbench_gen().sized_term
+    rng = random.Random(1411)
+    for _ in range(200):
+        yield AB, sized_term(rng, rng.randint(8, 120), rng.randint(3, 10), ("a", "b"), ("x", "y"))
+
+
+def test_memoised_sort_key_matches_the_reference_after_rebuilding():
+    corpus = list(_key_corpus())
+    want = [_reference_key(m) for _, m in corpus]
+    assert [sort_key(m) for _, m in corpus] == want
+    assert [sort_key(m) for _, m in corpus] == want  # read from the memo
+    sources = [(alphabet, print_monitor(m)) for alphabet, m in corpus]
+    refs = [weakref.ref(m) for _, m in corpus]
+    del corpus
+    gc.collect()
+    assert sum(ref() is None for ref in refs) > len(refs) // 2
+    rebuilt = [parse_monitor(text, alphabet) for alphabet, text in sources]
+    assert [sort_key(m) for m in rebuilt] == want
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    baseline = len(terms._TABLE.data)
+    built = [Prefix("a", Sum(Var(f"dropped_{i}"), YES)) for i in range(10_000)]
+    assert len(terms._TABLE.data) >= baseline + 30_000
+    for m in built:
+        sort_key(m)
+    del built, m
+    gc.collect()
+    # The entries leave with their nodes, not only the nodes.
+    assert len(terms._TABLE.data) <= baseline
