@@ -213,7 +213,7 @@ def _run_normalize(args, emit_proof: bool) -> int:
     _emit(
         args,
         {
-            "command": "prove" if emit_proof else "normalize",
+            "command": args.command,
             "inputs": {
                 "term": args.term,
                 "alphabet": str(alphabet),

@@ -12,7 +12,8 @@ result equal.
 
 Rewriting is innermost-first (children before parents) and terms are kept
 in the AC-canonical order of :func:`regmon.terms.ac_normalize` between
-stages.
+stages.  A rewriting helper that continues a rewrite takes the proof so far
+and returns it extended by its own steps, each chained on by one ``trans``.
 """
 
 from __future__ import annotations
@@ -440,42 +441,16 @@ class Prover:
         return self.trans(s1, s2)
 
 
-class Edit:
-    """A term being rewritten, with the accumulated proof from its origin."""
-
-    __slots__ = ("pv", "pf")
-
-    def __init__(self, pv: Prover, origin: Monitor):
-        self.pv = pv
-        self.pf = pv.refl(origin)
-
-    @property
-    def term(self) -> Monitor:
-        return self.pf.dst
-
-    @property
-    def parts(self) -> list[Monitor]:
-        return _parts(self.term)
-
-    def step(self, pf: Pf) -> None:
-        if pf.src != self.term:
-            raise InternalError("step does not start at the current term")
-        self.pf = self.pv.trans(self.pf, pf)
-
-    def canon(self) -> None:
-        self.step(self.pv.shallow_canon(self.term))
-
-    def map_bodies(self, f) -> None:
-        """Rewrite the body of every prefix summand by ``f`` (a function from
-        a body to a proof about it), then canonicalize the sum."""
-        pv = self.pv
-        for p in list(self.parts):
-            if isinstance(p, Prefix):
-                inner = f(p.body)
-                if inner.src != inner.dst:
-                    idx = self.parts.index(p)
-                    self.step(pv.rw_part(self.term, idx, pv.congpre(p.action, inner)))
-        self.canon()
+def _map_bodies(pv: Prover, pf: Pf, rewrite) -> Pf:
+    """``pf`` extended by rewriting the body of every prefix summand of its
+    result with ``rewrite(pv, body)``, then by canonicalizing the sum."""
+    for p in _parts(pf.dst):
+        if isinstance(p, Prefix):
+            inner = rewrite(pv, p.body)
+            if inner.src != inner.dst:
+                idx = _parts(pf.dst).index(p)
+                pf = pv.trans(pf, pv.rw_part(pf.dst, idx, pv.congpre(p.action, inner)))
+    return pv.trans(pf, pv.shallow_canon(pf.dst))
 
 
 # ---------------------------------------------------------------------------
@@ -678,31 +653,32 @@ def _fold_prefixes(pv: Prover, term: Monitor, action: str) -> Pf:
     return pf
 
 
-def _pair_with_flag(pv: Prover, ed: Edit, v: Monitor, target: Monitor, inner: Pf) -> None:
-    """Bring the flag ``v`` to the front and ``target`` next to it, then
-    rewrite their pair with ``inner`` (a proof about ``v + target``)."""
-    vpos = ed.parts.index(v)
+def _pair_with_flag(pv: Prover, pf: Pf, v: Monitor, target: Monitor, inner: Pf) -> Pf:
+    """``pf`` extended by bringing the flag ``v`` to the front and ``target``
+    next to it, then rewriting their pair with ``inner`` (a proof about
+    ``v + target``)."""
+    vpos = _parts(pf.dst).index(v)
     if vpos != 0:
-        ed.step(pv.bubble(ed.term, vpos, 0))
-    idx = ed.parts.index(target)
+        pf = pv.trans(pf, pv.bubble(pf.dst, vpos, 0))
+    idx = _parts(pf.dst).index(target)
     if idx != 1:
-        ed.step(pv.bubble(ed.term, idx, 1))
-    ed.step(pv.rw_spine(ed.term, 1, inner))
+        pf = pv.trans(pf, pv.bubble(pf.dst, idx, 1))
+    return pv.trans(pf, pv.rw_spine(pf.dst, 1, inner))
 
 
-def _rewrite_beside_flag(pv: Prover, ed: Edit, flag: Monitor, rewrite) -> None:
+def _rewrite_beside_flag(pv: Prover, pf: Pf, flag: Monitor, rewrite) -> Pf:
     """Pair the first prefix summand ``p`` that ``rewrite`` applies to with
     ``flag``, rewrite the pair by ``rewrite(p)`` (a proof about ``flag + p``,
     None where it does not apply) and canonicalize, until none is left."""
     while True:
-        for p in ed.parts:
+        for p in _parts(pf.dst):
             inner = rewrite(p) if isinstance(p, Prefix) else None
             if inner is not None:
                 break
         else:
-            return
-        _pair_with_flag(pv, ed, flag, p, inner)
-        ed.canon()
+            return pf
+        pf = _pair_with_flag(pv, pf, flag, p, inner)
+        pf = pv.trans(pf, pv.shallow_canon(pf.dst))
 
 
 def _needs_prune(body: Monitor, opp: Monitor) -> bool:
@@ -727,21 +703,19 @@ def _prune(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
         mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
         return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, opp)))
     # recurse into the sub-parts that still reach the opposite verdict
-    work = Edit(pv, Sum(v, body))
-    work.step(pv.flatten(work.term))
+    work = pv.flatten(Sum(v, body))
     while True:
-        p = next(
-            (p for p in work.parts if isinstance(p, Prefix) and _needs_prune(p.body, opp)), None
-        )
+        parts = _parts(work.dst)
+        p = next((p for p in parts if isinstance(p, Prefix) and _needs_prune(p.body, opp)), None)
         if p is None:
             break
-        idx = work.parts.index(p)
+        idx = parts.index(p)
         if idx != 1:
-            work.step(pv.bubble(work.term, idx, 1))
-        work.step(pv.rw_spine(work.term, 1, _prune(pv, v, p.action, p.body)))
-    body2 = ac_normalize(_ln(work.parts[1:]))
-    work.step(pv.align(work.term, Sum(v, body2)))
-    mid = pv.congsum(pv.refl(v), pv.congpre(action, work.pf))
+            work = pv.trans(work, pv.bubble(work.dst, idx, 1))
+        work = pv.trans(work, pv.rw_spine(work.dst, 1, _prune(pv, v, p.action, p.body)))
+    body2 = ac_normalize(_ln(_parts(work.dst)[1:]))
+    work = pv.trans(work, pv.align(work.dst, Sum(v, body2)))
+    mid = pv.congsum(pv.refl(v), pv.congpre(action, work))
     return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, body2)))
 
 
@@ -755,33 +729,32 @@ def _reduce(pv: Prover, t: Monitor) -> Pf:
     then absorbed by ``no``: E_a removed the ``end`` bodies, so a closed
     body free of ``no`` holds ``yes``.
     """
-    ed = Edit(pv, t)
+    pf = pv.refl(t)
     has_yes, has_no, _ = _decompose(t)
     o1 = "O1" in axioms.SYSTEM_SCHEMAS[pv.system]
     if has_yes and has_no:
-        rest = [p for p in ed.parts if p not in (YES, NO)]
+        rest = [p for p in _parts(t) if p not in (YES, NO)]
         if not rest:
-            return ed.pf
+            return pf
         if o1:
-            ed.step(pv.align(ed.term, Sum(Sum(YES, NO), _ln(rest))))
-            ed.step(pv.ax_rev("O1", subst={"x": _ln(rest)}))
+            pf = pv.trans(pf, pv.align(t, Sum(Sum(YES, NO), _ln(rest))))
+            pf = pv.trans(pf, pv.ax_rev("O1", subst={"x": _ln(rest)}))
         else:
             for target in rest:
                 if contains_verdict(target.body, YES):
                     inner = _strip(pv, YES, target.action, target.body)
-                    _pair_with_flag(pv, ed, YES, target, inner)
+                    pf = _pair_with_flag(pv, pf, YES, target, inner)
                     if inner.dst == YES:
                         continue
                     target = inner.dst.right
-                _pair_with_flag(pv, ed, NO, target, _strip(pv, NO, target.action, target.body))
-        ed.canon()
-        return ed.pf
+                pf = _pair_with_flag(pv, pf, NO, target, _strip(pv, NO, target.action, target.body))
+        return pv.trans(pf, pv.shallow_canon(pf.dst))
     # innermost first: reduce every body in its own right (this adds and
     # drops no top-level verdict, so the flags above still hold)
-    ed.map_bodies(lambda body: _reduce(pv, body))
+    pf = _map_bodies(pv, pf, _reduce)
     flag = YES if has_yes else NO if has_no else None
     if flag is None:
-        return ed.pf
+        return pf
     opp = _opposite(flag)
 
     def strip(p: Prefix) -> Pf | None:
@@ -790,21 +763,20 @@ def _reduce(pv: Prover, t: Monitor) -> Pf:
     def prune(p: Prefix) -> Pf | None:
         return _prune(pv, flag, p.action, p.body) if _needs_prune(p.body, opp) else None
 
-    _rewrite_beside_flag(pv, ed, flag, strip)
-    if o1:
-        _rewrite_beside_flag(pv, ed, flag, prune)
-    return ed.pf
+    pf = _rewrite_beside_flag(pv, pf, flag, strip)
+    return _rewrite_beside_flag(pv, pf, flag, prune) if o1 else pf
 
 
 # ---------------------------------------------------------------------------
 # Omega collapse (closed and open share the fold)
 
 
-def _try_fold(pv: Prover, ed: Edit) -> bool:
-    """Fold a full fan ``sum of a.(v + rest_a)`` into ``v + sum of a.rest_a``."""
+def _try_fold(pv: Prover, pf: Pf) -> Pf | None:
+    """``pf`` extended by folding a full fan ``sum of a.(v + rest_a)`` into
+    ``v + sum of a.rest_a``; None if there is none."""
     actions = pv.alphabet.sorted_actions()
     for v in (YES, NO):
-        has_yes, has_no, acts = _decompose(ed.term)
+        has_yes, has_no, acts = _decompose(pf.dst)
         if (v == YES and has_yes) or (v == NO and has_no):
             continue
         if set(acts) != set(actions):
@@ -817,29 +789,29 @@ def _try_fold(pv: Prover, ed: Edit) -> bool:
             if body == v:
                 continue
             rest = _ln([p for p in _parts(body) if p != v])
-            idx = ed.parts.index(Prefix(a, body))
+            idx = _parts(pf.dst).index(Prefix(a, body))
             split = _split_prefix(pv, a, pv.align(body, Sum(v, rest)))
-            ed.step(pv.rw_part(ed.term, idx, split))
-            ed.step(pv.flatten(ed.term))
+            pf = pv.trans(pf, pv.rw_part(pf.dst, idx, split))
+            pf = pv.trans(pf, pv.flatten(pf.dst))
         # gather the fan at the front, in sorted action order
         for rank, a in enumerate(actions):
-            idx = ed.parts.index(Prefix(a, v))
-            ed.step(pv.bubble(ed.term, idx, rank))
-        ed.step(pv.rw_spine(ed.term, len(actions) - 1, pv.ax_rev(_fan_axiom(v))))
-        ed.canon()
-        return True
-    return False
+            idx = _parts(pf.dst).index(Prefix(a, v))
+            pf = pv.trans(pf, pv.bubble(pf.dst, idx, rank))
+        pf = pv.trans(pf, pv.rw_spine(pf.dst, len(actions) - 1, pv.ax_rev(_fan_axiom(v))))
+        return pv.trans(pf, pv.shallow_canon(pf.dst))
+    return None
 
 
 def _omega_closed(pv: Prover, t: Monitor) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
     first."""
-    ed = Edit(pv, t)
+    pf = pv.refl(t)
     while True:
-        ed.map_bodies(lambda body: _omega_closed(pv, body))
-        if not _try_fold(pv, ed):
-            return ed.pf
-        ed.step(_reduce(pv, ed.term))
+        pf = _map_bodies(pv, pf, _omega_closed)
+        folded = _try_fold(pv, pf)
+        if folded is None:
+            return pf
+        pf = pv.trans(folded, _reduce(pv, folded.dst))
 
 
 def _omega_nf(pv: Prover, m: Monitor) -> Pf:
@@ -942,54 +914,50 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
     return pf
 
 
-def _eliminate_occurrence(pv: Prover, ed: Edit, s: Trace, name: str, k: int) -> None:
-    """Remove the occurrence of the top variable ``name`` after ``s``
-    through the O2 instance at ``(s, k)``."""
-    t = ed.term
+def _eliminate_occurrence(pv: Prover, pf: Pf, s: Trace, name: str, k: int) -> Pf:
+    """``pf`` extended by removing the occurrence of the top variable
+    ``name`` after ``s`` through the O2 instance at ``(s, k)``."""
+    t = pf.dst
     guard = axioms.bar_k(s, k, Sum(YES, NO), pv.alphabet)
     members = both_verdict_members(s, k, pv.alphabet)
     x = Var(name)
     sx = axioms.prefix_seq(s, x)
     # 1. t = t + guard
-    ed.step(_saturate_to(pv, t, members, guard))
+    pf = pv.trans(pf, _saturate_to(pv, t, members, guard))
     # 2. pull the deep occurrence out: t = R + s.x
     extract = _extract_var(pv, t, s, name)
-    ed.step(pv.congsum(extract, pv.refl(guard)))
+    pf = pv.trans(pf, pv.congsum(extract, pv.refl(guard)))
     r_term = extract.dst.left  # contains the top-level x summand
     rest = [p for p in _parts(r_term) if p != x]
     # 3. shuffle into the O2 redex and apply it; with x mapped to end the
     # verdicts that covering_k found come from ``rest``, so it is not empty
     if not rest:
         raise InternalError(f"nothing but {name} is left beside {sx!r}")
-    ed.step(pv.align(ed.term, Sum(_ln(rest), Sum(Sum(x, sx), guard))))
-    ed.step(pv.congsum(pv.refl(_ln(rest)), pv.ax("O2", {"s": s, "k": k}, subst={"x": x})))
+    pf = pv.trans(pf, pv.align(pf.dst, Sum(_ln(rest), Sum(Sum(x, sx), guard))))
+    o2 = pv.ax("O2", {"s": s, "k": k}, subst={"x": x})
+    pf = pv.trans(pf, pv.congsum(pv.refl(_ln(rest)), o2))
     # 4. drop the guard again
     remainder = ac_normalize(_ln(rest + [x]))
-    ed.step(pv.align(ed.term, Sum(remainder, guard)))
-    ed.step(pv.sym(_saturate_to(pv, remainder, members, guard)))
-    ed.step(_rnf(pv, ed.term))
+    pf = pv.trans(pf, pv.align(pf.dst, Sum(remainder, guard)))
+    pf = pv.trans(pf, pv.sym(_saturate_to(pv, remainder, members, guard)))
+    return pv.trans(pf, _rnf(pv, pf.dst))
 
 
 def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
     pf = _rnf(pv, m)
     for _ in range(_FUEL):
-        ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _finite_act_rnf(pv, body))
-        occurrences = _var_occurrences(ed.term)
+        rd = _map_bodies(pv, pv.refl(pf.dst), _finite_act_rnf)
+        occurrences = _var_occurrences(rd.dst)
         top_vars = {x for s, x in occurrences if not s}
-        done = True
         for s, x in occurrences:
-            if not s or x not in top_vars:
-                continue
-            k = covering_k(ed.term, s, pv.alphabet)
-            if k is None:
-                continue
-            _eliminate_occurrence(pv, ed, s, x, k)
-            done = False
-            break
-        pf = pv.trans(pf, ed.pf)
-        if done and ed.pf.src == ed.pf.dst:
-            return pf
+            k = covering_k(rd.dst, s, pv.alphabet) if s and x in top_vars else None
+            if k is not None:
+                rd = _eliminate_occurrence(pv, rd, s, x, k)
+                break
+        else:
+            if rd.src == rd.dst:
+                return pf
+        pf = pv.trans(pf, rd)
     raise InternalError("finite_act_rnf failed to stabilize")
 
 
@@ -1060,17 +1028,15 @@ def _strip_prefixes(pv: Prover, m: Monitor) -> Pf:
             pf = pv.congpre(action, inner)
             return pv.trans(pf, pv.ax_rev("V1_w", subst={"x": inner.dst}))
         case Sum(_, _):
-            ed = Edit(pv, m)
-            ed.step(pv.flatten(ed.term))
+            pf = pv.flatten(m)
             while True:
-                target = next((p for p in ed.parts if isinstance(p, Prefix)), None)
+                parts = _parts(pf.dst)
+                target = next((p for p in parts if isinstance(p, Prefix)), None)
                 if target is None:
-                    break
+                    return pv.trans(pf, pv.shallow_canon(pf.dst))
                 inner = _strip_prefixes(pv, target)
-                ed.step(pv.rw_part(ed.term, ed.parts.index(target), inner))
-                ed.step(pv.flatten(ed.term))
-            ed.canon()
-            return ed.pf
+                pf = pv.trans(pf, pv.rw_part(pf.dst, parts.index(target), inner))
+                pf = pv.trans(pf, pv.flatten(pf.dst))
         case _:
             return pv.refl(m)
 
@@ -1083,15 +1049,14 @@ def _unary_omega(pv: Prover, m: Monitor) -> Pf:
 def _omega_open(pv: Prover, m: Monitor) -> Pf:
     pf = _finite_act_rnf(pv, m)
     for _ in range(_FUEL):
-        ed = Edit(pv, pf.dst)
-        ed.map_bodies(lambda body: _omega_closed(pv, body))
-        folded = _try_fold(pv, ed)
-        pf = pv.trans(pf, ed.pf)
-        if folded:
+        rd = _map_bodies(pv, pv.refl(pf.dst), _omega_closed)
+        folded = _try_fold(pv, rd)
+        if folded is None and rd.src == rd.dst:
+            return pf
+        pf = pv.trans(pf, folded or rd)
+        if folded is not None:
             pf = pv.trans(pf, _reduce(pv, pf.dst))
             pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
-        elif ed.pf.src == ed.pf.dst:
-            return pf
     raise InternalError("omega_open_nf failed to stabilize")
 
 

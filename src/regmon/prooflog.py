@@ -156,9 +156,10 @@ def _outgrows(bindings: dict, alphabet: Alphabet, side: Monitor) -> bool:
     right side of a step that cites it.  A substitution replaces only ``x``,
     so the guard ``bar_k(s, k, yes + no)`` is a subterm of that side: it is
     ``k * |s| + 1`` prefixes deep and has a distinct subterm for each trace
-    of length ``<= |s|`` that is not a prefix of ``s``."""
+    of length ``<= |s|`` that is not a prefix of ``s``.  False when no
+    instance exists at ``bindings``: :func:`axioms.instantiate` says why."""
     s, k = bindings.get("s"), bindings.get("k")
-    if not (isinstance(s, tuple) and isinstance(k, int) and alphabet.is_finite):
+    if not (isinstance(s, tuple) and s and isinstance(k, int) and k >= 1 and alphabet.is_finite):
         return False
     if k * len(s) + 1 > side.depth:
         return True
@@ -342,8 +343,9 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
         lines.append(f"vars: {', '.join(names)}")
     table: dict[Monitor, str] = {}
     for step in derivation.steps:
-        lhs = syntax.print_term(step.equation.lhs, table)
-        rhs = syntax.print_term(step.equation.rhs, table)
+        eq = step.equation
+        lhs = table.get(eq.lhs) or syntax.print_term(eq.lhs, table)
+        rhs = table.get(eq.rhs) or syntax.print_term(eq.rhs, table)
         lines.append(
             f"step {step.sid}: {lhs} = {rhs} by {print_justification(step.justification, table)}"
         )

@@ -110,6 +110,20 @@ def test_rewrite_under_three_hundred_prefixes_takes_one_context_step(tmp_path, c
     assert code == 0 and out.startswith("valid")
 
 
+def test_prove_answers_on_a_chain_400_prefixes_deep(capsys):
+    chain = "a." * 400 + "yes"
+    code, out, _ = run(capsys, "prove", chain, "--form", "rnf", "--alphabet", "a,b")
+    assert code == 0 and out.splitlines()[0] == chain
+
+
+@pytest.mark.parametrize("emit_proof", [[], ["--emit-proof", "-"]])
+@pytest.mark.parametrize("command", ["normalize", "prove"])
+def test_json_command_names_the_subcommand(capsys, command, emit_proof):
+    argv = [command, "a.yes + a.no", "--form", "nf", "--alphabet", "a,b", *emit_proof]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["command"] == command
+
+
 def test_check_proof_rejects_corruption(tmp_path, capsys):
     proof = tmp_path / "proof.txt"
     code, _, _ = run(

@@ -638,6 +638,26 @@ def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, lo
         pipeline(m, AB)
 
 
+# The body-first walk costs two Python frames per prefix level (the rewrite
+# and ``_map_bodies``), so a chain 450 prefixes deep answers at the default
+# recursion limit, pure and recorded.
+@pytest.mark.parametrize("emit", [False, True])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        normalize.RNF,
+        normalize.OMEGA_NF,
+        normalize.OPEN_RNF,
+        normalize.FIN_RNF,
+        normalize.UNARY_RNF,
+        normalize.OPEN_OMEGA_NF,
+    ],
+)
+def test_reduced_forms_answer_on_a_chain_450_prefixes_deep(kind, emit):
+    alphabet = A if kind == normalize.UNARY_RNF else AB
+    chain = parse_monitor("a." * 450 + "yes", alphabet)
+    assert normalize.PIPELINES[kind](chain, alphabet, emit_proof=emit).term == chain
+
 
 # Two broken invariants of the proof layer: a transitivity chain whose ends
 # do not meet, and an alignment of terms that are not AC-equal; recording,

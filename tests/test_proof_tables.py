@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -45,6 +46,7 @@ from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, summands, vars_of
 # n-ary ``trans`` steps, and the older ``<form>.txt`` fixtures without them.
 GOLDEN_PROOFS = sorted((Path(__file__).resolve().parent / "golden" / "proofs").glob("*.txt"))
 GOLDEN_PROOFS = [p for p in GOLDEN_PROOFS if p.name != "digests.txt"]
+GOLDEN_COMPACT = [p for p in GOLDEN_PROOFS if p.name.endswith(".compact.txt")]
 FIXTURE_PROOFS = [p for p in GOLDEN_PROOFS if not p.name.endswith(".compact.txt")]
 
 
@@ -109,6 +111,22 @@ def test_golden_proof_prints_as_without_a_table(path):
             f" by {prooflog.print_justification(step.justification)}"
         )
     assert print_derivation(derivation, variables) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", GOLDEN_COMPACT, ids=lambda p: p.stem)
+def test_print_derivation_prints_no_side_that_its_table_holds(path):
+    text = path.read_text(encoding="utf-8")
+    derivation, variables = parse_derivation(text)
+    sides = []  # whether the table held it, for each side given to print_term
+
+    def spy(m, table=None, texts=None):
+        if sys._getframe(1).f_code is print_derivation.__code__:
+            sides.append(m in table)
+        return print_term(m, table, texts)
+
+    with mock.patch.object(syntax, "print_term", spy):
+        assert print_derivation(derivation, variables) == text
+    assert sides and not any(sides)
 
 
 # ---------------------------------------------------------------------------

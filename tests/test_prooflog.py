@@ -488,27 +488,29 @@ def test_transitivity_needs_two_steps_in_the_text():
 
 
 # ---------------------------------------------------------------------------
-# O2 steps whose instance would be larger than the step itself
+# O2 steps whose instance would be larger than the step itself, and O2
+# steps at bindings where no instance exists, with the reason for each
+
+LARGER = "each O2 instance at these bindings is larger than the step"
+O2_REJECTIONS = {
+    # k * |s| + 1 = 20001 prefixes deep, against a right side of depth 0
+    "x = x by axiom(O2; s=a; k=20000)": LARGER,
+    # deep enough (19 prefixes), but 2^19 - 20 traces of length <= 18
+    # are not prefixes of s, against 22 nodes on the right side
+    f"x = x + {'a.' * 19}yes by axiom(O2; s={' '.join('a' * 18)}; k=1)": LARGER,
+    # no instance: instantiate's own message, not the size check's
+    "x = x by axiom(O2; s=a; k=0)": "bar_k requires k >= 1",
+    "x = x by axiom(O2; s=<eps>; k=1)": "bar_k requires a nonempty trace",
+}
 
 
-@pytest.mark.parametrize(
-    "step",
-    [
-        # k * |s| + 1 = 20001 prefixes deep, against a right side of depth 0
-        "x = x by axiom(O2; s=a; k=20000)",
-        # deep enough (19 prefixes), but 2^19 - 20 traces of length <= 18
-        # are not prefixes of s, against 22 nodes on the right side
-        f"x = x + {'a.' * 19}yes by axiom(O2; s={' '.join('a' * 18)}; k=1)",
-    ],
-)
+@pytest.mark.parametrize("step", list(O2_REJECTIONS))
 def test_check_proof_rejects_an_o2_step_smaller_than_its_instance(tmp_path, capsys, step):
     path = tmp_path / "proof.txt"
     path.write_text(f"system: Evf'\nalphabet: a,b\nvars: x\nstep 1: {step}\n", encoding="utf-8")
     assert cli.main(["check-proof", str(path)]) == 1
-    assert capsys.readouterr().out == (
-        "invalid at step 1: [NotAnInstance] each O2 instance at these bindings"
-        " is larger than the step\n"
-    )
+    reason = O2_REJECTIONS[step]
+    assert capsys.readouterr().out == f"invalid at step 1: [NotAnInstance] {reason}\n"
 
 
 @pytest.mark.parametrize("s, k", [(("a",), 1), (("a", "b"), 3), (("b", "a", "a"), 2)])
