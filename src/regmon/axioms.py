@@ -7,6 +7,7 @@ The trace-indexed family ``O2`` is built from the bar constructors below.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
@@ -46,6 +47,10 @@ class InfiniteAlphabetForFiniteSchema(ValueError):
 
 class MissingBounds(ValueError):
     pass
+
+
+class ResourceLimit(ValueError):
+    """A size asked for is over its fixed limit; raised before building."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +336,27 @@ def soundness_fuzz(
     return FuzzReport(instance, mode, trials, tuple(failures))
 
 
+# The largest witness instance: building it lists each trace of length
+# ``<= n``, so its size is their number times ``n + 1``.  ``n = 16`` over
+# {a,b} (2,228,207) prints 22.5 MB in about 10 s; each further ``n`` more than
+# doubles that.
+WITNESS_LIMIT = 2_500_000
+
+
 def witness_family(n: int, alphabet: Alphabet) -> Equation:
     """The n-th member of the one-sided witness family: the O2 instance at
-    ``s = a^n`` and ``k = 3``."""
+    ``s = a^n`` and ``k = 3``.  One over :data:`WITNESS_LIMIT` raises
+    :class:`ResourceLimit` before it is built."""
     if n < 1:
         raise ValueError("witness_family requires n >= 1")
     fin = _require_finite("witness_family", alphabet)
     if "a" not in fin:
         raise ValueError("witness_family uses the action 'a'")
+    width = len(fin)
+    size = (n + 1) * (n + 1 if width == 1 else (width ** (n + 1) - 1) // (width - 1))
+    if size > WITNESS_LIMIT:
+        shown = size if size < 10**15 else f"about 10^{int(math.log10(size))}"
+        raise ResourceLimit(
+            f"witness_family n={n} over {fin}: size {shown} is over the limit of {WITNESS_LIMIT}"
+        )
     return instantiate("O2", {"s": ("a",) * n, "k": 3}, fin).equation

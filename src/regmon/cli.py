@@ -446,9 +446,7 @@ def cmd_witness(args) -> int:
     lines = [str(eq)]
     failures = 0
     if args.fuzz:
-        inst = axioms.instantiate(
-            "O2", {"s": ("a",) * args.n, "k": 3}, alphabet
-        )
+        inst = axioms.AxiomInstance("O2", (("k", 3), ("s", ("a",) * args.n)), eq)
         report = axioms.soundness_fuzz(
             inst, alphabet, equivalence.VERDICT, args.fuzz, seed=args.seed
         )

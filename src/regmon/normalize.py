@@ -31,6 +31,7 @@ from .prooflog import (
     Step,
     Symmetry,
     Transitivity,
+    shared_nodes,
 )
 from .semantics import accepts, rejects
 from .terms import (
@@ -1074,8 +1075,9 @@ def _finish(
     elif pv._materialize(pf) != pv.steps[-1].sid:
         # The conclusion was stated before: restate it last, by the empty context.
         pv.steps.append(Step(len(pv.steps) + 1, Equation(pf.src, pf.dst), Context(pf.sid)))
+    steps = tuple(pv.steps)
     return CanonicalForm(
-        pf.dst, kind, Derivation(pv.system, pv.alphabet, tuple(pv.steps))
+        pf.dst, kind, Derivation(pv.system, pv.alphabet, steps, shared_nodes(steps))
     )
 
 

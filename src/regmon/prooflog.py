@@ -15,13 +15,19 @@ where step ``k`` proves ``l = r``.  It stands for the ``prefix``/``sum`` and
 ``refl`` steps that would rebuild ``C`` around step ``k``, and the checker
 finds the hole with a loop of identity tests: equal prefixes and the sum
 child that is the same term on both sides are context.
+
+In the text format a ``let $N := term`` record names a term, and ``$N``
+stands for it in every later term.  ``prove`` names each prefix or sum node
+that its step lines would print in full a second time, in a ``let`` just
+before the first step line that reaches it.  Names are text only: the
+checker sees the same interned terms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import axioms, syntax
 from .terms import (
@@ -34,7 +40,7 @@ from .terms import (
     nodes,
 )
 
-_PAREN_RE = re.compile(r"[()]")
+_NAME_RE = re.compile(r"\$[0-9]+")
 
 NOT_AN_INSTANCE = "NotAnInstance"
 SHAPE_MISMATCH = "ShapeMismatch"
@@ -128,9 +134,16 @@ class Step:
 
 @dataclass(frozen=True, slots=True)
 class Derivation:
+    """Steps over an axiom system and an alphabet.  ``shared`` holds the
+    nodes that the text format prints once, in a ``let``, and by name after
+    that; it changes no step.  The :mod:`normalize` pipelines fill it with
+    :func:`shared_nodes`, and :func:`parse_derivation` with the nodes that
+    its ``let`` records declare."""
+
     system: str
     alphabet: Alphabet
     steps: tuple[Step, ...]
+    shared: frozenset[Monitor] = frozenset()
 
     @property
     def conclusion(self) -> Equation:
@@ -303,9 +316,10 @@ def _print_binding(key: str, value) -> str:
     return f"{key}={value}"
 
 
-def print_justification(just: Justification, table: dict[Monitor, str] | None = None) -> str:
-    """The text of ``just``; ``table`` is a print table for the terms of its
-    mapping (see :func:`syntax.print_term`)."""
+def print_justification(
+    just: Justification, show: Callable[[Monitor], str] = syntax.print_monitor
+) -> str:
+    """The text of ``just``, where ``show`` prints each term of its mapping."""
     match just:
         case Reflexivity():
             return "refl"
@@ -320,226 +334,89 @@ def print_justification(just: Justification, table: dict[Monitor, str] | None = 
         case Context(of):
             return f"ctx({of})"
         case Substitutivity(of, subst):
-            return f"subst({of}; {syntax.print_substitution(subst, table)})"
+            return f"subst({of}; {syntax.print_substitution(subst, show)})"
         case AxiomUse(name, bindings, subst):
             parts = [name]
             parts.extend(_print_binding(k, v) for k, v in bindings)
             if subst:
-                parts.append(syntax.print_substitution(subst, table))
+                parts.append(syntax.print_substitution(subst, show))
             return f"axiom({'; '.join(parts)})"
     raise TypeError(f"unknown justification {just!r}")
+
+
+def _mapping(just: Justification) -> tuple[tuple[str, Monitor], ...]:
+    return just.subst if isinstance(just, (Substitutivity, AxiomUse)) else ()
+
+
+def shared_nodes(steps: Iterable[Step]) -> frozenset[Monitor]:
+    """The prefix and sum nodes that the step lines of ``steps`` would print
+    in full a second time: each node is walked once, and a node reached
+    again is shared."""
+    seen: set[Monitor] = set()
+    shared: set[Monitor] = set()
+    for step in steps:
+        stack = [step.equation.lhs, step.equation.rhs]
+        stack.extend(t for _, t in _mapping(step.justification))
+        while stack:
+            m = stack.pop()
+            if m in seen:
+                shared.add(m)
+            elif isinstance(m, (Prefix, Sum)):
+                seen.add(m)
+                stack += (m.body,) if isinstance(m, Prefix) else (m.left, m.right)
+    return frozenset(shared)
+
+
+def _declare(
+    m: Monitor, shared: frozenset[Monitor], names: dict[Monitor, str], lines: list[str]
+) -> None:
+    """Append a ``let`` for each node of ``m`` in ``shared`` that has no name
+    yet, inner nodes first and left to right, and name it."""
+    stack: list = [(m, False)]
+    while stack:
+        m, done = stack.pop()
+        if done:
+            text = syntax.print_term(m, names)
+            names[m] = name = f"${len(names) + 1}"
+            lines.append(f"let {name} := {text}")
+        elif m not in names:
+            if m in shared:
+                stack.append((m, True))
+            if isinstance(m, Prefix):
+                stack.append((m.body, False))
+            elif isinstance(m, Sum):
+                stack += ((m.right, False), (m.left, False))
 
 
 def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> str:
     """The derivation file text.
 
-    One print table serves the whole derivation, so a term is walked only
-    down to the sides, summands and prefix bodies printed before it, and
-    each step costs about what changed since the steps it cites.
+    Each node in ``derivation.shared`` is printed once, in a ``let`` just
+    before the first step line that reaches it, and by its name after that.
     """
     lines = [f"system: {derivation.system}", f"alphabet: {derivation.alphabet}"]
-    names = sorted(set(variables))
-    if names:
-        lines.append(f"vars: {', '.join(names)}")
-    table: dict[Monitor, str] = {}
+    variable_names = sorted(set(variables))
+    if variable_names:
+        lines.append(f"vars: {', '.join(variable_names)}")
+    shared = derivation.shared
+    names: dict[Monitor, str] = {}
+
+    def show(m: Monitor) -> str:
+        text = names.get(m)
+        if text is None:
+            if shared:
+                _declare(m, shared, names, lines)
+            text = names.get(m) or syntax.print_term(m, names)
+        return text
+
     for step in derivation.steps:
-        eq = step.equation
-        lhs = table.get(eq.lhs) or syntax.print_term(eq.lhs, table)
-        rhs = table.get(eq.rhs) or syntax.print_term(eq.rhs, table)
-        lines.append(
-            f"step {step.sid}: {lhs} = {rhs} by {print_justification(step.justification, table)}"
-        )
+        eq, just = step.equation, step.justification
+        lhs, rhs = show(eq.lhs), show(eq.rhs)
+        lines.append(f"step {step.sid}: {lhs} = {rhs} by {print_justification(just, show)}")
     return "\n".join(lines) + "\n"
 
 
-# A mark on the stack of :meth:`_TermTable._summand`: add up the two top
-# terms.
-_SUM = object()
-
-
-def _openings(text: str) -> dict[int, int]:
-    """The offset of each matched ``)`` of ``text`` -> that of its ``(``."""
-    opening: dict[int, int] = {}
-    stack: list[int] = []
-    for mo in _PAREN_RE.finditer(text):
-        if mo.group() == "(":
-            stack.append(mo.start())
-        elif stack:
-            opening[mo.start()] = stack.pop()
-    return opening
-
-
-class _TermTable:
-    """Side text -> term, for one derivation under fixed headers.
-
-    ``terms`` maps text to term and ``texts`` is the derivation's print
-    table, term to text (see :func:`syntax.print_term`); every side is
-    printed through ``texts``, which records the side, its top-level
-    summands and their prefix bodies in both.  A side text that is not in
-    ``terms`` is assembled from known pieces: top-level summands are peeled
-    off its right until a known left spine remains, and each peeled summand
-    is known, or a prefix chain over a known body, or parsed alone.  A
-    parenthesized body that is new is assembled the same way when it has a
-    known left spine, at any nesting, by a loop over an explicit stack.  The
-    assembled term is kept only if it prints back to exactly the text, which
-    by the print/parse round trip makes it the term :func:`syntax.
-    parse_monitor` returns; anything else is left to ``parse_monitor``, so
-    every result and every error is the parser's.  The checker's
-    comparisons are identity tests whatever the table does: equal terms are
-    one interned object.  The term grammar has no ``=`` and no ``,``, so
-    equations and mappings split into their terms exactly.
-    """
-
-    def __init__(self, alphabet: Alphabet, variables: frozenset[str]):
-        self.alphabet = alphabet
-        self.variables = variables
-        self.terms: dict[str, Monitor] = {}
-        self.texts: dict[Monitor, str] = {}
-        # The lengths of the texts in ``terms``: a piece is looked up only
-        # at a length that some known text has.
-        self.lengths: set[int] = set()
-
-    def __setitem__(self, text: str, term: Monitor) -> None:
-        self.terms[text] = term
-        self.lengths.add(len(text))
-
-    def term(self, text: str) -> Monitor:
-        # Only the blanks the tokenizer skips: other whitespace is an error.
-        key = text.strip(" \t")
-        term = self.terms.get(key)
-        if term is None:
-            try:
-                term = self._assemble(key)
-            except syntax.ParseError:
-                term = None
-            if term is None or syntax.print_term(term, self.texts, self) != key:
-                term = syntax.parse_monitor(text, self.alphabet, self.variables)
-                syntax.print_term(term, self.texts, self)
-            self[key] = term
-        return term
-
-    def _assemble(self, key: str) -> Monitor | None:
-        """``key`` built from a known left spine and its peeled summands, or
-        None if no prefix of ``key`` before a top-level ``+`` is known."""
-        cuts = [len(key)]  # the top-level ' + ' peeled so far, right to left
-        idx = len(key)
-        depth = 0  # ')' minus '(' right of idx: 0 at a top-level ' + '
-        left = None
-        while left is None:
-            split = key.rfind(" + ", 0, idx)
-            if split < 0:
-                break
-            depth += key.count(")", split, idx) - key.count("(", split, idx)
-            idx = split
-            if depth == 0:
-                cuts.append(split)
-                left = self._known(key, 0, split)
-        if left is None:
-            if len(cuts) > 1:
-                return None
-            return self._summand(key)
-        for i in range(len(cuts) - 1, 0, -1):
-            left = Sum(left, self._summand(key[cuts[i] + 3 : cuts[i - 1]]))
-        return left
-
-    def _summand(self, text: str) -> Monitor:
-        """The term of a summand text: known, or a prefix chain over a body
-        that is known, or new and parenthesized with a known left spine, or
-        parsed alone.
-
-        A new body's summands are terms of the same kind, so the text is
-        built by a loop over an explicit stack, and no nesting depth
-        recurses: the stack holds slices of ``text`` to build, ``_SUM``
-        marks (add the top term to the one below it) and tuples of actions
-        (prefix the top term with them).
-        """
-        term = self.terms.get(text)
-        if term is not None:
-            return term
-        opening: dict[int, int] | None = None
-        todo: list = [slice(0, len(text))]
-        built: list[Monitor] = []
-        while todo:
-            item = todo.pop()
-            if item is _SUM:
-                right = built.pop()
-                built[-1] = Sum(built[-1], right)
-                continue
-            if isinstance(item, tuple):
-                term = built[-1]
-                for action in reversed(item):
-                    term = Prefix(action, term)
-                built[-1] = term
-                continue
-            start, end = item.start, item.stop
-            term = self._known(text, start, end)
-            if term is None:
-                # ``a.b.(x + y)`` or ``a.b.x``: the chain ``a.b`` and the
-                # body.  Any other text splits into pieces that do not print
-                # back to it.
-                paren = text.find("(", start, end)
-                if paren >= 0:
-                    chain, body = text[start : max(paren - 1, start)], (paren + 1, end - 1)
-                else:
-                    dot = text.rfind(".", start, end)
-                    chain, body = text[start : max(dot, start)], (max(dot + 1, start), end)
-                actions = tuple(chain.split(".")) if chain else ()
-                if all(map(self._is_action, actions)):
-                    left, pieces = self._known(text, *body), []
-                    if left is None and paren >= 0:
-                        if opening is None:
-                            opening = _openings(text)
-                        left, pieces = self._spine(text, *body, opening)
-                    if left is not None:
-                        built.append(left)
-                        todo.append(actions)
-                        for piece in reversed(pieces):
-                            todo += (_SUM, piece)
-                        continue
-                term = syntax.parse_monitor(text[start:end], self.alphabet, self.variables)
-            built.append(term)
-        return built[0]
-
-    def _known(self, text: str, start: int, end: int) -> Monitor | None:
-        """The known term of ``text[start:end]``; the slice is taken only at
-        a length that some known text has."""
-        return self.terms.get(text[start:end]) if end - start in self.lengths else None
-
-    def _spine(
-        self, text: str, start: int, end: int, opening: dict[int, int]
-    ) -> tuple[Monitor | None, list[slice]]:
-        """The longest known left spine of the body ``text[start:end]`` and
-        the slices of the summands after it; None for the spine if none is
-        known.  ``opening`` leads from each summand's closing parenthesis to
-        its opening one, so each summand costs one step."""
-        cuts = [end]  # the top-level ' + ' peeled so far, right to left
-        left = None
-        while left is None:
-            idx = cuts[-1]
-            split = text.rfind(" + ", start, opening.get(idx - 1, idx))
-            if split < 0:
-                return None, []
-            cuts.append(split)
-            left = self._known(text, start, split)
-        return left, [slice(cuts[i] + 3, cuts[i - 1]) for i in range(len(cuts) - 1, 0, -1)]
-
-    def _is_action(self, name: str) -> bool:
-        # As the parser decides it: the alphabet's actions, or with an
-        # open-ended alphabet every undeclared name.
-        return name in self.alphabet and (
-            self.alphabet.is_finite or name not in self.variables
-        )
-
-    def equation(self, text: str) -> Equation:
-        lhs, _, rhs = text.partition("=")
-        try:
-            return Equation(self.term(lhs), self.term(rhs))
-        except syntax.ParseError:
-            # Report the error where it lies in the whole equation.
-            return syntax.parse_equation(text, self.alphabet, self.variables)
-
-
-def _parse_mapping(text: str, table: _TermTable) -> tuple[tuple[str, Monitor], ...]:
+def _parse_mapping(text: str, term: Callable[[str], Monitor]) -> tuple[tuple[str, Monitor], ...]:
     out: dict[str, Monitor] = {}
     text = text.strip()
     if not text:
@@ -551,11 +428,11 @@ def _parse_mapping(text: str, table: _TermTable) -> tuple[tuple[str, Monitor], .
         name = name.strip()
         if name in out:
             raise ValueError(f"variable {name!r} is mapped twice")
-        out[name] = table.term(term_text)
+        out[name] = term(term_text)
     return tuple(sorted(out.items(), key=lambda pair: pair[0]))
 
 
-def _parse_justification(text: str, table: _TermTable) -> Justification:
+def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justification:
     text = text.strip()
     if text == "refl":
         return Reflexivity()
@@ -584,7 +461,7 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
         if not semi:
             raise ValueError("subst needs a mapping after ';'")
         return Substitutivity(
-            int(sid_text), _parse_mapping(mapping, table)
+            int(sid_text), _parse_mapping(mapping, term)
         )
     if head == "axiom":
         groups = [g.strip() for g in args.split(";")]
@@ -595,7 +472,7 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
             if "->" in group:
                 if subst:
                     raise ValueError("axiom takes one mapping")
-                subst = _parse_mapping(group, table)
+                subst = _parse_mapping(group, term)
             elif "=" in group:
                 key, _, value = group.partition("=")
                 key = key.strip()
@@ -614,12 +491,26 @@ def _parse_justification(text: str, table: _TermTable) -> Justification:
 
 def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     """Parse the derivation file format; returns the derivation and the
-    declared variable names (used for open-ended alphabets)."""
+    declared variable names (used for open-ended alphabets).
+
+    A side text seen before under the same headers is looked up, not parsed
+    again.  Names stay declared across headers: each stands for a term.
+    """
     system: str | None = None
     alphabet: Alphabet | None = None
     variables: frozenset[str] = frozenset()
     steps: list[Step] = []
-    table: _TermTable | None = None
+    names: dict[str, Monitor] = {}
+    memo: dict[str, Monitor] = {}
+
+    def term(text: str) -> Monitor:
+        # Only the blanks the tokenizer skips: other whitespace is an error.
+        key = text.strip(" \t")
+        m = memo.get(key)
+        if m is None:
+            m = memo[key] = syntax.parse_monitor(text, alphabet, variables, names)
+        return m
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
@@ -631,24 +522,37 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
             continue
         if line.startswith("alphabet:"):
             alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
-            table = None
+            memo = {}
             continue
         if line.startswith("vars:"):
             variables = variables | syntax.parse_vars(line[len("vars:") :])
-            table = None
+            memo = {}
             continue
-        if not line.startswith("step "):
+        record = line.partition(" ")[0]
+        if record not in ("let", "step"):
             raise ValueError(f"line {lineno}: expected a step record")
         if system is None or alphabet is None:
-            raise ValueError(f"line {lineno}: step before system/alphabet headers")
+            raise ValueError(f"line {lineno}: {record} before system/alphabet headers")
+        if record == "let":
+            name, assign, body = line[len("let ") :].partition(":=")
+            name = name.strip()
+            if not assign or not _NAME_RE.fullmatch(name):
+                raise ValueError(f"line {lineno}: expected 'let $N := term'")
+            if name in names:
+                raise ValueError(f"line {lineno}: {name} is declared twice")
+            try:
+                names[name] = term(body)
+            except syntax.ParseError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            continue
         head, colon, body = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: missing ':'")
         sid = int(head[len("step ") :])
-        if table is None:  # a header changes how the same text parses
-            table = _TermTable(alphabet, variables)
         # ' by ' may occur inside terms (a variable could be named 'by'), so
-        # try split points right to left until both halves parse.
+        # try split points right to left until both halves parse.  The term
+        # grammar has no '=' and no ',', so equations and mappings split into
+        # their terms exactly.
         idx = len(body)
         last_error: Exception | None = None
         while True:
@@ -658,9 +562,14 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
                     f"line {lineno}: cannot parse step record"
                     + (f" ({last_error})" if last_error else "")
                 )
+            lhs, _, rhs = body[:idx].partition("=")
             try:
-                equation = table.equation(body[:idx])
-                justification = _parse_justification(body[idx + 4 :], table)
+                try:
+                    equation = Equation(term(lhs), term(rhs))
+                except syntax.ParseError:
+                    # Report the error where it lies in the whole equation.
+                    equation = syntax.parse_equation(body[:idx], alphabet, variables, names)
+                justification = _parse_justification(body[idx + 4 :], term)
             except ValueError as exc:
                 last_error = exc
                 continue
@@ -668,4 +577,4 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
             break
     if system is None or alphabet is None:
         raise ValueError("missing system/alphabet headers")
-    return Derivation(system, alphabet, tuple(steps)), variables
+    return Derivation(system, alphabet, tuple(steps), frozenset(names.values())), variables

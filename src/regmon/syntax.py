@@ -4,19 +4,22 @@ Grammar::
 
     term    ::= prefterm ('+' prefterm)*          # '+' associates left
     prefterm::= ACTION '.' prefterm | atom        # '.' binds tighter, right
-    atom    ::= 'yes' | 'no' | 'end' | IDENT | '(' term ')'
+    atom    ::= 'yes' | 'no' | 'end' | IDENT | NAME | '(' term ')'
+    NAME    ::= '$' DIGITS
 
 Identifiers that belong to the alphabet parse as actions; all others parse
 as variables.  With an open-ended alphabet the variables must be declared
-explicitly and every other identifier is an action.  ``#`` starts a line
-comment in every file format.
+explicitly and every other identifier is an action.  A ``NAME`` stands for
+the term that a map from names to terms gives it (derivation files declare
+them); ``$`` is no identifier character, so no action or variable takes it.
+``#`` starts a line comment in every file format.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, MutableMapping
+from typing import Callable, Iterable, Mapping
 
 from .terms import (
     END,
@@ -38,6 +41,7 @@ UNEXPECTED_TOKEN = "UnexpectedToken"
 RESERVED_WORD_AS_ACTION = "ReservedWordAsAction"
 UNBALANCED_PAREN = "UnbalancedParen"
 EMPTY_INPUT = "EmptyInput"
+UNDECLARED_NAME = "UndeclaredName"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,13 +67,14 @@ class ParseError(ValueError):
 # Tokenizer
 
 # One alternative per token class, tried in order: whitespace and comments
-# (skipped), identifiers, operators, and any other character (an error).
+# (skipped), identifiers, operators, names, and any other character (an
+# error).
 _TOKEN_RE = re.compile(
-    rf"([ \t\r\n]+|#[^\n]*)|({IDENT_PATTERN})|(->|[+.()=,])|(.)", re.DOTALL
+    rf"([ \t\r\n]+|#[^\n]*)|({IDENT_PATTERN})|(->|[+.()=,])|(\$[0-9]+)|(.)", re.DOTALL
 )
 
 # A token is ``(kind, text, offset)``: kind is 'ident', the operator itself
-# ('+', '.', '(', ')', '=', '->', ','), or 'eof'.
+# ('+', '.', '(', ')', '=', '->', ','), 'name', or 'eof'.
 _Token = tuple[str, str, int]
 
 
@@ -99,22 +104,29 @@ def _tokenize(text: str) -> list[_Token]:
             op = match[3]
             append((op, op, match.start()))
         elif group == 4:
+            append(("name", match[4], match.start()))
+        elif group == 5:
             raise ParseError(
                 _span(text, match.start(), 1),
                 UNEXPECTED_TOKEN,
-                f"unexpected character {match[4]!r}",
+                f"unexpected character {match[5]!r}",
             )
     append(("eof", "", len(text)))
     return tokens
 
 
+# A map from each ``$N`` that a text may use to its term.
+Names = Mapping[str, Monitor] | None
+
+
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet, variables: frozenset[str]):
+    def __init__(self, text: str, alphabet: Alphabet, variables: frozenset[str], names: Names):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
         self.variables = variables
+        self.names = names or {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -173,6 +185,10 @@ class _Parser:
                     self.fail(tok, f"action {text!r} must be followed by '.'")
                 else:
                     term = Var(text)
+            elif kind == "name":
+                term = self.names.get(text)
+                if term is None:
+                    self.fail(tok, f"undeclared name {text!r}", UNDECLARED_NAME)
             elif kind == "(":
                 frames.append((acc, prefixes))
                 acc, prefixes = None, []
@@ -209,14 +225,15 @@ class _Parser:
 
 
 def parse_monitor(
-    text: str, alphabet: Alphabet, variables: Iterable[str] = ()
+    text: str, alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
 ) -> Monitor:
     """Parse a single monitor term.
 
     ``variables`` declares the variable names for open-ended alphabets; with
     a finite alphabet every identifier outside the alphabet is a variable.
+    ``names`` maps each ``$N`` that the text may use to its term.
     """
-    parser = _Parser(text, alphabet, frozenset(variables))
+    parser = _Parser(text, alphabet, frozenset(variables), names)
     if parser.at_end():
         raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
     term = parser.parse_term()
@@ -227,9 +244,9 @@ def parse_monitor(
 
 
 def parse_equation(
-    text: str, alphabet: Alphabet, variables: Iterable[str] = ()
+    text: str, alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
 ) -> Equation:
-    parser = _Parser(text, alphabet, frozenset(variables))
+    parser = _Parser(text, alphabet, frozenset(variables), names)
     if parser.at_end():
         raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
     lhs = parser.parse_term()
@@ -303,11 +320,12 @@ def parse_vars(text: str) -> frozenset[str]:
 
 
 def print_substitution(
-    pairs: Iterable[tuple[str, Monitor]], table: dict[Monitor, str] | None = None
+    pairs: Iterable[tuple[str, Monitor]], show: Callable[[Monitor], str] | None = None
 ) -> str:
-    """``x -> t, y -> u`` for the given pairs, in the order given; ``table``
-    is a print table (see :func:`print_term`)."""
-    return ", ".join(f"{name} -> {print_term(term, table)}" for name, term in pairs)
+    """``x -> t, y -> u`` for the given pairs, in the order given; ``show``
+    prints each term (:func:`print_term` by default)."""
+    show = show or print_term
+    return ", ".join(f"{name} -> {show(term)}" for name, term in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,75 +399,47 @@ def parse_term_file(text: str, alphabet: Alphabet | None = None) -> TermFile:
 
 _LEAF_TEXT = {END: "end", YES: "yes", NO: "no"}
 
-# Where a node sits in a printed term: the term itself, one of its top-level
-# summands, the body after that summand's prefix chain, or anywhere below.
-# A print table records the text of the nodes at the first three levels;
-# ``_DONE`` marks the stack entry that records a node once it is printed.
-_SIDE, _SUMMAND, _BODY, _INNER, _DONE = range(5)
 
-
-def print_term(
-    m: Monitor,
-    table: dict[Monitor, str] | None = None,
-    texts: MutableMapping[str, Monitor] | None = None,
-) -> str:
-    """The text of ``m``; with a print table, reuse and record node texts.
+def print_term(m: Monitor, names: Mapping[Monitor, str] | None = None) -> str:
+    """The text of ``m``, where a node in ``names`` prints as its name.
 
     A loop over an explicit stack of pending terms and literal text, so that
     no nesting depth recurses.  A prefix chain prints as one run of ``a.``;
     ``+`` parses left-associated, so a sum prints its left spine flat, and
-    only a sum that is a right operand or a prefix body gets parentheses.
-
-    ``table`` maps nodes to their text.  A node found in it is not walked
-    again, and ``m``, its top-level summands and the body after each such
-    summand's prefix chain are recorded in it.  Nothing deeper is recorded,
-    so the table grows with the text printed through it, not with the
-    square of a nesting depth.  ``texts``, when given, receives every
-    recorded text with its node.
+    only a sum that is a right operand or a prefix body gets parentheses.  A
+    name is an atom and needs none.
     """
+    names = names or {}
     out: list[str] = []
     append = out.append
-    # Literal text, (node, parenthesize, level), or (node, start, _DONE):
-    # the node's text is what ``out`` gained from ``start`` on.
-    stack: list = [(m, False, _SIDE)]
+    # Literal text, or (node, parenthesize).
+    stack: list = [(m, False)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             append(item)
             continue
-        m, arg, level = item
-        if level == _DONE:
-            text = "".join(out[arg:])
-            out[arg:] = [text]
-            table[m] = text
-            if texts is not None:
-                texts[text] = m
-            continue
-        if arg and isinstance(m, Sum):
-            append("(")
-            stack.append(")")
-        if table is not None:
-            text = table.get(m)
-            if text is not None:
-                append(text)
-                continue
-            if level < _INNER:
-                stack.append((m, len(out), _DONE))
-        if isinstance(m, Prefix):
+        m, paren = item
+        name = names.get(m)
+        if name is not None:
+            append(name)
+        elif isinstance(m, Prefix):
             actions = []
-            while isinstance(m, Prefix):
+            while isinstance(m, Prefix) and m not in names:
                 actions.append(m.action)
                 m = m.body
             append(".".join(actions) + ".")
-            stack.append((m, True, _BODY if level < _BODY else _INNER))
+            stack.append((m, True))
         elif isinstance(m, Sum):
-            inner = _SUMMAND if level == _SIDE else _INNER
+            if paren:
+                append("(")
+                stack.append(")")
             while True:
-                stack += ((m.right, True, inner), " + ")
+                stack += ((m.right, True), " + ")
                 m = m.left
-                if not isinstance(m, Sum) or (table is not None and m in table):
+                if not isinstance(m, Sum) or m in names:
                     break
-            stack.append((m, False, inner))
+            stack.append((m, False))
         elif isinstance(m, Var):
             append(m.name)
         elif m in _LEAF_TEXT:
@@ -461,6 +451,5 @@ def print_term(
 
 def print_monitor(m: Monitor) -> str:
     """Minimal-parentheses rendering that :func:`parse_monitor` inverts:
-    :func:`print_term` without a print table."""
+    :func:`print_term` without names."""
     return print_term(m)
-

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,42 @@ def test_check_proof_reports_a_doubly_mapped_variable_as_exit_2(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            "let $1 := x + yes\nstep 1: $1 = $2 by refl\n",
+            "line 5: cannot parse step record (1:7: undeclared name '$2')",
+        ),
+        (
+            "let $1 := x + yes\nlet $1 := yes\nstep 1: $1 = $1 by refl\n",
+            "line 5: $1 is declared twice",
+        ),
+        ("let $1 := a.$2\n", "line 4: 1:4: undeclared name '$2'"),
+        ("let 1 := yes\n", "line 4: expected 'let $N := term'"),
+    ],
+    ids=["undeclared", "twice", "undeclared-in-let", "malformed"],
+)
+def test_check_proof_reports_a_bad_name_with_its_line(tmp_path, capsys, records, message):
+    proof = tmp_path / "proof.txt"
+    proof.write_text("system: Ev\nalphabet: a,b\nvars: x\n" + records)
+    assert run(capsys, "check-proof", str(proof)) == (2, "", f"error: {message}\n")
+
+
+def test_check_proof_reports_a_let_before_the_headers(tmp_path, capsys):
+    proof = tmp_path / "proof.txt"
+    proof.write_text("let $1 := a.yes\nsystem: Ev\nalphabet: a,b\nstep 1: $1 = $1 by refl\n")
+    assert run(capsys, "check-proof", str(proof)) == (
+        2, "", "error: line 1: let before system/alphabet headers\n"
+    )
+
+
+def test_a_name_outside_a_derivation_is_undeclared(capsys):
+    assert run(capsys, "parse", "$1", "--alphabet", "a") == (
+        2, "", "parse error at 1:1: undeclared name '$1'\n"
+    )
+
+
 def test_axioms_listing_counts(capsys):
     code, out, _ = run(capsys, "axioms", "--system", "Ev", "--alphabet", "a")
     assert code == 0
@@ -204,6 +241,19 @@ def test_witness_sound(capsys):
     code, out, _ = run(capsys, "witness", "--n", "2", "--alphabet", "a,b", "--fuzz", "50")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_witness_refuses_an_instance_over_the_limit_before_building_it(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "witness", "--n", "1000000", "--alphabet", "a,b")
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: witness_family n=1000000 over a,b:")
+    assert "over the limit of 2500000" in err
+    # n = 16 is the largest over {a,b}: its size is 17 * (2^17 - 1).
+    code, _, err = run(capsys, "witness", "--n", "17", "--alphabet", "a,b")
+    assert (code, err) == (2, "error: witness_family n=17 over a,b: size 4718574 is over"
+                               " the limit of 2500000\n")
 
 
 def test_fuzz_deterministic_output(capsys):

@@ -572,6 +572,28 @@ def test_pure_and_recorded_pipelines_agree():
     assert runs >= 9 * 55 + 900
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "yes + (no + (a.yes + b.no))",
+        "(yes + no) + (a.yes + (b.no + end))",
+        "a.yes + (b.(yes + (no + a.no)) + (end + no)) + yes",
+        "(a.yes + (x + no)) + ((y + b.x) + (a.(x + (y + no)) + yes))",
+    ],
+)
+def test_pure_flatten_leaves_no_sum_as_a_right_child(text):
+    # A pure flatten is a list operation and a recorded one a chain of A2
+    # steps: both give the same left-nested sum, with prefix bodies as given.
+    m = t(text)
+    pure = normalize.Prover("Ev", AB, record=False).flatten(m)
+    recorded = normalize.Prover("Ev", AB, record=True).flatten(m)
+    assert pure.src is m and pure.dst is recorded.dst
+    node = pure.dst
+    while isinstance(node, Sum):
+        assert not isinstance(node.right, Sum), text
+        node = node.left
+
+
 def _held_by_no_one(kind: str):
     """A term that no other test builds: a 29-deep ``b.a`` chain beside a
     variable of its own, or over the one action ``a`` of the unary forms."""

@@ -1,20 +1,21 @@
 """The derivation-scoped print and parse tables of the proof text format.
 
-``print_derivation`` prints every side through one print table, and
-``parse_derivation`` assembles a side it has not seen from known pieces,
-keeping the result only if it prints back to exactly its text.  These tests
-hold both tables to the table-free definitions: ``print_monitor`` for every
-term, and ``parse_monitor`` for every side, with the same derivation or the
-same error message on every input, and they bound the tables' depth and
-memory.
+``print_derivation`` keeps a print table from each node of
+``Derivation.shared`` to its name: it prints a ``let $N := term`` record for
+the node just before the first step line that reaches it, and the name from
+then on.  ``parse_derivation`` keeps a parse table from each name to its term
+and from each side text to its term, reset on a header line.  These tests
+hold both to the table-free definitions: ``print_monitor`` for every side
+of a derivation without shared nodes, and, for every input, a parser that
+reads each side with ``parse_monitor`` alone; and they bound the tables'
+text, depth and memory.
 """
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import random
 import re
-import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -38,148 +39,99 @@ from regmon.prooflog import (
     check_derivation,
     parse_derivation,
     print_derivation,
+    shared_nodes,
 )
-from regmon.syntax import parse_monitor, print_monitor, print_term
-from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, summands, vars_of
+from regmon.syntax import parse_equation, parse_monitor, print_monitor, print_term
+from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, nodes, summands, vars_of
 
-# The golden proofs of both formats: ``<form>.compact.txt`` with ``ctx`` and
-# n-ary ``trans`` steps, and the older ``<form>.txt`` fixtures without them.
+# The golden proofs of both formats: ``<form>.compact.txt`` with ``ctx``,
+# n-ary ``trans`` and ``let`` records, and the older ``<form>.txt``
+# fixtures without them.
 GOLDEN_PROOFS = sorted((Path(__file__).resolve().parent / "golden" / "proofs").glob("*.txt"))
 GOLDEN_PROOFS = [p for p in GOLDEN_PROOFS if p.name != "digests.txt"]
 GOLDEN_COMPACT = [p for p in GOLDEN_PROOFS if p.name.endswith(".compact.txt")]
 FIXTURE_PROOFS = [p for p in GOLDEN_PROOFS if not p.name.endswith(".compact.txt")]
 
 
-def _plain_term(table, text):
-    return parse_monitor(text, table.alphabet, table.variables)
+def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
+    """The derivation file format read line by line, with every side and
+    every ``let`` body given to ``parse_monitor`` (or ``parse_equation``)
+    alone: the definition that ``parse_derivation`` memoises."""
+    system = alphabet = None
+    variables: frozenset[str] = frozenset()
+    names: dict = {}
+    steps = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("system:"):
+            system = line[len("system:") :].strip()
+        elif line.startswith("alphabet:"):
+            alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
+        elif line.startswith("vars:"):
+            variables |= syntax.parse_vars(line[len("vars:") :])
+        elif line:
+            if system is None or alphabet is None:
+                raise ValueError("record before headers")
+
+            def term(t, alphabet=alphabet, variables=variables):
+                return parse_monitor(t, alphabet, variables, names)
+
+            if line.startswith("let "):
+                name, assign, body = line[len("let ") :].partition(":=")
+                name = name.strip()
+                if not assign or not re.fullmatch(r"\$[0-9]+", name) or name in names:
+                    raise ValueError("bad let")
+                names[name] = term(body)
+                continue
+            if not line.startswith("step "):
+                raise ValueError("not a record")
+            head, colon, body = line.partition(":")
+            if not colon:
+                raise ValueError("no colon")
+            sid = int(head[len("step ") :])
+            idx = len(body)
+            while True:
+                idx = body.rfind(" by ", 0, idx)
+                if idx < 0:
+                    raise ValueError("no split")
+                try:
+                    eq = parse_equation(body[:idx], alphabet, variables, names)
+                    just = prooflog._parse_justification(body[idx + 4 :], term)
+                except ValueError:
+                    continue
+                steps.append(Step(sid, eq, just))
+                break
+    if system is None or alphabet is None:
+        raise ValueError("no headers")
+    return Derivation(system, alphabet, tuple(steps), frozenset(names.values())), variables
 
 
 def outcome(text: str, tables: bool = True):
-    """What ``parse_derivation`` makes of ``text``: the derivation and its
-    variables, or the error's type and message.  ``tables=False`` parses
-    every side with ``parse_monitor`` alone."""
-    patch = (
-        contextlib.nullcontext()
-        if tables
-        else mock.patch.object(prooflog._TermTable, "term", _plain_term)
+    """What ``text`` parses to: the derivation and its variables, or
+    ``"error"``.  ``tables=False`` parses it without the parse table."""
+    try:
+        return (parse_derivation if tables else _parse_without_tables)(text)
+    except ValueError:
+        return "error"
+
+
+def _named(derivation: Derivation) -> Derivation:
+    """``derivation`` with the shared nodes that ``prove`` would name."""
+    return dataclasses.replace(derivation, shared=shared_nodes(derivation.steps))
+
+
+def _refl_steps(terms) -> Derivation:
+    return Derivation(
+        "Ev", AB, tuple(Step(i, Equation(m, m), Reflexivity()) for i, m in enumerate(terms, 1))
     )
-    with patch:
-        try:
-            return parse_derivation(text)
-        except ValueError as exc:
-            return type(exc).__name__, str(exc)
 
 
-# ---------------------------------------------------------------------------
-# The print table
-
-
-def test_print_table_records_the_side_its_summands_and_their_bodies():
-    m = parse_monitor("a.b.(x + no) + yes + b.(a.yes + y)", AB)
-    table: dict = {}
-    assert print_term(m, table) == print_monitor(m)
-    parts = list(summands(m))
-    bodies = [parse_monitor(t, AB) for t in ("x + no", "a.yes + y")]
-    assert set(table) == {m, *parts, *bodies}
-    assert all(table[n] == print_monitor(n) for n in table)
-    # A later term is walked only down to what the table holds.
-    bigger = Sum(Prefix("a", m), m)
-    assert print_term(bigger, table) == print_monitor(bigger)
-    assert table[bigger] == print_monitor(bigger)
-
-
-def test_print_table_stays_linear_on_nested_sums():
-    m = _nested(300)
-    table: dict = {}
-    text = print_term(m, table)
-    assert text == print_monitor(m)
-    # The side (its own only summand) and the body after its prefix chain.
-    assert len(table) == 2
-    assert sum(map(len, table.values())) < 2 * len(text)
-
-
-@pytest.mark.parametrize("path", GOLDEN_PROOFS, ids=lambda p: p.stem)
-def test_golden_proof_prints_as_without_a_table(path):
-    derivation, variables = parse_derivation(path.read_text(encoding="utf-8"))
-    lines = [f"system: {derivation.system}", f"alphabet: {derivation.alphabet}"]
-    if variables:
-        lines.append(f"vars: {', '.join(sorted(variables))}")
-    for step in derivation.steps:
-        lines.append(
-            f"step {step.sid}: {print_monitor(step.equation.lhs)} = "
-            f"{print_monitor(step.equation.rhs)}"
-            f" by {prooflog.print_justification(step.justification)}"
-        )
-    assert print_derivation(derivation, variables) == "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("path", GOLDEN_COMPACT, ids=lambda p: p.stem)
-def test_print_derivation_prints_no_side_that_its_table_holds(path):
-    text = path.read_text(encoding="utf-8")
-    derivation, variables = parse_derivation(text)
-    sides = []  # whether the table held it, for each side given to print_term
-
-    def spy(m, table=None, texts=None):
-        if sys._getframe(1).f_code is print_derivation.__code__:
-            sides.append(m in table)
-        return print_term(m, table, texts)
-
-    with mock.patch.object(syntax, "print_term", spy):
-        assert print_derivation(derivation, variables) == text
-    assert sides and not any(sides)
-
-
-# ---------------------------------------------------------------------------
-# The parse table against parse_monitor
-
-
-def test_parse_table_stays_linear_on_nested_sums():
-    text = print_monitor(_nested(300))
-    table = prooflog._TermTable(AB, frozenset())
-    assert table.term(text) == _nested(300)
-    assert table.term(f"{text} + yes") == Sum(_nested(300), YES)
-    # Both sides, the nested term as the summand of the second, and the body
-    # after its prefix chain; the leaf ``yes`` costs nothing.
-    assert sum(map(len, table.terms)) < 4 * len(text)
-    assert len(table.texts) == len(table.terms) <= 5
-
-
-@pytest.mark.parametrize("path", GOLDEN_PROOFS, ids=lambda p: p.stem)
-def test_golden_proof_parses_as_without_tables(path):
-    text = path.read_text(encoding="utf-8")
-    got = outcome(text)
-    assert isinstance(got[0], Derivation)
-    assert got == outcome(text, tables=False)
-
-
-@pytest.mark.parametrize("form", sorted(test_golden.PROOF_CASES))
-def test_digest_corpus_parses_as_without_tables(form):
-    alphabet, terms = test_golden.digest_corpus(form)
-    pipeline = normalize.PIPELINES[cli.FORM_ALIASES[form]]
-    for term in terms:
-        cf = pipeline(term, alphabet, emit_proof=True)
-        text = print_derivation(cf.derivation, vars_of(term) | vars_of(cf.term))
-        got = outcome(text)
-        assert got[0] == cf.derivation
-        assert got == outcome(text, tables=False)
-
-
-# On the fixtures: the compact omega proofs are three and five steps long, and
-# the first side alone is over a tenth of their text.
-@pytest.mark.parametrize("path", FIXTURE_PROOFS, ids=lambda p: p.stem)
-def test_golden_proof_is_mostly_assembled_from_known_pieces(path, monkeypatch):
-    text = path.read_text(encoding="utf-8")
-    parsed = []
-    parse = syntax.parse_monitor
-
-    def counted(source, *args):
-        parsed.append(source)
-        return parse(source, *args)
-
-    monkeypatch.setattr(syntax, "parse_monitor", counted)
-    parse_derivation(text)
-    # The first sides and the summands new to a step; 0.3% on fin-rnf.
-    assert sum(map(len, parsed)) < 0.1 * len(text)
+def _bodies(m):
+    """``m`` and the body of every prefix below it, outermost first."""
+    out = [m]
+    while isinstance(out[-1], Prefix):
+        out.append(out[-1].body.right)
+    return out
 
 
 def _parsed_texts(text: str, monkeypatch) -> list[str]:
@@ -197,28 +149,175 @@ def _parsed_texts(text: str, monkeypatch) -> list[str]:
     return parsed
 
 
-def test_a_new_nested_body_is_assembled_from_known_pieces(monkeypatch):
-    # After the first side, ``x + yes`` is known; both bodies are new, and
-    # each is that spine plus one summand, so only the new leaf is parsed.
-    head = "system: Ev\nalphabet: a,b\nvars: x\nstep 1: x + yes = x + yes by refl\n"
-    side = "a.(x + yes + b.(x + yes + no))"
-    text = head + f"step 2: {side} = {side} by refl\n"
-    assert _parsed_texts(text, monkeypatch) == [" x + yes ", "no"]
-    assert outcome(text) == outcome(text, tables=False)
+# ---------------------------------------------------------------------------
+# The print table
 
 
-def test_deep_new_nested_bodies_are_assembled_without_recursion(monkeypatch):
-    # Every body of the 10^4-deep side is new and starts with the known
-    # ``x``, so the stack of ``_TermTable._summand`` goes 10^4 bodies deep.
-    t = _nested(10_000)
-    side = print_monitor(t)
-    text = (
-        "system: Ev\nalphabet: a,b\nvars: x\nstep 1: x + yes = x + yes by refl\n"
-        f"step 2: {side} = {side} by refl\n"
-    )
-    assert _parsed_texts(text, monkeypatch) == [" x + yes "]
+def test_print_table_records_the_side_its_summands_and_their_bodies():
+    # A node in the table prints as its name wherever it sits: as the side,
+    # as a summand, or as a body after a prefix chain.
+    m = parse_monitor("a.b.(x + no) + yes + b.(a.yes + y)", AB)
+    parts = list(summands(m))
+    bodies = [parse_monitor(t, AB) for t in ("x + no", "a.yes + y")]
+    for table, text in (
+        ({m: "$1"}, "$1"),
+        (dict(zip(parts, ("$1", "$2", "$3"))), "$1 + $2 + $3"),
+        (dict(zip(bodies, ("$1", "$2"))), "a.b.$1 + yes + b.$2"),
+        ({bodies[0]: "$1", parts[2]: "$2"}, "a.b.$1 + yes + $2"),
+        ({Sum(parts[0], YES): "$1"}, "$1 + b.(a.yes + y)"),
+    ):
+        assert print_term(m, table) == text
+        assert parse_monitor(text, AB, (), {v: k for k, v in table.items()}) is m
+
+
+def _ladder(n: int) -> Derivation:
+    """A step ``b = b`` for the nested term of depth ``n`` and for each body
+    below it: the sides are the same nodes at every depth."""
+    return _named(_refl_steps(_bodies(_nested(n))))
+
+
+def test_print_table_stays_linear_on_nested_sums():
+    derivation = _ladder(300)
+    text = print_derivation(derivation, {"x"})
+    # Without names the text would be quadratic in the depth: each side
+    # restates every body below it.
+    plain = print_derivation(dataclasses.replace(derivation, shared=frozenset()), {"x"})
+    assert len(plain) > 40 * len(text)
+    # One let per prefix node, each a few bytes: the sums below them are
+    # reached once, as their bodies.
+    assert text.count("let ") == len(derivation.shared) == 300
+    assert len(text) < 60 * 300
     parsed, _ = parse_derivation(text)
-    assert parsed.steps[-1].equation == Equation(t, t)
+    assert parsed == derivation
+
+
+@pytest.mark.parametrize("path", GOLDEN_PROOFS, ids=lambda p: p.stem)
+def test_golden_proof_prints_as_without_a_table(path):
+    # A derivation without shared nodes prints each side as print_monitor
+    # does; a fixture has no let records, so it prints back that way.
+    derivation, variables = parse_derivation(path.read_text(encoding="utf-8"))
+    lines = [f"system: {derivation.system}", f"alphabet: {derivation.alphabet}"]
+    if variables:
+        lines.append(f"vars: {', '.join(sorted(variables))}")
+    for step in derivation.steps:
+        lines.append(
+            f"step {step.sid}: {print_monitor(step.equation.lhs)} = "
+            f"{print_monitor(step.equation.rhs)}"
+            f" by {prooflog.print_justification(step.justification)}"
+        )
+    plain = dataclasses.replace(derivation, shared=frozenset())
+    assert print_derivation(plain, variables) == "\n".join(lines) + "\n"
+    assert (path in FIXTURE_PROOFS) == (not derivation.shared)
+
+
+@pytest.mark.parametrize("path", GOLDEN_COMPACT, ids=lambda p: p.stem)
+def test_print_derivation_prints_no_side_that_its_table_holds(path):
+    text = path.read_text(encoding="utf-8")
+    derivation, variables = parse_derivation(text)
+    held = []  # whether the table held it, for each term given to print_term
+
+    def spy(m, names=None):
+        held.append(m in names)
+        return print_term(m, names)
+
+    with mock.patch.object(syntax, "print_term", spy):
+        assert print_derivation(derivation, variables) == text
+    assert held and not any(held)
+
+
+# ---------------------------------------------------------------------------
+# The parse table against parse_monitor
+
+
+def test_parse_table_stays_linear_on_nested_sums(monkeypatch):
+    derivation = _ladder(300)
+    text = print_derivation(derivation, {"x"})
+    # Each let body is read once, and so is each step's side: its two
+    # sides are the same text.
+    parsed = _parsed_texts(text, monkeypatch)
+    assert len(parsed) == len(derivation.shared) + len(derivation.steps)
+    assert sum(map(len, parsed)) < len(text) / 2
+
+
+@pytest.mark.parametrize("path", GOLDEN_PROOFS, ids=lambda p: p.stem)
+def test_golden_proof_parses_as_without_tables(path):
+    text = path.read_text(encoding="utf-8")
+    got = outcome(text)
+    assert isinstance(got[0], Derivation)
+    assert got == outcome(text, tables=False)
+
+
+@pytest.mark.parametrize("form", sorted(test_golden.PROOF_CASES))
+def test_digest_corpus_parses_as_without_tables(form):
+    # Every proof of the corpus prints back byte for byte, with the same
+    # steps and the same shared nodes.
+    alphabet, terms = test_golden.digest_corpus(form)
+    pipeline = normalize.PIPELINES[cli.FORM_ALIASES[form]]
+    for term in terms:
+        cf = pipeline(term, alphabet, emit_proof=True)
+        text = print_derivation(cf.derivation, vars_of(term) | vars_of(cf.term))
+        got = outcome(text)
+        assert got[0] == cf.derivation
+        assert print_derivation(*got) == text
+        assert got == outcome(text, tables=False)
+
+
+# On the fixtures, printed with the nodes that ``prove`` names: every prefix
+# and sum node of the derivation is spelled out once, in a let or in the
+# one side that reaches it, and read once.
+@pytest.mark.parametrize("path", FIXTURE_PROOFS, ids=lambda p: p.stem)
+def test_golden_proof_is_mostly_assembled_from_known_pieces(path, monkeypatch):
+    derivation, variables = parse_derivation(path.read_text(encoding="utf-8"))
+    named = _named(derivation)
+    text = print_derivation(named, variables)
+    spelled = sum(t.count(".") + t.count("+") for t in _parsed_texts(text, monkeypatch))
+    reached = set()
+    for step in derivation.steps:
+        sides = [step.equation.lhs, step.equation.rhs]
+        sides += [t for _, t in prooflog._mapping(step.justification)]
+        reached.update(n for side in sides for n in nodes(side) if isinstance(n, (Prefix, Sum)))
+    assert spelled == len(reached)
+    assert parse_derivation(text) == (named, variables)
+
+
+def test_a_new_nested_body_is_assembled_from_known_pieces(monkeypatch):
+    # A let body and a side may use every name declared before them.
+    head = "system: Ev\nalphabet: a,b\nvars: x\n"
+    text = head + (
+        "let $1 := x + yes\n"
+        "let $2 := a.($1 + b.($1 + no))\n"
+        "step 1: $2 + $1 = $2 + $1 by refl\n"
+    )
+    assert _parsed_texts(text, monkeypatch) == [" x + yes", " a.($1 + b.($1 + no))", " $2 + $1 "]
+    derivation, _ = parse_derivation(text)
+    side = parse_monitor("a.(x + yes + b.(x + yes + no)) + (x + yes)", AB)
+    assert derivation.steps[0].equation == Equation(side, side)
+    assert derivation.shared == {side.left, side.right}
+    assert outcome(text) == outcome(text, tables=False)
+    assert print_derivation(derivation, {"x"}) == text
+
+
+def test_readme_example_is_what_prove_would_write():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = readme.split("### Derivation files", 1)[1].split("```\n", 2)[1]
+    derivation, variables = parse_derivation(text)
+    check_derivation(derivation)
+    assert print_derivation(_named(derivation), variables) == text
+
+
+def test_deep_new_nested_bodies_are_assembled_without_recursion():
+    # Every prefix and sum of a 10^4-deep side is named, so the lets nest
+    # 10^4 deep; printing, parsing and checking recurse on none of them.
+    t = _nested(10_000)
+    derivation = dataclasses.replace(
+        _refl_steps([t, t]), shared=frozenset(n for n in nodes(t) if isinstance(n, (Prefix, Sum)))
+    )
+    text = print_derivation(derivation, {"x"})
+    assert text.count("let ") == 2 * 10_000
+    assert text.endswith("step 1: $20000 = $20000 by refl\nstep 2: $20000 = $20000 by refl\n")
+    parsed, _ = parse_derivation(text)
+    assert parsed == derivation
+    check_derivation(parsed)
 
 
 _WORDS = ("a", "b", "c", "x", "y", "yes", "no", "end")
@@ -243,7 +342,7 @@ def _mutate(text: str, rng: random.Random) -> str:
         return text[:i] + text[i + 1 :]
     if kind in (1, 2):
         i = rng.randrange(len(text) + 1)
-        char = rng.choice("()+.=,;#>- \tabxy1")
+        char = rng.choice("()+.=,;#>- \tabxy1$")
         return text[:i] + char + text[i + (kind == 1) :]
     lines = text.splitlines()
     if kind == 3:
@@ -269,7 +368,7 @@ def _mutate(text: str, rng: random.Random) -> str:
                 line = line[: m.start()] + rng.choice(_WORDS) + line[m.end() :]
         elif kind == 8:
             # Parenthesize a run of prefixes and a word: ``( a.yes )``.
-            spots = list(re.finditer(r"(?:\w+\.)*\w+", line))
+            spots = list(re.finditer(r"(?:\w+\.)*\$?\w+", line))
             if spots:
                 m = rng.choice(spots)
                 inner = m.group()
@@ -299,9 +398,11 @@ def _mutation_sources() -> list[str]:
 def test_mutated_proofs_parse_as_without_tables():
     rng = random.Random(2006)
     sources = _mutation_sources()
-    # Both formats: context steps and transitivity over more than two steps.
+    # Both formats: context steps, transitivity over more than two steps,
+    # and let records.
     assert any(" by ctx(" in text for text in sources)
     assert any(re.search(r" by trans\(\d+(, \d+){2,}\)", text) for text in sources)
+    assert any("\nlet $" in text for text in sources)
     kinds = {"derivation": 0, "error": 0}
     for _ in range(2400):
         text = rng.choice(sources)
@@ -309,14 +410,14 @@ def test_mutated_proofs_parse_as_without_tables():
             text = _mutate(text, rng)
         got = outcome(text)
         assert got == outcome(text, tables=False), text
-        kinds["derivation" if isinstance(got[0], Derivation) else "error"] += 1
+        kinds["error" if got == "error" else "derivation"] += 1
     # Both outcomes occur often enough to mean something.
     assert min(kinds.values()) > 300, kinds
 
 
 def test_table_rejects_pieces_that_do_not_print_back():
-    # Every piece of each later side is known, but the sides are spelled
-    # otherwise or mean otherwise, so parse_monitor decides.
+    # Each later side is spelled otherwise than a side seen before, or means
+    # otherwise, so the parse table does not answer for it.
     head = "system: Ev\nalphabet: a,b\nvars: x\nstep 1: x + a.(yes + no) = x + a.(yes + no) by refl\n"
     for side in (
         "x+a.(yes + no)",
@@ -386,10 +487,12 @@ def _derivation(t, repeats: int = 0) -> Derivation:
 def test_deep_sides_round_trip_without_recursion(make):
     derivation = _derivation(make(10_000))
     check_derivation(derivation)
-    text = print_derivation(derivation, {"x", "y", "z"})
-    parsed, _ = parse_derivation(text)
-    assert parsed == derivation
-    check_derivation(parsed)
+    # As built, and with the nodes that ``prove`` would name.
+    for d in (derivation, _named(derivation)):
+        text = print_derivation(d, {"x", "y", "z"})
+        parsed, _ = parse_derivation(text)
+        assert parsed == d
+        check_derivation(parsed)
 
 
 @pytest.mark.parametrize("make", [_chain, _wide, _nested], ids=["chain", "sum", "nested"])
@@ -414,10 +517,10 @@ def test_deep_context_and_long_chain_steps_round_trip(make):
 def test_nested_sum_tables_stay_within_four_times_the_text():
     # A table that kept the text of every nested node would hold about
     # depth / 2 times the side's text, some 400 MB here.  The tables keep a
-    # few texts per side.  What is left of the peak is the parser's own
-    # token list for the one full parse of the 80 kB side, about 94 bytes
-    # per character, and the lines of the text; the 24 repeated steps make
-    # the text long enough for that constant to fit under the bound.
+    # text per distinct side.  What is left of the peak is the parser's own
+    # token list for the one full parse of each distinct side, about 94
+    # bytes per character, and the lines of the text; the 24 repeated steps
+    # make the text long enough for that constant to fit under the bound.
     derivation = _derivation(_nested(10_000), repeats=24)
     tracemalloc.start()
     try:
