@@ -87,6 +87,19 @@ def traces_upto(
     return out
 
 
+def trace_count(width: int, length: int, cap: int) -> int:
+    """The number of traces of length at most ``length`` over ``width``
+    actions, as :func:`traces_upto` lists them; once that is over ``cap``,
+    no longer level is counted."""
+    if width == 1:
+        return length + 1
+    count = level = 1
+    while length and count <= cap:
+        level, length = level * width, length - 1
+        count += level
+    return count
+
+
 def bar_leq(trace: Trace, m: Monitor, alphabet: Alphabet) -> Monitor:
     """Behaves like ``m`` after any non-prefix trace of length <= ``|trace|``."""
     prefixes = pre_set(trace)
@@ -107,10 +120,6 @@ def bar(trace: Trace, m: Monitor, alphabet: Alphabet) -> Monitor:
     return sum_of([bar_leq(trace, m, alphabet), prefix_seq(trace, action_fan(m, alphabet))])
 
 
-def _repeat(trace: Trace, i: int) -> Trace:
-    return trace * i
-
-
 def bar_k(trace: Trace, k: int, m: Monitor, alphabet: Alphabet) -> Monitor:
     """The monitor that, after observing ``trace``, behaves like ``m`` on
     everything except ``trace**k`` and its prefixes.
@@ -125,11 +134,8 @@ def bar_k(trace: Trace, k: int, m: Monitor, alphabet: Alphabet) -> Monitor:
         raise ValueError("bar_k requires k >= 1")
     if k == 1:
         return bar(trace, m, alphabet)
-    parts = [
-        prefix_seq(_repeat(trace, i), bar_leq(trace, m, alphabet))
-        for i in range(1, k - 1)
-    ]
-    parts.append(prefix_seq(_repeat(trace, k - 1), bar(trace, m, alphabet)))
+    parts = [prefix_seq(trace * i, bar_leq(trace, m, alphabet)) for i in range(1, k - 1)]
+    parts.append(prefix_seq(trace * (k - 1), bar(trace, m, alphabet)))
     return sum_of(parts)
 
 
@@ -343,7 +349,7 @@ def soundness_fuzz(
 WITNESS_LIMIT = 2_500_000
 
 
-def witness_family(n: int, alphabet: Alphabet) -> Equation:
+def witness_instance(n: int, alphabet: Alphabet) -> AxiomInstance:
     """The n-th member of the one-sided witness family: the O2 instance at
     ``s = a^n`` and ``k = 3``.  One over :data:`WITNESS_LIMIT` raises
     :class:`ResourceLimit` before it is built."""
@@ -352,11 +358,17 @@ def witness_family(n: int, alphabet: Alphabet) -> Equation:
     fin = _require_finite("witness_family", alphabet)
     if "a" not in fin:
         raise ValueError("witness_family uses the action 'a'")
-    width = len(fin)
-    size = (n + 1) * (n + 1 if width == 1 else (width ** (n + 1) - 1) // (width - 1))
-    if size > WITNESS_LIMIT:
-        shown = size if size < 10**15 else f"about 10^{int(math.log10(size))}"
+    count = trace_count(len(fin), n, WITNESS_LIMIT)
+    if (n + 1) * count > WITNESS_LIMIT:
+        w, size = len(fin), (n + 1) * count
+        if w > 1 and count > WITNESS_LIMIT:  # the count may stop short: estimate
+            size = f"about 10^{int(math.log10(n + 1) + (n + 1) * math.log10(w) - math.log10(w - 1))}"
         raise ResourceLimit(
-            f"witness_family n={n} over {fin}: size {shown} is over the limit of {WITNESS_LIMIT}"
+            f"witness_family n={n} over {fin}: size {size} is over the limit of {WITNESS_LIMIT}"
         )
-    return instantiate("O2", {"s": ("a",) * n, "k": 3}, fin).equation
+    return instantiate("O2", {"s": ("a",) * n, "k": 3}, fin)
+
+
+def witness_family(n: int, alphabet: Alphabet) -> Equation:
+    """The equation of :func:`witness_instance`."""
+    return witness_instance(n, alphabet).equation

@@ -442,11 +442,10 @@ def _shrink_disagreement(m: Monitor, n: Monitor, alphabet: Alphabet, args):
 
 def cmd_witness(args) -> int:
     alphabet = _alphabet_from(args)
-    eq = axioms.witness_family(args.n, alphabet)
-    lines = [str(eq)]
+    inst = axioms.witness_instance(args.n, alphabet)
+    lines = [str(inst.equation)]
     failures = 0
     if args.fuzz:
-        inst = axioms.AxiomInstance("O2", (("k", 3), ("s", ("a",) * args.n)), eq)
         report = axioms.soundness_fuzz(
             inst, alphabet, equivalence.VERDICT, args.fuzz, seed=args.seed
         )
@@ -459,7 +458,7 @@ def cmd_witness(args) -> int:
         {
             "command": "witness",
             "inputs": {"n": args.n, "alphabet": str(alphabet), "fuzz": args.fuzz},
-            "result": {"equation": str(eq), "failures": failures},
+            "result": {"equation": lines[0], "failures": failures},
         },
         lines,
     )

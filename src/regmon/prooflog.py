@@ -20,7 +20,8 @@ In the text format a ``let $N := term`` record names a term, and ``$N``
 stands for it in every later term.  ``prove`` names each prefix or sum node
 that its step lines would print in full a second time, in a ``let`` just
 before the first step line that reaches it.  Names are text only: the
-checker sees the same interned terms.
+checker sees the same interned terms.  A term that spells out to more than
+:data:`TERM_LIMIT` nodes is refused, since the conclusion is printed in full.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import axioms, syntax
-from .terms import (
-    Alphabet,
-    Equation,
-    Monitor,
-    Prefix,
-    Sum,
-    apply_subst,
-    nodes,
-)
+from .terms import Alphabet, Equation, Monitor, Prefix, Sum, apply_subst, nodes, size_of
 
 _NAME_RE = re.compile(r"\$[0-9]+")
+# Names let a short file stand for a term exponentially larger, which
+# check-proof prints in full: one of more nodes than this is refused.
+TERM_LIMIT = 2_500_000
 
 NOT_AN_INSTANCE = "NotAnInstance"
 SHAPE_MISMATCH = "ShapeMismatch"
@@ -176,9 +172,8 @@ def _outgrows(bindings: dict, alphabet: Alphabet, side: Monitor) -> bool:
         return False
     if k * len(s) + 1 > side.depth:
         return True
-    n = len(alphabet)
-    traces = len(s) + 1 if n == 1 else (n ** (len(s) + 1) - 1) // (n - 1)
-    return traces - len(s) - 1 > sum(1 for _ in nodes(side))
+    count = sum(1 for _ in nodes(side))
+    return axioms.trace_count(len(alphabet), len(s), count + len(s) + 1) - len(s) - 1 > count
 
 
 def check_step(
@@ -460,9 +455,7 @@ def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justifica
         sid_text, semi, mapping = args.partition(";")
         if not semi:
             raise ValueError("subst needs a mapping after ';'")
-        return Substitutivity(
-            int(sid_text), _parse_mapping(mapping, term)
-        )
+        return Substitutivity(int(sid_text), _parse_mapping(mapping, term))
     if head == "axiom":
         groups = [g.strip() for g in args.split(";")]
         name = groups[0]
@@ -502,13 +495,17 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     steps: list[Step] = []
     names: dict[str, Monitor] = {}
     memo: dict[str, Monitor] = {}
+    sizes: dict[Monitor, int] = {}
 
     def term(text: str) -> Monitor:
         # Only the blanks the tokenizer skips: other whitespace is an error.
         key = text.strip(" \t")
         m = memo.get(key)
         if m is None:
-            m = memo[key] = syntax.parse_monitor(text, alphabet, variables, names)
+            m = syntax.parse_monitor(text, alphabet, variables, names)
+            if "$" in key and size_of(m, sizes) > TERM_LIMIT:
+                raise ValueError(f"a term with its names spelled out is over {TERM_LIMIT} nodes")
+            memo[key] = m
         return m
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -542,7 +539,7 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
                 raise ValueError(f"line {lineno}: {name} is declared twice")
             try:
                 names[name] = term(body)
-            except syntax.ParseError as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             continue
         head, colon, body = line.partition(":")

@@ -268,18 +268,22 @@ def depth(m: Monitor) -> int:
     return m.depth
 
 
-def size_of(m: Monitor) -> int:
-    """Number of AST nodes."""
-    count = 0
+def size_of(m: Monitor, sizes: dict[Monitor, int] | None = None) -> int:
+    """Number of AST nodes, as if ``m`` were written out as a tree.  Each
+    distinct node is sized once and kept in ``sizes``, which a caller may
+    share across calls."""
+    sizes = {} if sizes is None else sizes
+    get = sizes.get
     stack = [m]
     while stack:
         t = stack.pop()
-        count += 1
-        if isinstance(t, Prefix):
-            stack.append(t.body)
-        elif isinstance(t, Sum):
-            stack += (t.left, t.right)
-    return count
+        kids = (t.body,) if isinstance(t, Prefix) else (t.left, t.right) if isinstance(t, Sum) else ()
+        known = [get(c) for c in kids]
+        if None in known:
+            stack += (t, *kids)
+        else:
+            sizes[t] = sum(known, 1)
+    return sizes[m]
 
 
 def nodes(m: Monitor) -> Iterator[Monitor]:

@@ -15,7 +15,10 @@ from regmon.axioms import (
     pre_set,
     prefix_seq,
     soundness_fuzz,
+    trace_count,
+    traces_upto,
     witness_family,
+    witness_instance,
 )
 from regmon.normalize import both_verdict_members
 from regmon.syntax import parse_monitor
@@ -269,6 +272,24 @@ def test_witness_family_shape():
     eq = witness_family(1, AB)
     inst = instantiate("O2", {"s": ("a",), "k": 3}, AB)
     assert eq == inst.equation
+
+
+def test_witness_instance_is_the_o2_instance_that_witness_family_states():
+    assert witness_instance(2, AB) == instantiate("O2", {"s": ("a", "a"), "k": 3}, AB)
+    assert witness_family(2, AB) == witness_instance(2, AB).equation
+
+
+def test_trace_count_counts_what_traces_upto_lists():
+    for width in (1, 2, 3):
+        actions = Alphabet.finite("abc"[:width])
+        for length in range(6):
+            listed = len(traces_upto(length, actions))
+            assert trace_count(width, length, listed) == listed
+            # Under a smaller cap the count stops over it, and short of the total.
+            capped = trace_count(width, length, 2)
+            assert capped == listed or 2 < capped <= listed
+    # Counting stops after a few levels, however long the traces.
+    assert 100 < trace_count(2, 10**12, 100) <= 201
 
 
 def test_witness_family_soundness_and_gap_trace():

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from regmon.cli import main
+from regmon.prooflog import parse_derivation
+from regmon.terms import size_of
 
 
 def run(capsys, *argv):
@@ -203,6 +205,27 @@ def test_check_proof_reports_a_let_before_the_headers(tmp_path, capsys):
     )
 
 
+def test_check_proof_refuses_names_that_spell_out_too_large_a_term(tmp_path, capsys):
+    # Each name doubles the term that the next one stands for: $60 would
+    # print as 2^61 - 1 nodes.  $20 (2^21 - 1) is under the limit, $21 is not.
+    lets = ["let $1 := yes + no"] + [f"let ${k} := ${k - 1} + ${k - 1}" for k in range(2, 61)]
+    proof = tmp_path / "proof.txt"
+    for records, message in (
+        (lets + ["step 1: $60 = $60 by refl"], "line 23: a term with its names spelled"),
+        (lets[:20] + ["step 1: $20 + $20 = $20 + $20 by refl"], "line 23: cannot parse step"),
+    ):
+        proof.write_text("\n".join(["system: Ev", "alphabet: a,b", *records]) + "\n")
+        started = time.monotonic()
+        code, out, err = run(capsys, "check-proof", str(proof))
+        assert time.monotonic() - started < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.endswith(" over 2500000 nodes\n") or err.endswith(" over 2500000 nodes)\n")
+    proof.write_text("\n".join(["system: Ev", "alphabet: a,b", *lets[:20], "step 1: $20 = $20 by refl"]))
+    derivation, _ = parse_derivation(proof.read_text())
+    assert size_of(derivation.conclusion.lhs) == 2**21 - 1
+
+
 def test_a_name_outside_a_derivation_is_undeclared(capsys):
     assert run(capsys, "parse", "$1", "--alphabet", "a") == (
         2, "", "parse error at 1:1: undeclared name '$1'\n"
@@ -243,13 +266,17 @@ def test_witness_sound(capsys):
     assert "0 failures" in out
 
 
-def test_witness_refuses_an_instance_over_the_limit_before_building_it(capsys):
+@pytest.mark.parametrize("n, alphabet", [(10**6, "a,b"), (10**9, "a,b"), (10**9, "a")])
+def test_witness_refuses_an_instance_over_the_limit_before_building_it(capsys, n, alphabet):
     started = time.monotonic()
-    code, out, err = run(capsys, "witness", "--n", "1000000", "--alphabet", "a,b")
+    code, out, err = run(capsys, "witness", "--n", str(n), "--alphabet", alphabet)
     assert time.monotonic() - started < 1
     assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and err.startswith("error: witness_family n=1000000 over a,b:")
+    assert err.count("\n") == 1 and err.startswith(f"error: witness_family n={n} over {alphabet}:")
     assert "over the limit of 2500000" in err
+
+
+def test_witness_names_the_size_that_it_refuses(capsys):
     # n = 16 is the largest over {a,b}: its size is 17 * (2^17 - 1).
     code, _, err = run(capsys, "witness", "--n", "17", "--alphabet", "a,b")
     assert (code, err) == (2, "error: witness_family n=17 over a,b: size 4718574 is over"

@@ -42,7 +42,7 @@ from regmon.prooflog import (
     shared_nodes,
 )
 from regmon.syntax import parse_equation, parse_monitor, print_monitor, print_term
-from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, nodes, summands, vars_of
+from regmon.terms import NO, YES, Equation, Prefix, Sum, Var, nodes, size_of, summands, vars_of
 
 # The golden proofs of both formats: ``<form>.compact.txt`` with ``ctx``,
 # n-ary ``trans`` and ``let`` records, and the older ``<form>.txt``
@@ -56,63 +56,90 @@ FIXTURE_PROOFS = [p for p in GOLDEN_PROOFS if not p.name.endswith(".compact.txt"
 def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
     """The derivation file format read line by line, with every side and
     every ``let`` body given to ``parse_monitor`` (or ``parse_equation``)
-    alone: the definition that ``parse_derivation`` memoises."""
+    alone: the definition that ``parse_derivation`` memoises, down to its
+    line-numbered errors."""
     system = alphabet = None
     variables: frozenset[str] = frozenset()
     names: dict = {}
+    sizes: dict = {}
     steps = []
-    for raw in text.splitlines():
+
+    def term(t):
+        m = parse_monitor(t, alphabet, variables, names)
+        if "$" in t and size_of(m, sizes) > prooflog.TERM_LIMIT:
+            raise ValueError(
+                f"a term with its names spelled out is over {prooflog.TERM_LIMIT} nodes"
+            )
+        return m
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         if line.startswith("system:"):
             system = line[len("system:") :].strip()
-        elif line.startswith("alphabet:"):
+            continue
+        if line.startswith("alphabet:"):
             alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
-        elif line.startswith("vars:"):
+            continue
+        if line.startswith("vars:"):
             variables |= syntax.parse_vars(line[len("vars:") :])
-        elif line:
-            if system is None or alphabet is None:
-                raise ValueError("record before headers")
-
-            def term(t, alphabet=alphabet, variables=variables):
-                return parse_monitor(t, alphabet, variables, names)
-
-            if line.startswith("let "):
-                name, assign, body = line[len("let ") :].partition(":=")
-                name = name.strip()
-                if not assign or not re.fullmatch(r"\$[0-9]+", name) or name in names:
-                    raise ValueError("bad let")
+            continue
+        record = line.partition(" ")[0]
+        if record not in ("let", "step"):
+            raise ValueError(f"line {lineno}: expected a step record")
+        if system is None or alphabet is None:
+            raise ValueError(f"line {lineno}: {record} before system/alphabet headers")
+        if record == "let":
+            name, assign, body = line[len("let ") :].partition(":=")
+            name = name.strip()
+            if not assign or not re.fullmatch(r"\$[0-9]+", name):
+                raise ValueError(f"line {lineno}: expected 'let $N := term'")
+            if name in names:
+                raise ValueError(f"line {lineno}: {name} is declared twice")
+            try:
                 names[name] = term(body)
-                continue
-            if not line.startswith("step "):
-                raise ValueError("not a record")
-            head, colon, body = line.partition(":")
-            if not colon:
-                raise ValueError("no colon")
-            sid = int(head[len("step ") :])
-            idx = len(body)
-            while True:
-                idx = body.rfind(" by ", 0, idx)
-                if idx < 0:
-                    raise ValueError("no split")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            continue
+        head, colon, body = line.partition(":")
+        if not colon:
+            raise ValueError(f"line {lineno}: missing ':'")
+        sid = int(head[len("step ") :])
+        idx = len(body)
+        last_error = None
+        while True:
+            idx = body.rfind(" by ", 0, idx)
+            if idx < 0:
+                raise ValueError(
+                    f"line {lineno}: cannot parse step record"
+                    + (f" ({last_error})" if last_error else "")
+                )
+            lhs, _, rhs = body[:idx].partition("=")
+            try:
                 try:
+                    eq = Equation(term(lhs), term(rhs))
+                except syntax.ParseError:
                     eq = parse_equation(body[:idx], alphabet, variables, names)
-                    just = prooflog._parse_justification(body[idx + 4 :], term)
-                except ValueError:
-                    continue
-                steps.append(Step(sid, eq, just))
-                break
+                just = prooflog._parse_justification(body[idx + 4 :], term)
+            except ValueError as exc:
+                last_error = exc
+                continue
+            steps.append(Step(sid, eq, just))
+            break
     if system is None or alphabet is None:
-        raise ValueError("no headers")
+        raise ValueError("missing system/alphabet headers")
     return Derivation(system, alphabet, tuple(steps), frozenset(names.values())), variables
 
 
 def outcome(text: str, tables: bool = True):
-    """What ``text`` parses to: the derivation and its variables, or
-    ``"error"``.  ``tables=False`` parses it without the parse table."""
+    """What ``text`` parses to: the derivation and its variables, or the
+    error's type and message.  ``tables=False`` parses it without the parse
+    table."""
     try:
         return (parse_derivation if tables else _parse_without_tables)(text)
-    except ValueError:
-        return "error"
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def _named(derivation: Derivation) -> Derivation:
@@ -410,7 +437,7 @@ def test_mutated_proofs_parse_as_without_tables():
             text = _mutate(text, rng)
         got = outcome(text)
         assert got == outcome(text, tables=False), text
-        kinds["error" if got == "error" else "derivation"] += 1
+        kinds["derivation" if isinstance(got[0], Derivation) else "error"] += 1
     # Both outcomes occur often enough to mean something.
     assert min(kinds.values()) > 300, kinds
 
