@@ -20,8 +20,9 @@ In the text format a ``let $N := term`` record names a term, and ``$N``
 stands for it in every later term.  ``prove`` names each prefix or sum node
 that its step lines would print in full a second time, in a ``let`` just
 before the first step line that reaches it.  Names are text only: the
-checker sees the same interned terms.  A term that spells out to more than
-:data:`TERM_LIMIT` nodes is refused, since the conclusion is printed in full.
+checker sees the same interned terms.  No term spells out to more than
+:data:`TERM_LIMIT` nodes plus the length of the file, since the conclusion
+is printed in full.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .terms import Alphabet, Equation, Monitor, Prefix, Sum, apply_subst, nodes,
 
 _NAME_RE = re.compile(r"\$[0-9]+")
 # Names let a short file stand for a term exponentially larger, which
-# check-proof prints in full: one of more nodes than this is refused.
+# check-proof prints in full.  A term that uses names twice or more is
+# refused when it spells out to more nodes than this; one that uses a name
+# once adds only its own text to that name's term.
 TERM_LIMIT = 2_500_000
 
 NOT_AN_INSTANCE = "NotAnInstance"
@@ -503,7 +506,7 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
         m = memo.get(key)
         if m is None:
             m = syntax.parse_monitor(text, alphabet, variables, names)
-            if "$" in key and size_of(m, sizes) > TERM_LIMIT:
+            if key.count("$") > 1 and size_of(m, sizes) > TERM_LIMIT:
                 raise ValueError(f"a term with its names spelled out is over {TERM_LIMIT} nodes")
             memo[key] = m
         return m

@@ -66,7 +66,7 @@ def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
 
     def term(t):
         m = parse_monitor(t, alphabet, variables, names)
-        if "$" in t and size_of(m, sizes) > prooflog.TERM_LIMIT:
+        if t.count("$") > 1 and size_of(m, sizes) > prooflog.TERM_LIMIT:
             raise ValueError(
                 f"a term with its names spelled out is over {prooflog.TERM_LIMIT} nodes"
             )
