@@ -4,116 +4,45 @@ Parsing and printing, operational semantics, verdict and omega-verdict
 equivalence checking, axiom systems with soundness fuzzing, normalization to
 canonical forms with emitted equational derivations, and an independent
 derivation checker.
+
+``import regmon`` loads none of the modules: each public name below imports
+its home module the first time it is read (PEP 562), so a program that only
+decides closed equivalence never compiles the rewriting or the proofs.  The
+name is looked up in its home module on every read, never copied here, so
+it is always the object that the module holds.
 """
 
-from .terms import (
-    END,
-    NO,
-    YES,
-    Alphabet,
-    Equation,
-    Monitor,
-    NonClosedInput,
-    Prefix,
-    Sum,
-    Var,
-    ac_equal,
-    ac_normalize,
-    apply_subst,
-    depth,
-    is_closed,
-    size_of,
-    vars_of,
-)
-from .syntax import ParseError, parse_alphabet, parse_equation, parse_monitor, print_monitor
-from .semantics import TAU, TraceLang, accepts, lang_of, omega_canon, rejects, weak_reach
-from .equivalence import (
-    Counterexample,
-    Decision,
-    decide,
-    omega_equiv_closed,
-    omega_equiv_open,
-    oracle_equiv_open,
-    verdict_equiv_closed,
-    verdict_equiv_open,
-)
-from .axioms import AxiomInstance, instantiate, list_system, soundness_fuzz, witness_family
-from .normalize import (
-    CanonicalForm,
-    finite_act_rnf,
-    normal_form_closed,
-    omega_nf_closed,
-    omega_open_nf,
-    open_nf,
-    open_rnf,
-    reduced_nf_closed,
-    unary_omega_nf,
-    unary_rnf,
-)
-from .prooflog import (
-    CheckError,
-    Derivation,
-    check_derivation,
-    parse_derivation,
-    print_derivation,
-)
+import importlib
 
-__all__ = [
-    "CanonicalForm",
-    "CheckError",
-    "Derivation",
-    "check_derivation",
-    "finite_act_rnf",
-    "normal_form_closed",
-    "omega_nf_closed",
-    "omega_open_nf",
-    "open_nf",
-    "open_rnf",
-    "parse_derivation",
-    "print_derivation",
-    "reduced_nf_closed",
-    "unary_omega_nf",
-    "unary_rnf",
-    "END",
-    "NO",
-    "YES",
-    "TAU",
-    "Alphabet",
-    "AxiomInstance",
-    "Counterexample",
-    "Decision",
-    "Equation",
-    "Monitor",
-    "NonClosedInput",
-    "ParseError",
-    "Prefix",
-    "Sum",
-    "TraceLang",
-    "Var",
-    "ac_equal",
-    "ac_normalize",
-    "accepts",
-    "apply_subst",
-    "decide",
-    "depth",
-    "instantiate",
-    "is_closed",
-    "lang_of",
-    "list_system",
-    "omega_canon",
-    "omega_equiv_closed",
-    "omega_equiv_open",
-    "oracle_equiv_open",
-    "parse_alphabet",
-    "parse_equation",
-    "parse_monitor",
-    "print_monitor",
-    "rejects",
-    "size_of",
-    "soundness_fuzz",
-    "vars_of",
-    "verdict_equiv_closed",
-    "verdict_equiv_open",
-    "weak_reach",
-    "witness_family",
-]
+_HOMES = {
+    "terms": (
+        "END NO YES Alphabet Equation Monitor NonClosedInput Prefix Sum Var ac_equal"
+        " ac_normalize apply_subst depth is_closed size_of vars_of"
+    ),
+    "syntax": "ParseError parse_alphabet parse_equation parse_monitor print_monitor",
+    "semantics": "TAU TraceLang accepts lang_of omega_canon rejects weak_reach",
+    "equivalence": (
+        "Counterexample Decision decide omega_equiv_closed omega_equiv_open"
+        " oracle_equiv_open verdict_equiv_closed verdict_equiv_open"
+    ),
+    "axioms": "AxiomInstance instantiate list_system soundness_fuzz witness_family",
+    "normalize": (
+        "CanonicalForm finite_act_rnf normal_form_closed omega_nf_closed omega_open_nf"
+        " open_nf open_rnf reduced_nf_closed unary_omega_nf unary_rnf"
+    ),
+    "prooflog": "CheckError Derivation check_derivation parse_derivation print_derivation",
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = list(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -101,7 +101,10 @@ def trace_count(width: int, length: int, cap: int) -> int:
 
 
 def bar_leq(trace: Trace, m: Monitor, alphabet: Alphabet) -> Monitor:
-    """Behaves like ``m`` after any non-prefix trace of length <= ``|trace|``."""
+    """Behaves like ``m`` after any non-prefix trace of length <= ``|trace|``.
+    Over one action there is none, so nothing is listed."""
+    if len(alphabet) == 1:
+        return END
     prefixes = pre_set(trace)
     parts = [
         prefix_seq(t, m)
@@ -273,6 +276,22 @@ def list_system(
         raise ValueError(
             f"system {system} contains the O2 family; max_trace_len and max_k must be >= 1"
         )
+    if "O2" in schemas:
+        # The nodes that the instances spell out: for each ``s`` and ``k``,
+        # the ``k * |s|`` prefixes of the guard and ``max(1, k - 1)`` copies
+        # of ``bar_leq``, whose parts are the non-prefix traces of length
+        # ``<= |s|``, each ``|s| + 1`` nodes deep.  Summed until over the limit.
+        size, copies = 0, 1 + max_k * (max_k - 1) // 2
+        for n in range(1, max_trace_len + 1):
+            if size > SIZE_LIMIT:
+                break
+            others = trace_count(len(fin), n, SIZE_LIMIT) - n - 1
+            size += len(fin) ** n * (n * max_k * (max_k + 1) // 2 + copies * (n + 1) * others)
+        if size > SIZE_LIMIT:
+            raise ResourceLimit(
+                f"system {system}: the O2 family with |s| <= {max_trace_len} and k <= {max_k}"
+                f" over {fin} has size {size} or more, over the limit of {SIZE_LIMIT}"
+            )
     out: list[AxiomInstance] = []
     for name, (params, _, listed) in SCHEMAS.items():
         if name not in schemas or not listed:
@@ -342,29 +361,29 @@ def soundness_fuzz(
     return FuzzReport(instance, mode, trials, tuple(failures))
 
 
-# The largest witness instance: building it lists each trace of length
-# ``<= n``, so its size is their number times ``n + 1``.  ``n = 16`` over
-# {a,b} (2,228,207) prints 22.5 MB in about 10 s; each further ``n`` more than
-# doubles that.
-WITNESS_LIMIT = 2_500_000
+# The largest witness instance or O2 listing.  Building a witness instance
+# lists each trace of length ``<= n``, so its size is their number times
+# ``n + 1``.  ``n = 16`` over {a,b} (2,228,207) prints 22.5 MB in about 10 s;
+# each further ``n`` more than doubles that.
+SIZE_LIMIT = 2_500_000
 
 
 def witness_instance(n: int, alphabet: Alphabet) -> AxiomInstance:
     """The n-th member of the one-sided witness family: the O2 instance at
-    ``s = a^n`` and ``k = 3``.  One over :data:`WITNESS_LIMIT` raises
+    ``s = a^n`` and ``k = 3``.  One over :data:`SIZE_LIMIT` raises
     :class:`ResourceLimit` before it is built."""
     if n < 1:
         raise ValueError("witness_family requires n >= 1")
     fin = _require_finite("witness_family", alphabet)
     if "a" not in fin:
         raise ValueError("witness_family uses the action 'a'")
-    count = trace_count(len(fin), n, WITNESS_LIMIT)
-    if (n + 1) * count > WITNESS_LIMIT:
+    count = trace_count(len(fin), n, SIZE_LIMIT)
+    if (n + 1) * count > SIZE_LIMIT:
         w, size = len(fin), (n + 1) * count
-        if w > 1 and count > WITNESS_LIMIT:  # the count may stop short: estimate
+        if w > 1 and count > SIZE_LIMIT:  # the count may stop short: estimate
             size = f"about 10^{int(math.log10(n + 1) + (n + 1) * math.log10(w) - math.log10(w - 1))}"
         raise ResourceLimit(
-            f"witness_family n={n} over {fin}: size {size} is over the limit of {WITNESS_LIMIT}"
+            f"witness_family n={n} over {fin}: size {size} is over the limit of {SIZE_LIMIT}"
         )
     return instantiate("O2", {"s": ("a",) * n, "k": 3}, fin)
 

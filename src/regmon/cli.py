@@ -19,10 +19,28 @@ import random
 import sys
 import time
 
-from . import axioms, equivalence, generate, normalize, prooflog, semantics, syntax
+from . import equivalence, semantics, syntax
 from .semantics import trace_key
 from .syntax import ParseError, print_monitor, print_substitution, print_trace
-from .terms import Alphabet, Monitor, ac_equal, vars_of
+from .terms import Alphabet, InternalError, Monitor, ac_equal, vars_of
+
+# The rewriting, the proofs, the axiom systems and the random terms are
+# imported by the handlers that run them, so that a closed ``equiv``, ``parse``
+# or ``lang`` starts without compiling them.  The parser's choices therefore
+# name the forms and systems here; a test holds these tables equal to
+# ``normalize.FORMS`` and ``axioms.SYSTEM_SCHEMAS``.
+FORM_ALIASES = {
+    "nf": "nf",
+    "rnf": "rnf",
+    "omega": "omega-nf",
+    "open-nf": "open-nf",
+    "open-rnf": "open-rnf",
+    "fin-rnf": "fin-rnf",
+    "unary-rnf": "unary-rnf",
+    "unary-omega": "unary-omega-nf",
+    "open-omega": "open-omega-nf",
+}
+SYSTEMS = ("Eomega", "Eomega1'", "Eomegaf'", "Ev", "Ev'", "Ev1'", "Evf'")
 
 
 class UsageError(ValueError):
@@ -54,7 +72,7 @@ def _resolve_term(source: str, alphabet: Alphabet | None, variables) -> tuple[Mo
     except syntax.AlphabetConflict as err:
         raise UsageError(f"{path}: {err}") from None
     if tf.alphabet is None:  # parse_term_file rejects a file without one
-        raise normalize.InternalError(f"{path}: term file read without an alphabet")
+        raise InternalError(f"{path}: term file read without an alphabet")
     if name:
         if name not in tf.terms:
             raise UsageError(f"{path} does not define {name!r}")
@@ -191,10 +209,9 @@ def cmd_equiv(args) -> int:
     return 0 if equal else 1
 
 
-FORM_ALIASES = {form.option: kind for kind, form in normalize.FORMS.items()}
-
-
 def _run_normalize(args, emit_proof: bool) -> int:
+    from . import normalize, prooflog
+
     alphabet, (term,) = _terms_and_alphabet(args, args.term)
     pipeline = normalize.PIPELINES[FORM_ALIASES[args.form]]
     cf = pipeline(term, alphabet, emit_proof=emit_proof)
@@ -236,6 +253,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from . import axioms
+
     alphabet = _alphabet_from(args)
     instances = axioms.list_system(
         args.system, alphabet, max_trace_len=args.max_s, max_k=args.max_k
@@ -286,6 +305,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    from . import prooflog
+
     text = _load_text(args.file)
     derivation, variables = prooflog.parse_derivation(text)
     claimed = None
@@ -322,6 +343,8 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import generate
+
     started = time.monotonic()
     alphabet = _alphabet_from(args)
     if not alphabet.is_finite:
@@ -390,6 +413,8 @@ def _verdicts(m: Monitor, n: Monitor, alphabet: Alphabet, args) -> tuple[bool, b
             m, n, alphabet, args.mode, args.bound, seed=args.seed
         )
     else:
+        from . import normalize
+
         if args.mode == equivalence.VERDICT:
             form = normalize.reduced_nf_closed
         else:
@@ -441,6 +466,8 @@ def _shrink_disagreement(m: Monitor, n: Monitor, alphabet: Alphabet, args):
 
 
 def cmd_witness(args) -> int:
+    from . import axioms
+
     alphabet = _alphabet_from(args)
     inst = axioms.witness_instance(args.n, alphabet)
     lines = [str(inst.equation)]
@@ -527,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("axioms", help="list an axiom system, optionally fuzzing it")
-    p.add_argument("--system", choices=sorted(axioms.SYSTEM_SCHEMAS), required=True)
+    p.add_argument("--system", choices=SYSTEMS, required=True)
     p.add_argument("--max-s", type=_count(1), help="bound on |s| for the O2 family")
     p.add_argument("--max-k", type=_count(1), help="bound on k for the O2 family")
     p.add_argument("--fuzz", type=_count(), help="random closed substitutions per instance")
@@ -569,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(f"parse error at {err.span}: {err.message}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, OSError, normalize.InternalError) as err:
+    except (UsageError, ValueError, OSError, InternalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

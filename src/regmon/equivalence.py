@@ -16,7 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from . import normalize, semantics
+from . import semantics
 from .semantics import initial_state, step_state
 from .terms import (
     END,
@@ -24,6 +24,7 @@ from .terms import (
     YES,
     Alphabet,
     Monitor,
+    Prefix,
     Substitution,
     Sum,
     Trace,
@@ -36,7 +37,6 @@ from .terms import (
     require_closed,
     vars_of,
 )
-from .axioms import prefix_seq, traces_upto
 
 VERDICT = "verdict"
 OMEGA = "omega"
@@ -199,6 +199,8 @@ def substitution_values(alphabet: Alphabet, bound: int) -> list[Monitor]:
     """The probe values: the three verdicts plus ``t.yes``, ``t.no`` and
     ``t.(yes + no)`` for every trace ``t`` of length at most ``bound``,
     enumerated shortest-first and truncated at ``_MAX_VALUES``."""
+    from .axioms import prefix_seq, traces_upto
+
     values: list[Monitor] = [END, YES, NO]
     seen = set(values)
     for t in traces_upto(bound, alphabet, limit=_MAX_VALUES):
@@ -330,7 +332,7 @@ def fresh_substitution(m: Monitor, n: Monitor) -> dict[str, Monitor]:
     for v in sorted(vars_of(m) | vars_of(n)):
         a = semantics.fresh_action(used, stem=f"_fx_{v}")
         used.add(a)
-        sigma[v] = prefix_seq((a,), Sum(YES, NO))
+        sigma[v] = Prefix(a, Sum(YES, NO))
     return sigma
 
 
@@ -344,6 +346,8 @@ def open_form(mode: str, alphabet: Alphabet):
     _require_mode(mode)
     if not alphabet.is_finite:
         return None
+    from . import normalize
+
     unary = len(alphabet) == 1
     if mode == VERDICT:
         kind = normalize.UNARY_RNF if unary else normalize.FIN_RNF

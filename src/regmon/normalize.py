@@ -40,6 +40,7 @@ from .terms import (
     YES,
     Alphabet,
     Equation,
+    InternalError,
     Monitor,
     Prefix,
     Sum,
@@ -70,12 +71,6 @@ OPEN_OMEGA_NF = "open-omega-nf"
 
 class AlphabetTooSmall(ValueError):
     pass
-
-
-class InternalError(RuntimeError):
-    """A broken invariant of the rewriting, such as a fixpoint loop that ran
-    out of fuel or a proof chain whose ends do not meet: a bug, not a bad
-    input.  Raised explicitly, so that it survives ``python -O``."""
 
 
 # Rounds that the fixpoint loops of fin-rnf and open-omega-nf may take.

@@ -34,6 +34,14 @@ class NonClosedInput(ValueError):
     """An operation that requires a closed monitor was given an open one."""
 
 
+class InternalError(RuntimeError):
+    """A broken invariant of the rewriting, such as a fixpoint loop that ran
+    out of fuel or a proof chain whose ends do not meet: a bug, not a bad
+    input.  Raised explicitly, so that it survives ``python -O``.  Defined
+    here, and re-exported by :mod:`.normalize`, so that the command line can
+    catch it without importing the rewriting."""
+
+
 def is_identifier(name: str) -> bool:
     return bool(_IDENT_RE.match(name))
 

@@ -32,6 +32,7 @@ from regmon.terms import (
     ac_equal,
     apply_subst,
     depth,
+    sum_of,
 )
 
 YN = Sum(YES, NO)
@@ -290,6 +291,29 @@ def test_trace_count_counts_what_traces_upto_lists():
             assert capped == listed or 2 < capped <= listed
     # Counting stops after a few levels, however long the traces.
     assert 100 < trace_count(2, 10**12, 100) <= 201
+
+
+def _listing_bar_leq(trace, m, alphabet):
+    """``bar_leq`` as it was before the one-action case: every trace of
+    length ``<= |trace|`` that is not a prefix of ``trace``, listed."""
+    prefixes = pre_set(trace)
+    return sum_of(
+        prefix_seq(t, m) for t in traces_upto(len(trace), alphabet) if t not in prefixes
+    )
+
+
+def test_o2_instances_are_the_nodes_that_listing_every_trace_builds(monkeypatch):
+    from regmon import axioms
+
+    for alphabet in (A, AB, Alphabet.finite("abc")):
+        bindings = [
+            {"s": s, "k": k} for s in traces_upto(4, alphabet)[1:] for k in (1, 2, 3)
+        ]
+        new = [instantiate("O2", b, alphabet).equation for b in bindings]
+        with monkeypatch.context() as patch:
+            patch.setattr(axioms, "bar_leq", _listing_bar_leq)
+            old = [instantiate("O2", b, alphabet).equation for b in bindings]
+        assert all(n.lhs is o.lhs and n.rhs is o.rhs for n, o in zip(new, old))
 
 
 def test_witness_family_soundness_and_gap_trace():

@@ -283,6 +283,46 @@ def test_witness_names_the_size_that_it_refuses(capsys):
                                " the limit of 2500000\n")
 
 
+@pytest.mark.parametrize("bounds, named", [
+    (("1000000", "1"), "|s| <= 1000000 and k <= 1"),
+    (("1", "1000000"), "|s| <= 1 and k <= 1000000"),
+])
+def test_axioms_refuses_a_listing_over_the_limit_before_building_it(capsys, bounds, named):
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "axioms", "--system", "Evf'", "--alphabet", "a,b",
+        "--max-s", bounds[0], "--max-k", bounds[1],
+    )
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: system Evf': the O2 family with {named} over a,b has size ")
+    assert err.endswith(" over the limit of 2500000\n")
+
+
+def test_check_proof_of_a_long_o2_step_over_one_action_stays_small(tmp_path, capsys):
+    # Over one action every trace no longer than s is a prefix of s, so the
+    # instance lists none: its size grows with |s|, not with |s|^2.
+    import tracemalloc
+
+    chain = "a." * 4000
+    path = tmp_path / "proof.txt"
+    path.write_text(
+        "system: Evf'\nalphabet: a\nvars: x\n"
+        f"step 1: x + {chain}x + {chain}a.(yes + no) = x + {chain}a.(yes + no)"
+        f" by axiom(O2; s={' '.join('a' * 4000)}; k=1)\n",
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check-proof", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and out.startswith("valid: x + a.a.")
+    assert peak <= 16 * 2**20
+
+
 def test_fuzz_deterministic_output(capsys):
     args = (
         "fuzz", "--trials", "30", "--depth", "3", "--alphabet", "a,b",
@@ -452,7 +492,9 @@ def test_inconsistent_form_and_alphabet_is_exit_2(capsys):
     assert "two actions" in err or "alphabet" in err
 
 
-def _fresh_process(*argv):
+def _fresh_process(*argv, program=("-m", "regmon")):
+    """Run ``regmon`` with ``argv`` in a new interpreter, or ``program``
+    (such as ``("-c", code)``) when given."""
     import os
     import subprocess
     import sys
@@ -463,9 +505,78 @@ def _fresh_process(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(regmon.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "regmon", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *program, *argv], capture_output=True, text=True, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# Runs ``cli.main`` on its arguments, then prints the ``regmon`` modules it
+# loaded on stderr.
+LOADED_MODULES = (
+    "import sys\n"
+    "from regmon.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(sorted(m for m in sys.modules if m.startswith('regmon.')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+REWRITING = {"regmon.normalize", "regmon.prooflog", "regmon.axioms", "regmon.generate"}
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    (("equiv", "--alphabet", "a,b", "yes + a.no", "a.no + yes"), REWRITING),
+    (("equiv", "--alphabet", "a,b", "--mode", "omega", "yes", "a.yes + b.yes"), REWRITING),
+    (("parse", "a.(yes + no) + x", "--alphabet", "a,b"), REWRITING),
+    (("lang", "a.yes + b.no", "--alphabet", "a,b"), REWRITING),
+    (("check-proof", "tests/golden/proofs/open-rnf.compact.txt"),
+     {"regmon.normalize", "regmon.generate"}),
+])
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, left_out):
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [os.path.join(root, a) if a.startswith("tests/") else a for a in argv]
+    code, out, err = _fresh_process(*argv, program=("-c", LOADED_MODULES))
+    assert code == 0 and out
+    loaded = set(eval(err.splitlines()[-1]))
+    assert {"regmon.terms", "regmon.cli"} <= loaded
+    assert not loaded & left_out
+
+
+def test_every_public_name_is_its_home_modules_object():
+    import importlib
+
+    import regmon
+    import regmon.cli as cli
+
+    namespace = {}
+    exec("from regmon import *", namespace)
+    assert set(regmon.__all__) <= set(dir(regmon))
+    for name in regmon.__all__:
+        home = importlib.import_module(f"regmon.{regmon._HOME_OF[name]}")
+        assert getattr(regmon, name) is getattr(home, name) is namespace[name]
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        regmon.nothing
+    # The parser's name-only tables, against the tables they name.
+    from regmon import axioms, normalize
+
+    assert cli.FORM_ALIASES == {f.option: kind for kind, f in normalize.FORMS.items()}
+    assert cli.SYSTEMS == tuple(sorted(axioms.SYSTEM_SCHEMAS))
+
+
+@pytest.mark.parametrize("internal", [True, False])
+def test_only_an_internal_error_of_the_rewriting_is_exit_2(capsys, monkeypatch, internal):
+    from regmon import normalize
+
+    def broken(*_args, **_kwargs):
+        raise (normalize.InternalError if internal else RuntimeError)("broken invariant")
+
+    monkeypatch.setitem(normalize.PIPELINES, "rnf", broken)
+    argv = ["normalize", "--form", "rnf", "--alphabet", "a", "a.yes"]
+    if internal:
+        assert run(capsys, *argv) == (2, "", "error: broken invariant\n")
+    else:
+        with pytest.raises(RuntimeError, match="broken invariant"):
+            main(argv)
 
 
 def test_input_that_nests_too_deeply_is_exit_2():
