@@ -277,16 +277,19 @@ def list_system(
             f"system {system} contains the O2 family; max_trace_len and max_k must be >= 1"
         )
     if "O2" in schemas:
-        # The nodes that the instances spell out: for each ``s`` and ``k``,
-        # the ``k * |s|`` prefixes of the guard and ``max(1, k - 1)`` copies
-        # of ``bar_leq``, whose parts are the non-prefix traces of length
-        # ``<= |s|``, each ``|s| + 1`` nodes deep.  Summed until over the limit.
+        # At least the nodes that the guards spell out.  At ``|s| = n`` and
+        # ``k``, a guard has the chains ``s^i`` for ``i < k``, one ``s``
+        # before its fan, and ``max(1, k - 1)`` copies of ``bar_leq``, whose
+        # parts are the non-prefix traces of length ``<= n``, each ``n + 1``
+        # nodes deep.  Summed over ``k <= max_k``, then over ``n`` until over
+        # the limit.
+        chains = (max_k + 1) * max_k * (max_k - 1) // 6 + max_k
         size, copies = 0, 1 + max_k * (max_k - 1) // 2
         for n in range(1, max_trace_len + 1):
             if size > SIZE_LIMIT:
                 break
             others = trace_count(len(fin), n, SIZE_LIMIT) - n - 1
-            size += len(fin) ** n * (n * max_k * (max_k + 1) // 2 + copies * (n + 1) * others)
+            size += len(fin) ** n * (n * chains + copies * (n + 1) * others)
         if size > SIZE_LIMIT:
             raise ResourceLimit(
                 f"system {system}: the O2 family with |s| <= {max_trace_len} and k <= {max_k}"

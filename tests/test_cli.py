@@ -542,7 +542,7 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, left_out):
     assert not loaded & left_out
 
 
-def test_every_public_name_is_its_home_modules_object():
+def test_every_public_name_is_its_home_modules_object(monkeypatch):
     import importlib
 
     import regmon
@@ -556,6 +556,13 @@ def test_every_public_name_is_its_home_modules_object():
         assert getattr(regmon, name) is getattr(home, name) is namespace[name]
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         regmon.nothing
+    # A name is read from its home module each time, so a function rebound
+    # there and put back (as perfbench's tracer does) leaves no copy behind.
+    original = regmon.decide
+    monkeypatch.setattr(importlib.import_module("regmon.equivalence"), "decide", len)
+    assert regmon.decide is len
+    monkeypatch.undo()
+    assert regmon.decide is original
     # The parser's name-only tables, against the tables they name.
     from regmon import axioms, normalize
 
