@@ -27,7 +27,7 @@ from .terms import Alphabet, InternalError, Monitor, ac_equal, vars_of
 # The rewriting, the proofs, the axiom systems and the random terms are
 # imported by the handlers that run them, so that a closed ``equiv``, ``parse``
 # or ``lang`` starts without compiling them.  The parser's choices therefore
-# name the forms and systems here; a test holds these tables equal to
+# name the forms and systems here; tests hold these tables equal to
 # ``normalize.FORMS`` and ``axioms.SYSTEM_SCHEMAS``.
 FORM_ALIASES = {
     "nf": "nf",
