@@ -364,10 +364,10 @@ def soundness_fuzz(
     return FuzzReport(instance, mode, trials, tuple(failures))
 
 
-# The largest witness instance or O2 listing.  Building a witness instance
-# lists each trace of length ``<= n``, so its size is their number times
-# ``n + 1``.  ``n = 16`` over {a,b} (2,228,207) prints 22.5 MB in about 10 s;
-# each further ``n`` more than doubles that.
+# The largest witness instance or O2 listing.  Over two actions or more,
+# building a witness instance lists each trace of length ``<= n``, so its
+# size is their number times ``n + 1``.  ``n = 16`` over {a,b} (2,228,207)
+# prints 22.5 MB in about 10 s; each further ``n`` more than doubles that.
 SIZE_LIMIT = 2_500_000
 
 
@@ -380,9 +380,13 @@ def witness_instance(n: int, alphabet: Alphabet) -> AxiomInstance:
     fin = _require_finite("witness_family", alphabet)
     if "a" not in fin:
         raise ValueError("witness_family uses the action 'a'")
-    count = trace_count(len(fin), n, SIZE_LIMIT)
-    if (n + 1) * count > SIZE_LIMIT:
-        w, size = len(fin), (n + 1) * count
+    w = len(fin)
+    count = trace_count(w, n, SIZE_LIMIT)
+    # Over one action ``bar_leq`` lists nothing: the sides ``x + a^n.x + G``
+    # and ``x + G``, with ``G = a^n.end + a^(3n+1).(yes + no)``, have 9n + 18
+    # nodes.
+    size = 9 * n + 18 if w == 1 else (n + 1) * count
+    if size > SIZE_LIMIT:
         if w > 1 and count > SIZE_LIMIT:  # the count may stop short: estimate
             size = f"about 10^{int(math.log10(n + 1) + (n + 1) * math.log10(w) - math.log10(w - 1))}"
         raise ResourceLimit(

@@ -109,11 +109,14 @@ def _terms_and_alphabet(args, *sources) -> tuple[Alphabet, list[Monitor]]:
     return seen, terms
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, inputs: dict, result, lines: list[str], **extra) -> None:
+    """Print ``lines``, or with ``--json`` one line of JSON: ``command`` (the
+    subcommand), ``inputs``, ``result`` and the subcommand's ``extra`` fields."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True, default=str))
+        envelope = {"command": args.command, "inputs": inputs, "result": result, **extra}
+        print(json.dumps(envelope, sort_keys=True, default=str))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
 
 
@@ -134,39 +137,19 @@ def _cex_payload(cex: equivalence.Counterexample | None):
 def cmd_parse(args) -> int:
     alphabet, (term,) = _terms_and_alphabet(args, args.term)
     rendered = print_monitor(term)
-    _emit(
-        args,
-        {
-            "command": "parse",
-            "inputs": {"term": args.term, "alphabet": str(alphabet)},
-            "result": rendered,
-        },
-        [rendered],
-    )
+    _emit(args, {"term": args.term, "alphabet": str(alphabet)}, rendered, [rendered])
     return 0
 
 
 def cmd_lang(args) -> int:
     alphabet, (term,) = _terms_and_alphabet(args, args.term)
     lang = semantics.lang_of(term, alphabet)
-    accept = sorted(lang.accept_min, key=trace_key)
-    reject = sorted(lang.reject_min, key=trace_key)
-    lines = ["accept:"]
-    lines.extend(print_trace(t) for t in accept)
-    lines.append("reject:")
-    lines.extend(print_trace(t) for t in reject)
-    _emit(
-        args,
-        {
-            "command": "lang",
-            "inputs": {"term": args.term, "alphabet": str(alphabet)},
-            "result": {
-                "accept": [print_trace(t) for t in accept],
-                "reject": [print_trace(t) for t in reject],
-            },
-        },
-        lines,
-    )
+    result = {
+        "accept": [print_trace(t) for t in sorted(lang.accept_min, key=trace_key)],
+        "reject": [print_trace(t) for t in sorted(lang.reject_min, key=trace_key)],
+    }
+    lines = ["accept:", *result["accept"], "reject:", *result["reject"]]
+    _emit(args, {"term": args.term, "alphabet": str(alphabet)}, result, lines)
     return 0
 
 
@@ -184,7 +167,8 @@ def cmd_equiv(args) -> int:
             m, n, alphabet, mode, bound=args.bound, seed=args.seed
         )
         equal, cex = decision.equal, decision.counterexample
-    lines = ["equivalent" if equal else "inequivalent"]
+    result = "equivalent" if equal else "inequivalent"
+    lines = [result]
     if cex is not None:
         if cex.substitution:
             lines.append(f"substitution: {print_substitution(cex.substitution)}")
@@ -192,19 +176,11 @@ def cmd_equiv(args) -> int:
         lines.append(f"side: {cex.side}")
     _emit(
         args,
-        {
-            "command": "equiv",
-            "inputs": {
-                "left": args.left,
-                "right": args.right,
-                "alphabet": str(alphabet),
-                "mode": mode,
-            },
-            "result": "equivalent" if equal else "inequivalent",
-            "counterexample": _cex_payload(cex),
-            "timing": round(time.monotonic() - started, 6),
-        },
+        {"left": args.left, "right": args.right, "alphabet": str(alphabet), "mode": mode},
+        result,
         lines,
+        counterexample=_cex_payload(cex),
+        timing=round(time.monotonic() - started, 6),
     )
     return 0 if equal else 1
 
@@ -229,17 +205,10 @@ def _run_normalize(args, emit_proof: bool) -> int:
         lines.append(proof_text.rstrip("\n"))
     _emit(
         args,
-        {
-            "command": args.command,
-            "inputs": {
-                "term": args.term,
-                "alphabet": str(alphabet),
-                "form": args.form,
-            },
-            "result": rendered,
-            "steps": len(cf.derivation.steps) if cf.derivation else None,
-        },
+        {"term": args.term, "alphabet": str(alphabet), "form": args.form},
+        rendered,
         lines,
+        steps=len(cf.derivation.steps) if cf.derivation else None,
     )
     return 0
 
@@ -286,21 +255,14 @@ def cmd_axioms(args) -> int:
                 "failures": 0 if report is None else len(report.failures),
             }
         )
-    _emit(
-        args,
-        {
-            "command": "axioms",
-            "inputs": {
-                "system": args.system,
-                "alphabet": str(alphabet),
-                "mode": args.mode,
-                "fuzz": args.fuzz,
-                "seed": args.seed,
-            },
-            "result": results,
-        },
-        lines,
-    )
+    inputs = {
+        "system": args.system,
+        "alphabet": str(alphabet),
+        "mode": args.mode,
+        "fuzz": args.fuzz,
+        "seed": args.seed,
+    }
+    _emit(args, inputs, results, lines)
     return 1 if failures else 0
 
 
@@ -313,32 +275,14 @@ def cmd_check_proof(args) -> int:
     if args.claim:
         claimed = syntax.parse_equation(args.claim, derivation.alphabet, variables)
     error = prooflog.validate(derivation, claimed)
+    inputs = {"file": args.file}
     if error is None:
-        _emit(
-            args,
-            {
-                "command": "check-proof",
-                "inputs": {"file": args.file},
-                "result": "valid",
-                "conclusion": str(derivation.conclusion),
-            },
-            [f"valid: {derivation.conclusion}"],
-        )
+        conclusion = str(derivation.conclusion)
+        _emit(args, inputs, "valid", [f"valid: {conclusion}"], conclusion=conclusion)
         return 0
-    _emit(
-        args,
-        {
-            "command": "check-proof",
-            "inputs": {"file": args.file},
-            "result": "invalid",
-            "error": {
-                "step": error.step_id,
-                "reason": error.reason,
-                "message": error.message,
-            },
-        },
-        [f"invalid at step {error.step_id}: [{error.reason}] {error.message}"],
-    )
+    line = f"invalid at step {error.step_id}: [{error.reason}] {error.message}"
+    details = {"step": error.step_id, "reason": error.reason, "message": error.message}
+    _emit(args, inputs, "invalid", [line], error=details)
     return 1
 
 
@@ -372,35 +316,26 @@ def cmd_fuzz(args) -> int:
         f" alphabet={alphabet}, seed={args.seed})"
     )
     lines.append(summary)
-    _emit(
-        args,
+    inputs = {
+        "trials": args.trials,
+        "depth": args.depth,
+        "alphabet": str(alphabet),
+        "mode": args.mode,
+        "open": bool(args.open),
+        "seed": args.seed,
+    }
+    found = [
         {
-            "command": "fuzz",
-            "inputs": {
-                "trials": args.trials,
-                "depth": args.depth,
-                "alphabet": str(alphabet),
-                "mode": args.mode,
-                "open": bool(args.open),
-                "seed": args.seed,
-            },
-            "result": {
-                "disagreements": [
-                    {
-                        "trial": t,
-                        "left": print_monitor(m),
-                        "right": print_monitor(n),
-                        "canonical": syn,
-                        "semantic": sem,
-                    }
-                    for t, m, n, syn, sem in disagreements
-                ],
-                "summary": summary,
-            },
-            "timing": round(time.monotonic() - started, 6),
-        },
-        lines,
-    )
+            "trial": t,
+            "left": print_monitor(m),
+            "right": print_monitor(n),
+            "canonical": syn,
+            "semantic": sem,
+        }
+        for t, m, n, syn, sem in disagreements
+    ]
+    result = {"disagreements": found, "summary": summary}
+    _emit(args, inputs, result, lines, timing=round(time.monotonic() - started, 6))
     return 1 if disagreements else 0
 
 
@@ -480,15 +415,8 @@ def cmd_witness(args) -> int:
         lines.append(
             f"soundness fuzz: {report.trials} trials, {failures} failures"
         )
-    _emit(
-        args,
-        {
-            "command": "witness",
-            "inputs": {"n": args.n, "alphabet": str(alphabet), "fuzz": args.fuzz},
-            "result": {"equation": lines[0], "failures": failures},
-        },
-        lines,
-    )
+    inputs = {"n": args.n, "alphabet": str(alphabet), "fuzz": args.fuzz}
+    _emit(args, inputs, {"equation": lines[0], "failures": failures}, lines)
     return 1 if failures else 0
 
 

@@ -309,9 +309,7 @@ def validate(derivation: Derivation, claimed: Equation | None = None) -> CheckEr
 
 
 def _print_binding(key: str, value) -> str:
-    if key == "s":
-        return f"s={' '.join(value)}" if value else "s=<eps>"
-    return f"{key}={value}"
+    return f"{key}={syntax.print_trace(value) if key == 's' else value}"
 
 
 def print_justification(
@@ -414,22 +412,6 @@ def print_derivation(derivation: Derivation, variables: Iterable[str] = ()) -> s
     return "\n".join(lines) + "\n"
 
 
-def _parse_mapping(text: str, term: Callable[[str], Monitor]) -> tuple[tuple[str, Monitor], ...]:
-    out: dict[str, Monitor] = {}
-    text = text.strip()
-    if not text:
-        return ()
-    for part in text.split(","):
-        name, arrow, term_text = part.partition("->")
-        if not arrow:
-            raise ValueError(f"expected 'x -> term' in {part!r}")
-        name = name.strip()
-        if name in out:
-            raise ValueError(f"variable {name!r} is mapped twice")
-        out[name] = term(term_text)
-    return tuple(sorted(out.items(), key=lambda pair: pair[0]))
-
-
 def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justification:
     text = text.strip()
     if text == "refl":
@@ -458,7 +440,7 @@ def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justifica
         sid_text, semi, mapping = args.partition(";")
         if not semi:
             raise ValueError("subst needs a mapping after ';'")
-        return Substitutivity(int(sid_text), _parse_mapping(mapping, term))
+        return Substitutivity(int(sid_text), syntax.parse_substitution(mapping, term))
     if head == "axiom":
         groups = [g.strip() for g in args.split(";")]
         name = groups[0]
@@ -468,7 +450,7 @@ def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justifica
             if "->" in group:
                 if subst:
                     raise ValueError("axiom takes one mapping")
-                subst = _parse_mapping(group, term)
+                subst = syntax.parse_substitution(group, term)
             elif "=" in group:
                 key, _, value = group.partition("=")
                 key = key.strip()

@@ -13,6 +13,11 @@ explicitly and every other identifier is an action.  A ``NAME`` stands for
 the term that a map from names to terms gives it (derivation files declare
 them); ``$`` is no identifier character, so no action or variable takes it.
 ``#`` starts a line comment in every file format.
+
+One function reads the grammar: :func:`parse_monitor` and
+:func:`parse_equation` are its two entries.  The trace text (``a b``,
+``<eps>``) and the substitution text (``x -> t, y -> u``) of the command
+line and the derivation files are printed and read here too.
 """
 
 from __future__ import annotations
@@ -119,109 +124,96 @@ def _tokenize(text: str) -> list[_Token]:
 Names = Mapping[str, Monitor] | None
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet, variables: frozenset[str], names: Names):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.alphabet = alphabet
-        self.variables = variables
-        self.names = names or {}
+def _parse(
+    text: str, alphabet: Alphabet, variables: frozenset[str], names: Names, equation: bool
+) -> Monitor | Equation:
+    """The ``term``, or with ``equation`` the ``term '=' term``, that spans
+    ``text``, read without recursion after the whole text is tokenized.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    ``frames`` holds, for every open parenthesis, the sum parsed so far and
+    the actions prefixed to the parenthesis.
+    """
+    tokens = _tokenize(text)
+    if tokens[0][0] == "eof":
+        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
+    names = names or {}
 
-    def fail(self, tok: _Token, message: str, kind: str = UNEXPECTED_TOKEN):
-        raise _error(self.text, tok, kind, message)
+    def is_action(word: str) -> bool:
+        if alphabet.is_finite:
+            return word in alphabet
+        return word not in variables
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if tok[0] != kind:
-            self.fail(tok, f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
-        return tok
+    def fail(tok: _Token, message: str, kind: str = UNEXPECTED_TOKEN):
+        raise _error(text, tok, kind, message)
 
-    def is_action(self, name: str) -> bool:
-        if self.alphabet.is_finite:
-            return name in self.alphabet
-        return name not in self.variables
-
-    def parse_term(self) -> Monitor:
-        """``term`` at the current token, without recursion.
-
-        ``frames`` holds, for every open parenthesis, the sum parsed so far
-        and the actions prefixed to the parenthesis.
-        """
-        tokens = self.tokens
-        pos = self.pos
-        is_action = self.is_action
-        frames: list[tuple[Monitor | None, list[str]]] = []
-        acc: Monitor | None = None
-        prefixes: list[str] = []
-        while True:
-            # prefterm: a run of ACTION '.', then an atom.
+    pos = 0
+    lhs: Monitor | None = None
+    frames: list[tuple[Monitor | None, list[str]]] = []
+    acc: Monitor | None = None
+    prefixes: list[str] = []
+    while True:
+        # prefterm: a run of ACTION '.', then an atom.
+        tok = tokens[pos]
+        kind, word, _ = tok
+        while kind == "ident" and word not in RESERVED_WORDS and tokens[pos + 1][0] == ".":
+            if not is_action(word):
+                fail(tok, f"variable {word!r} cannot be used as a prefix")
+            prefixes.append(word)
+            pos += 2
             tok = tokens[pos]
-            kind, text, _ = tok
-            while (
-                kind == "ident"
-                and text not in RESERVED_WORDS
-                and tokens[pos + 1][0] == "."
-            ):
-                if not is_action(text):
-                    self.fail(tok, f"variable {text!r} cannot be used as a prefix")
-                prefixes.append(text)
-                pos += 2
-                tok = tokens[pos]
-                kind, text, _ = tok
-            pos += 1
-            if kind == "ident":
-                if text == "yes":
-                    term = YES
-                elif text == "no":
-                    term = NO
-                elif text == "end":
-                    term = END
-                elif is_action(text):
-                    self.fail(tok, f"action {text!r} must be followed by '.'")
-                else:
-                    term = Var(text)
-            elif kind == "name":
-                term = self.names.get(text)
-                if term is None:
-                    self.fail(tok, f"undeclared name {text!r}", UNDECLARED_NAME)
-            elif kind == "(":
-                frames.append((acc, prefixes))
-                acc, prefixes = None, []
-                continue
-            elif kind == ")":
-                self.fail(tok, "unmatched ')'", UNBALANCED_PAREN)
-            elif kind == "eof":
-                self.fail(tok, "unexpected end of input")
+            kind, word, _ = tok
+        pos += 1
+        if kind == "ident":
+            if word == "yes":
+                term = YES
+            elif word == "no":
+                term = NO
+            elif word == "end":
+                term = END
+            elif is_action(word):
+                fail(tok, f"action {word!r} must be followed by '.'")
             else:
-                self.fail(tok, f"unexpected token {text!r}")
-            # The atom is complete: prefix it, add it to the sum, and close
-            # every parenthesis that ends here.
-            while True:
-                if prefixes:
-                    for action in reversed(prefixes):
-                        term = Prefix(action, term)
-                    prefixes = []
-                acc = term if acc is None else Sum(acc, term)
-                kind = tokens[pos][0]
-                if kind == "+":
-                    pos += 1
-                    break
-                if not frames:
-                    self.pos = pos
-                    return acc
-                if kind != ")":
-                    self.fail(tokens[pos], "expected ')'", UNBALANCED_PAREN)
-                pos += 1
+                term = Var(word)
+        elif kind == "name":
+            term = names.get(word)
+            if term is None:
+                fail(tok, f"undeclared name {word!r}", UNDECLARED_NAME)
+        elif kind == "(":
+            frames.append((acc, prefixes))
+            acc, prefixes = None, []
+            continue
+        elif kind == ")":
+            fail(tok, "unmatched ')'", UNBALANCED_PAREN)
+        elif kind == "eof":
+            fail(tok, "unexpected end of input")
+        else:
+            fail(tok, f"unexpected token {word!r}")
+        # The atom is complete: prefix it, add it to the sum, and close every
+        # parenthesis that ends here.  At the end of a term, read the '=' of
+        # an equation or the end of input.
+        while True:
+            for action in reversed(prefixes):
+                term = Prefix(action, term)
+            prefixes = []
+            acc = term if acc is None else Sum(acc, term)
+            tok = tokens[pos]
+            pos += 1
+            if tok[0] == "+":
+                break
+            if frames:
+                if tok[0] != ")":
+                    fail(tok, "expected ')'", UNBALANCED_PAREN)
                 term = acc
                 acc, prefixes = frames.pop()
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "eof"
+            elif equation and lhs is None:
+                if tok[0] != "=":
+                    fail(tok, f"expected '=', found {tok[1] or 'end of input'!r}")
+                lhs, acc = acc, None
+                break
+            elif tok[0] != "eof":
+                fail(tok, f"trailing input starting at {tok[1]!r}")
+            else:
+                return Equation(lhs, acc) if equation else acc
 
 
 def parse_monitor(
@@ -233,29 +225,14 @@ def parse_monitor(
     a finite alphabet every identifier outside the alphabet is a variable.
     ``names`` maps each ``$N`` that the text may use to its term.
     """
-    parser = _Parser(text, alphabet, frozenset(variables), names)
-    if parser.at_end():
-        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
-    return term
+    return _parse(text, alphabet, frozenset(variables), names, False)
 
 
 def parse_equation(
     text: str, alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
 ) -> Equation:
-    parser = _Parser(text, alphabet, frozenset(variables), names)
-    if parser.at_end():
-        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
-    lhs = parser.parse_term()
-    parser.expect("=")
-    rhs = parser.parse_term()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
-    return Equation(lhs, rhs)
+    """Parse ``term = term``, as :func:`parse_monitor` parses each term."""
+    return _parse(text, alphabet, frozenset(variables), names, True)
 
 
 def parse_alphabet(text: str) -> Alphabet:
@@ -326,6 +303,25 @@ def print_substitution(
     prints each term (:func:`print_term` by default)."""
     show = show or print_term
     return ", ".join(f"{name} -> {show(term)}" for name, term in pairs)
+
+
+def parse_substitution(text: str, term: Callable[[str], Monitor]) -> tuple[tuple[str, Monitor], ...]:
+    """The pairs of ``x -> t, y -> u``, sorted by variable; ``term`` parses
+    each term.  The term grammar has no ',', so the text splits into its
+    pairs exactly."""
+    out: dict[str, Monitor] = {}
+    text = text.strip()
+    if not text:
+        return ()
+    for part in text.split(","):
+        name, arrow, term_text = part.partition("->")
+        if not arrow:
+            raise ValueError(f"expected 'x -> term' in {part!r}")
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"variable {name!r} is mapped twice")
+        out[name] = term(term_text)
+    return tuple(sorted(out.items(), key=lambda pair: pair[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +284,20 @@ def test_witness_names_the_size_that_it_refuses(capsys):
                                " the limit of 2500000\n")
 
 
+def test_witness_over_one_action_is_sized_by_the_instance_it_builds(capsys):
+    # Over one action bar_leq lists nothing: the two sides have 9n + 18 nodes.
+    from regmon.syntax import parse_equation
+    from regmon.terms import Alphabet
+
+    code, out, err = run(capsys, "witness", "--n", "2000", "--alphabet", "a")
+    assert (code, err) == (0, "")
+    eq = parse_equation(out, Alphabet.finite(["a"]))
+    assert size_of(eq.lhs) + size_of(eq.rhs) == 9 * 2000 + 18
+    code, out, err = run(capsys, "witness", "--n", "277776", "--alphabet", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: witness_family n=277776 over a: size 2500002 is over the limit of 2500000\n"
+
+
 @pytest.mark.parametrize("bounds, named", [
     (("1000000", "1"), "|s| <= 1000000 and k <= 1"),
     (("1", "1000000"), "|s| <= 1 and k <= 1000000"),
@@ -441,6 +456,92 @@ def test_json_envelope(capsys):
     assert payload["result"] == "inequivalent"
     assert payload["counterexample"]["trace"] == "<eps>"
     assert "timing" in payload
+
+
+GOLDEN_PROOF = str(Path(__file__).parent / "golden" / "proofs" / "omega.compact.txt")
+TERM_INPUTS = {"term", "alphabet"}
+EQUIV_INPUTS = {"left", "right", "alphabet", "mode"}
+
+
+# (argv, exit code, the inputs' keys, the keys beside command, inputs and result)
+ENVELOPES = {
+    "parse": (["parse", "a.(yes + no) + x", "--alphabet", "a,b"], 0, TERM_INPUTS, set()),
+    "lang": (["lang", "a.yes + b.no", "--alphabet", "a,b"], 0, TERM_INPUTS, set()),
+    "equiv-closed": (
+        ["equiv", "--alphabet", "a,b", "yes", "yes + a.a.a.yes"],
+        0,
+        EQUIV_INPUTS,
+        {"counterexample", "timing"},
+    ),
+    "equiv-closed-inequivalent": (
+        ["equiv", "--alphabet", "a,b", "yes", "no"],
+        1,
+        EQUIV_INPUTS,
+        {"counterexample", "timing"},
+    ),
+    "equiv-open": (
+        ["equiv", "--alphabet", "a,b", "x", "x + a.x"],
+        1,
+        EQUIV_INPUTS,
+        {"counterexample", "timing"},
+    ),
+    "equiv-oracle": (
+        ["equiv", "--alphabet", "a,b", "--oracle", "--bound", "4", "x", "x + a.x"],
+        1,
+        EQUIV_INPUTS,
+        {"counterexample", "timing"},
+    ),
+    "normalize": (
+        ["normalize", "yes + a.a.a.yes", "--form", "rnf", "--alphabet", "a,b"],
+        0,
+        TERM_INPUTS | {"form"},
+        {"steps"},
+    ),
+    "prove": (
+        ["prove", "x + yes + a.b.(no + b.a.x)", "--form", "open-rnf", "--alphabet", "a,b"],
+        0,
+        TERM_INPUTS | {"form"},
+        {"steps"},
+    ),
+    "check-proof-valid": (["check-proof", GOLDEN_PROOF], 0, {"file"}, {"conclusion"}),
+    "check-proof-invalid": (["check-proof", "INVALID"], 1, {"file"}, {"error"}),
+    "axioms": (
+        ["axioms", "--system", "Ev", "--alphabet", "a,b", "--fuzz", "2"],
+        0,
+        {"system", "alphabet", "mode", "fuzz", "seed"},
+        set(),
+    ),
+    "fuzz": (
+        ["fuzz", "--trials", "3", "--depth", "2", "--alphabet", "a,b"],
+        0,
+        {"trials", "depth", "alphabet", "mode", "open", "seed"},
+        {"timing"},
+    ),
+    "witness": (["witness", "--n", "2", "--alphabet", "a,b"], 0, {"n", "alphabet", "fuzz"}, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPES))
+def test_json_envelope_has_exactly_its_subcommands_keys(capsys, tmp_path, case):
+    argv, want_code, inputs, extra = ENVELOPES[case]
+    if "INVALID" in argv:
+        # Step 2 of the golden proof is its step 1 flipped, not reflexivity.
+        invalid = tmp_path / "invalid.txt"
+        text = Path(GOLDEN_PROOF).read_text(encoding="utf-8")
+        invalid.write_text(text.replace("by sym(1)", "by refl"), encoding="utf-8")
+        argv = [str(invalid) if a == "INVALID" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (want_code, "")
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert set(payload) == {"command", "inputs", "result"} | extra
+    assert payload["command"] == argv[0]
+    assert set(payload["inputs"]) == inputs
+    if case.startswith("equiv"):
+        assert (payload["counterexample"] is None) == (code == 0)
+    if case == "check-proof-invalid":
+        assert set(payload["error"]) == {"step", "reason", "message"}
+        assert payload["error"]["step"] == 2
 
 
 def test_json_outputs_reparse(capsys):

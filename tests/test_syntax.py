@@ -1,9 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import AB, INF, monitors
 from regmon.syntax import (
+    EMPTY_INPUT,
+    UNBALANCED_PAREN,
+    UNDECLARED_NAME,
+    UNEXPECTED_TOKEN,
     ParseError,
+    SourceSpan,
+    _error,
+    _tokenize,
     parse_alphabet,
     parse_equation,
     parse_monitor,
@@ -12,7 +21,7 @@ from regmon.syntax import (
     print_monitor,
     print_trace,
 )
-from regmon.terms import NO, YES, Prefix, Sum, Var
+from regmon.terms import END, NO, RESERVED_WORDS, YES, Alphabet, Equation, Prefix, Sum, Var
 
 
 def test_parse_basic_sum():
@@ -248,3 +257,211 @@ def test_deep_prefix_chain_parses_and_prints():
     depth, body = _chain_depth(m, "a")
     assert depth == n and isinstance(body, Sum)
     assert print_monitor(m) == "a." * n + "(yes + x)"
+
+
+# ---------------------------------------------------------------------------
+# The parser before it became one function, kept as the reference that
+# ``parse_monitor`` and ``parse_equation`` must agree with: the same node,
+# or the same error (type, kind, span and message).
+
+
+class _ReferenceParser:
+    def __init__(self, text, alphabet, variables, names):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.alphabet = alphabet
+        self.variables = variables
+        self.names = names or {}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def fail(self, tok, message, kind=UNEXPECTED_TOKEN):
+        raise _error(self.text, tok, kind, message)
+
+    def expect(self, kind):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[0] != kind:
+            self.fail(tok, f"expected {kind!r}, found {tok[1] or 'end of input'!r}")
+        return tok
+
+    def is_action(self, name):
+        if self.alphabet.is_finite:
+            return name in self.alphabet
+        return name not in self.variables
+
+    def parse_term(self):
+        tokens = self.tokens
+        pos = self.pos
+        is_action = self.is_action
+        frames = []
+        acc = None
+        prefixes = []
+        while True:
+            tok = tokens[pos]
+            kind, text, _ = tok
+            while (
+                kind == "ident"
+                and text not in RESERVED_WORDS
+                and tokens[pos + 1][0] == "."
+            ):
+                if not is_action(text):
+                    self.fail(tok, f"variable {text!r} cannot be used as a prefix")
+                prefixes.append(text)
+                pos += 2
+                tok = tokens[pos]
+                kind, text, _ = tok
+            pos += 1
+            if kind == "ident":
+                if text == "yes":
+                    term = YES
+                elif text == "no":
+                    term = NO
+                elif text == "end":
+                    term = END
+                elif is_action(text):
+                    self.fail(tok, f"action {text!r} must be followed by '.'")
+                else:
+                    term = Var(text)
+            elif kind == "name":
+                term = self.names.get(text)
+                if term is None:
+                    self.fail(tok, f"undeclared name {text!r}", UNDECLARED_NAME)
+            elif kind == "(":
+                frames.append((acc, prefixes))
+                acc, prefixes = None, []
+                continue
+            elif kind == ")":
+                self.fail(tok, "unmatched ')'", UNBALANCED_PAREN)
+            elif kind == "eof":
+                self.fail(tok, "unexpected end of input")
+            else:
+                self.fail(tok, f"unexpected token {text!r}")
+            while True:
+                if prefixes:
+                    for action in reversed(prefixes):
+                        term = Prefix(action, term)
+                    prefixes = []
+                acc = term if acc is None else Sum(acc, term)
+                kind = tokens[pos][0]
+                if kind == "+":
+                    pos += 1
+                    break
+                if not frames:
+                    self.pos = pos
+                    return acc
+                if kind != ")":
+                    self.fail(tokens[pos], "expected ')'", UNBALANCED_PAREN)
+                pos += 1
+                term = acc
+                acc, prefixes = frames.pop()
+
+    def at_end(self):
+        return self.peek()[0] == "eof"
+
+
+def _reference_parse_monitor(text, alphabet, variables=(), names=None):
+    parser = _ReferenceParser(text, alphabet, frozenset(variables), names)
+    if parser.at_end():
+        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
+    term = parser.parse_term()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
+    return term
+
+
+def _reference_parse_equation(text, alphabet, variables=(), names=None):
+    parser = _ReferenceParser(text, alphabet, frozenset(variables), names)
+    if parser.at_end():
+        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
+    lhs = parser.parse_term()
+    parser.expect("=")
+    rhs = parser.parse_term()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        parser.fail(tok, f"trailing input starting at {tok[1]!r}")
+    return Equation(lhs, rhs)
+
+
+# README terms and equations, names, 'by' as a variable, comments, unbalanced
+# parentheses and characters outside the grammar.
+REFERENCE_SEEDS = [
+    "a.(yes + no) + x",
+    "a.yes + b.no",
+    "yes + a.a.a.yes",
+    "a.yes + b.yes",
+    "x + a.x",
+    "x + yes + a.b.(no + b.a.x)",
+    "x + yes + a.b.(no + b.a.x) = yes + a.b.no + x",
+    "yes = yes + a.yes",
+    "$1 + $2 = yes + $2",
+    "b.(x + $1) = b.(x + yes)",
+    "by + a.by = by",
+    "a.(by + $1) + $3",
+    "yes # a comment\n  + no # another\n",
+    "(yes + no",
+    "yes + no)) = x",
+    "((a.yes) + (b.(x + (y + end))))",
+    "é.yes + a.no",
+    "yes yes é",
+    "end",
+    "x = y",
+    "(x + (y + z)) = ((x + y) + z)",
+    "q.x.yes + q.y = q.(x + y)",
+    "",
+    "  # only a comment",
+]
+REFERENCE_PIECES = [
+    "a", "b", "q", "x", "y", "by", "yes", "no", "end", ".", "+", "(", ")", "=",
+    "->", ",", "$1", "$2", "$9", " ", "\n", "# c\n", "é", "@", "1",
+]
+REFERENCE_NAMES = {"$1": Sum(YES, Prefix("a", YES)), "$2": Var("y")}
+
+
+def _reference_corpus(edits: int):
+    rng = random.Random(1801)
+    for seed in REFERENCE_SEEDS:
+        yield seed
+        for _ in range(edits):
+            text = seed
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(text))
+                cut = at + rng.randint(0, 2)
+                piece = rng.choice(REFERENCE_PIECES) if rng.random() < 0.7 else ""
+                text = text[:at] + piece + text[cut:]
+            yield text
+
+
+def _outcome(parse, text, alphabet, variables, names):
+    try:
+        return "ok", parse(text, alphabet, variables, names)
+    except Exception as err:  # every error counts, not only ParseError
+        where = (err.kind, err.span, err.message) if isinstance(err, ParseError) else str(err)
+        return type(err).__name__, where
+
+
+def test_parser_agrees_with_the_reference_parser():
+    # Over {a} no name is declared, so each '$N' there is undeclared.
+    alphabets = [
+        (AB, (), REFERENCE_NAMES),
+        (Alphabet.finite(["a"]), (), None),
+        (INF, ("x", "y", "by"), REFERENCE_NAMES),
+    ]
+    entries = [
+        (parse_monitor, _reference_parse_monitor),
+        (parse_equation, _reference_parse_equation),
+    ]
+    seen = set()
+    for text in _reference_corpus(300):
+        for alphabet, variables, names in alphabets:
+            for parse, reference in entries:
+                got = _outcome(parse, text, alphabet, variables, names)
+                want = _outcome(reference, text, alphabet, variables, names)
+                assert got == want, (text, alphabet, parse.__name__)
+                seen.add((parse.__name__, got[1][0] if got[0] == "ParseError" else got[0]))
+    # The corpus reaches every outcome of both entries.
+    kinds = {"ok", UNEXPECTED_TOKEN, UNBALANCED_PAREN, EMPTY_INPUT, UNDECLARED_NAME}
+    assert {(entry, kind) for entry in ("parse_monitor", "parse_equation") for kind in kinds} <= seen
