@@ -41,6 +41,10 @@ FORM_ALIASES = {
     "open-omega": "open-omega-nf",
 }
 SYSTEMS = ("Eomega", "Eomega1'", "Eomegaf'", "Ev", "Ev'", "Ev1'", "Evf'")
+# The deepest ``fuzz --depth``.  A draw grows about 1.05 children per node, so
+# its size is exponential in the depth: over two actions, depth 64 draws up to
+# some 20,000 nodes, and depth 200 has drawn 3.36M.
+FUZZ_MAX_DEPTH = 64
 
 
 class UsageError(ValueError):
@@ -424,12 +428,15 @@ def cmd_witness(args) -> int:
 # Argument parsing
 
 
-def _count(low: int = 0):
-    """The argparse type of an integer option that must be at least ``low``."""
+def _count(low: int = 0, high: int | None = None):
+    """The argparse type of an integer option that must be at least ``low``
+    and, if given, at most ``high``."""
 
     def count(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text}")
         return int(text)
 
     return count
@@ -496,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="cross-validate canonical forms against the semantics")
     p.add_argument("--trials", type=_count(), default=100)
-    p.add_argument("--depth", type=_count(), default=4)
+    p.add_argument("--depth", type=_count(0, FUZZ_MAX_DEPTH), default=4)
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     p.add_argument("--open", action="store_true", help="generate open terms")
     p.add_argument("--bound", type=int, help="oracle bound for open terms")

@@ -14,6 +14,9 @@ Rewriting is innermost-first (children before parents) and terms are kept
 in the AC-canonical order of :func:`regmon.terms.ac_normalize` between
 stages.  A rewriting helper that continues a rewrite takes the proof so far
 and returns it extended by its own steps, each chained on by one ``trans``.
+The reduced forms drop what a verdict makes redundant by one top step,
+which also rewrites each prefix summand beside a verdict ``v``: ``v`` is
+pushed under the prefix, the step runs there, and ``v`` is pulled back out.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class AlphabetTooSmall(ValueError):
     pass
 
 
-# Rounds that the fixpoint loops of fin-rnf and open-omega-nf may take.
+# Rounds that the fixpoint loops of fin-rnf and the omega forms may take.
 _FUEL = 199
 
 
@@ -423,19 +426,6 @@ class Prover:
             raise InternalError("align on non-AC-equal terms")
         return self.trans(p1, self.sym(p2))
 
-    def distribute(self, action: str, body: Monitor) -> Pf:
-        """``a.body = a.p1 + ... + a.pn`` over the summands of ``body``."""
-        if not isinstance(body, Sum):
-            return self.refl(Prefix(action, body))
-        s1 = self.ax(
-            "D_a", {"action": action}, subst={"x": body.left, "y": body.right}
-        )
-        s2 = self.congsum(
-            self.distribute(action, body.left),
-            self.refl(Prefix(action, body.right)),
-        )
-        return self.trans(s1, s2)
-
 
 def _map_bodies(pv: Prover, pf: Pf, rewrite) -> Pf:
     """``pf`` extended by rewriting the body of every prefix summand of its
@@ -525,23 +515,32 @@ def _add_trace_verdict(pv: Prover, t: Monitor, trace: Trace, v: Monitor) -> Pf:
 
 
 def _nf(pv: Prover, m: Monitor) -> Pf:
+    """``m = NF(m)``.  The left spine of a sum is walked in a loop, bottom-up,
+    so only right children and prefix bodies recurse."""
+    spine = []
+    while isinstance(m, Sum) and m not in pv.nfs:
+        spine.append(m)
+        m = m.left
     pf = pv.nfs.get(m)
-    if pf is not None:
-        return pf
-    match m:
-        case Prefix(action, body):
-            inner = _nf(pv, body)
-            pf = pv.congpre(action, inner)
+    if pf is None:
+        if isinstance(m, Prefix):
+            inner = _nf(pv, m.body)
+            pf = pv.congpre(m.action, inner)
             if inner.dst == END:
-                pf = pv.trans(pf, pv.ax("E_a", {"action": action}))
-        case Sum(left, right):
-            pf = pv.congsum(_nf(pv, left), _nf(pv, right))
-            pf = pv.trans(pf, _merge_nf(pv, pf.dst))
-        case _:
+                pf = pv.trans(pf, pv.ax("E_a", {"action": m.action}))
+        else:
             pf = pv.refl(m)
+        _memo_nf(pv, m, pf)
+    for node in reversed(spine):
+        pf = pv.congsum(pf, _nf(pv, node.right))
+        pf = pv.trans(pf, _merge_nf(pv, pf.dst))
+        _memo_nf(pv, node, pf)
+    return pf
+
+
+def _memo_nf(pv: Prover, m: Monitor, pf: Pf) -> None:
     pv.nfs[m] = pf
     pv.nfs.setdefault(pf.dst, pv.refl(pf.dst))
-    return pf
 
 
 def _rnf(pv: Prover, m: Monitor) -> Pf:
@@ -594,61 +593,6 @@ def _push_verdict(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
     return pv.trans(s1, s2, s3)
 
 
-def _strip(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.body = v + a.body'`` with ``body'`` free of ``v``, for a
-    prefix body of a normal form (so never ``end``).
-
-    Pieces that are closed and free of the opposite verdict are absorbed
-    outright; open pieces survive with their own ``v`` occurrences removed.
-    When every piece is absorbed (``body`` is ``v``, or closed and free of
-    the opposite verdict) the result is ``v + a.body = v``.
-    """
-    grow = _grow_axiom(v)
-    if body == v:
-        return pv.ax_rev(grow, {"action": action})
-    if isinstance(body, Prefix):
-        push = _push_verdict(pv, v, action, body)
-        inner = _strip(pv, v, body.action, body.body)
-        mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
-        if inner.dst == v:
-            return pv.trans(push, mid, pv.ax_rev(grow, {"action": action}))
-        return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, inner.dst.right)))
-    if not isinstance(body, Sum):
-        raise InternalError(f"strip on {body!r}")
-    pf = pv.congsum(pv.refl(v), pv.distribute(action, body))
-    pf = pv.trans(pf, pv.flatten(pf.dst))
-    rounds = len(_parts(pf.dst)) - 1
-    for _ in range(rounds):
-        target = _parts(pf.dst)[1]
-        if not (isinstance(target, Prefix) and target.action == action):
-            raise InternalError(f"strip expected an {action!r} prefix, got {target!r}")
-        if contains_verdict(target.body, v):
-            inner = _strip(pv, v, action, target.body)
-            pf = pv.trans(pf, pv.rw_spine(pf.dst, 1, inner))
-            if inner.dst == v:
-                continue
-        pf = pv.trans(pf, pv.bubble(pf.dst, 1, len(_parts(pf.dst)) - 1))
-    pf = pv.trans(pf, _fold_prefixes(pv, pf.dst, action))
-    parts = _parts(pf.dst)
-    if len(parts) == 1:
-        return pf
-    inner = pv.congpre(action, pv.shallow_canon(parts[1].body))
-    return pv.trans(pf, pv.rw_part(pf.dst, 1, inner))
-
-
-def _fold_prefixes(pv: Prover, term: Monitor, action: str) -> Pf:
-    """``v + a.n1 + ... + a.nk  =  v + a.(n1 + ... + nk)``."""
-    pf = pv.refl(term)
-    while len(_parts(pf.dst)) > 2:
-        fold = pv.rw_pair(
-            pf.dst,
-            1,
-            lambda u, w: pv.ax_rev("D_a", {"action": action}, subst={"x": u.body, "y": w.body}),
-        )
-        pf = pv.trans(pf, fold)
-    return pf
-
-
 def _pair_with_flag(pv: Prover, pf: Pf, v: Monitor, target: Monitor, inner: Pf) -> Pf:
     """``pf`` extended by bringing the flag ``v`` to the front and ``target``
     next to it, then rewriting their pair with ``inner`` (a proof about
@@ -662,21 +606,6 @@ def _pair_with_flag(pv: Prover, pf: Pf, v: Monitor, target: Monitor, inner: Pf) 
     return pv.trans(pf, pv.rw_spine(pf.dst, 1, inner))
 
 
-def _rewrite_beside_flag(pv: Prover, pf: Pf, flag: Monitor, rewrite) -> Pf:
-    """Pair the first prefix summand ``p`` that ``rewrite`` applies to with
-    ``flag``, rewrite the pair by ``rewrite(p)`` (a proof about ``flag + p``,
-    None where it does not apply) and canonicalize, until none is left."""
-    while True:
-        for p in _parts(pf.dst):
-            inner = rewrite(p) if isinstance(p, Prefix) else None
-            if inner is not None:
-                break
-        else:
-            return pf
-        pf = _pair_with_flag(pv, pf, flag, p, inner)
-        pf = pv.trans(pf, pv.shallow_canon(pf.dst))
-
-
 def _needs_prune(body: Monitor, opp: Monitor) -> bool:
     """A node reached through prefixes has ``opp`` next to other content."""
     parts = _parts(body)
@@ -685,47 +614,56 @@ def _needs_prune(body: Monitor, opp: Monitor) -> bool:
     return any(isinstance(p, Prefix) and _needs_prune(p.body, opp) for p in parts)
 
 
-def _prune(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
-    """``v + a.body = v + a.body'`` where every node of ``body'`` that can
-    issue the opposite verdict is that bare verdict (O1 pruning)."""
-    opp = _opposite(v)
-    parts = _parts(body)
+def _beside(pv: Prover, v: Monitor, action: str, body: Monitor) -> Pf:
+    """``v + a.body = v + a.rest``, or ``= v`` when nothing is left, where
+    ``v + rest`` is ``v + body`` after the top step of the reduction: ``v``
+    is pushed under the prefix, rewrites the sum it joins there, and is
+    pulled back out.  ``body`` is a prefix body of a normal form."""
+    grow = _grow_axiom(v)
+    if body == v:
+        return pv.ax_rev(grow, {"action": action})
     push = _push_verdict(pv, v, action, body)
-    if opp in parts:
-        rest = [p for p in parts if p != opp]
-        inner = pv.align(Sum(v, body), Sum(Sum(YES, NO), _ln(rest)))
-        inner = pv.trans(inner, pv.ax_rev("O1", subst={"x": _ln(rest)}))
-        inner = pv.trans(inner, pv.align(inner.dst, Sum(v, opp)))
-        mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
-        return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, opp)))
-    # recurse into the sub-parts that still reach the opposite verdict
-    work = pv.flatten(Sum(v, body))
-    while True:
-        parts = _parts(work.dst)
-        p = next((p for p in parts if isinstance(p, Prefix) and _needs_prune(p.body, opp)), None)
-        if p is None:
-            break
-        idx = parts.index(p)
-        if idx != 1:
-            work = pv.trans(work, pv.bubble(work.dst, idx, 1))
-        work = pv.trans(work, pv.rw_spine(work.dst, 1, _prune(pv, v, p.action, p.body)))
-    body2 = ac_normalize(_ln(_parts(work.dst)[1:]))
-    work = pv.trans(work, pv.align(work.dst, Sum(v, body2)))
-    mid = pv.congsum(pv.refl(v), pv.congpre(action, work))
-    return pv.trans(push, mid, pv.sym(_push_verdict(pv, v, action, body2)))
+    inner = _reduce_top(pv, pv.shallow_canon(Sum(v, body)))
+    if inner.dst == v:
+        pull = pv.ax_rev(grow, {"action": action})
+    else:
+        rest = _ln([p for p in _parts(inner.dst) if p != v])
+        if _parts(inner.dst)[0] == v:
+            inner = pv.trans(inner, pv.sym(pv.flatten(Sum(v, rest))))
+        else:  # ``no`` beside ``yes``
+            inner = pv.trans(inner, pv.align(inner.dst, Sum(v, rest)))
+        pull = pv.sym(_push_verdict(pv, v, action, rest))
+    mid = pv.congsum(pv.refl(v), pv.congpre(action, inner))
+    return pv.trans(push, mid, pull)
 
 
 def _reduce(pv: Prover, t: Monitor) -> Pf:
-    """Canonical (open) NF to canonical (open) reduced NF.
+    """Canonical (open) NF to canonical (open) reduced NF: every body is
+    reduced in its own right, innermost first, and then the top step
+    :func:`_reduce_top` runs on the sum.  A double verdict needs no reduced
+    bodies, since its top step drops or absorbs every other summand."""
+    pf = pv.refl(t)
+    has_yes, has_no, _ = _decompose(t)
+    if not (has_yes and has_no):
+        # This adds and drops no top-level verdict, so the flags still hold.
+        pf = _map_bodies(pv, pf, _reduce)
+    return _reduce_top(pv, pf)
+
+
+def _reduce_top(pv: Prover, pf: Pf) -> Pf:
+    """``pf`` extended by the top step of the reduction, on a canonical sum
+    whose prefix bodies are reduced (or that holds both verdicts).
 
     Where the system of ``pv`` has O1, O1 removes the summands under a
-    double verdict and prunes residue next to reachable opposite verdicts.
-    Where it has not, the input must be closed, and each prefix summand
-    under a double verdict is stripped of ``yes`` if it holds ``yes`` and
-    then absorbed by ``no``: E_a removed the ``end`` bodies, so a closed
-    body free of ``no`` holds ``yes``.
+    double verdict.  Where it has not, the input must be closed, and each
+    prefix summand under a double verdict is stripped of ``yes`` if it holds
+    ``yes`` and then absorbed by ``no``: E_a removed the ``end`` bodies, so
+    a closed body free of ``no`` holds ``yes``.  Beside one verdict ``v``,
+    each prefix summand that holds ``v`` or, with O1, reaches the opposite
+    verdict next to other content is rewritten by :func:`_beside`, which
+    drops the repeats of ``v`` (Y_a/N_a) and prunes that content (O1).
     """
-    pf = pv.refl(t)
+    t = pf.dst
     has_yes, has_no, _ = _decompose(t)
     o1 = "O1" in axioms.SYSTEM_SCHEMAS[pv.system]
     if has_yes and has_no:
@@ -738,29 +676,28 @@ def _reduce(pv: Prover, t: Monitor) -> Pf:
         else:
             for target in rest:
                 if contains_verdict(target.body, YES):
-                    inner = _strip(pv, YES, target.action, target.body)
+                    inner = _beside(pv, YES, target.action, target.body)
                     pf = _pair_with_flag(pv, pf, YES, target, inner)
                     if inner.dst == YES:
                         continue
                     target = inner.dst.right
-                pf = _pair_with_flag(pv, pf, NO, target, _strip(pv, NO, target.action, target.body))
+                inner = _beside(pv, NO, target.action, target.body)
+                pf = _pair_with_flag(pv, pf, NO, target, inner)
         return pv.trans(pf, pv.shallow_canon(pf.dst))
-    # innermost first: reduce every body in its own right (this adds and
-    # drops no top-level verdict, so the flags above still hold)
-    pf = _map_bodies(pv, pf, _reduce)
-    flag = YES if has_yes else NO if has_no else None
-    if flag is None:
+    v = YES if has_yes else NO if has_no else None
+    if v is None:
         return pf
-    opp = _opposite(flag)
+    opp = _opposite(v)
 
-    def strip(p: Prefix) -> Pf | None:
-        return _strip(pv, flag, p.action, p.body) if contains_verdict(p.body, flag) else None
+    def holds(p: Monitor) -> bool:
+        if not isinstance(p, Prefix):
+            return False
+        return contains_verdict(p.body, v) or o1 and _needs_prune(p.body, opp)
 
-    def prune(p: Prefix) -> Pf | None:
-        return _prune(pv, flag, p.action, p.body) if _needs_prune(p.body, opp) else None
-
-    pf = _rewrite_beside_flag(pv, pf, flag, strip)
-    return _rewrite_beside_flag(pv, pf, flag, prune) if o1 else pf
+    while (p := next(filter(holds, _parts(pf.dst)), None)) is not None:
+        pf = _pair_with_flag(pv, pf, v, p, _beside(pv, v, p.action, p.body))
+        pf = pv.trans(pf, pv.shallow_canon(pf.dst))
+    return pf
 
 
 # ---------------------------------------------------------------------------
@@ -798,16 +735,20 @@ def _try_fold(pv: Prover, pf: Pf) -> Pf | None:
     return None
 
 
-def _omega_closed(pv: Prover, t: Monitor) -> Pf:
+def _omega_closed(pv: Prover, t: Monitor, refold=None) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
-    first."""
+    first.  After each fold the sum is reduced again and, if given, rewritten
+    by ``refold`` (the open forms eliminate the variables again)."""
     pf = pv.refl(t)
-    while True:
+    for _ in range(_FUEL):
         pf = _map_bodies(pv, pf, _omega_closed)
         folded = _try_fold(pv, pf)
         if folded is None:
             return pf
         pf = pv.trans(folded, _reduce(pv, folded.dst))
+        if refold is not None:
+            pf = pv.trans(pf, refold(pv, pf.dst))
+    raise InternalError(f"{'omega_open_nf' if refold else 'omega_nf_closed'} failed to stabilize")
 
 
 def _omega_nf(pv: Prover, m: Monitor) -> Pf:
@@ -1044,16 +985,7 @@ def _unary_omega(pv: Prover, m: Monitor) -> Pf:
 
 def _omega_open(pv: Prover, m: Monitor) -> Pf:
     pf = _finite_act_rnf(pv, m)
-    for _ in range(_FUEL):
-        rd = _map_bodies(pv, pv.refl(pf.dst), _omega_closed)
-        folded = _try_fold(pv, rd)
-        if folded is None and rd.src == rd.dst:
-            return pf
-        pf = pv.trans(pf, folded or rd)
-        if folded is not None:
-            pf = pv.trans(pf, _reduce(pv, pf.dst))
-            pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
-    raise InternalError("omega_open_nf failed to stabilize")
+    return pv.trans(pf, _omega_closed(pv, pf.dst, refold=_finite_act_rnf))
 
 
 # ---------------------------------------------------------------------------

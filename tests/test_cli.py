@@ -277,6 +277,36 @@ def test_witness_refuses_an_instance_over_the_limit_before_building_it(capsys, n
     assert "over the limit of 2500000" in err
 
 
+def test_fuzz_refuses_a_depth_over_its_cap_at_once(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "fuzz", "--depth", "1000000", "--trials", "1")
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --depth: must be <= 64, got 1000000\n")
+    code, out, _ = run(capsys, "fuzz", "--alphabet", "a,b", "--trials", "1", "--depth", "64")
+    assert code == 0 and out.startswith("1 trials, 0 disagreements (mode=verdict, depth<=64,")
+
+
+def test_a_term_whose_o2_guard_is_a_wide_sum_answers(capsys):
+    # The right-hand draw of trial 14 of ``fuzz --open --depth 48 --seed 2``
+    # over a,b.  fin-rnf eliminates its ``y`` at |s| = 10 and k = 2, through a
+    # guard whose ``bar_leq`` is a left-nested sum of 2036 summands.
+    import random
+
+    from regmon.generate import random_open_monitor
+    from regmon.syntax import print_monitor
+    from regmon.terms import Alphabet
+
+    ab = Alphabet.finite(["a", "b"])
+    rng = random.Random(2)
+    for _ in range(15):
+        random_open_monitor(rng, ab, 48)
+        term = print_monitor(random_open_monitor(rng, ab, 48))
+    assert run(capsys, "equiv", "--alphabet", "a,b", term, term) == (0, "equivalent\n", "")
+    code, out, err = run(capsys, "normalize", "--form", "fin-rnf", "--alphabet", "a,b", term)
+    assert (code, err) == (0, "") and out.startswith("b.(a.(b.(b.(yes + a.(")
+
+
 def test_witness_names_the_size_that_it_refuses(capsys):
     # n = 16 is the largest over {a,b}: its size is 17 * (2^17 - 1).
     code, _, err = run(capsys, "witness", "--n", "17", "--alphabet", "a,b")

@@ -9,7 +9,7 @@ import pytest
 
 import test_golden
 from conftest import AB, INF, A
-from regmon import cli, equivalence, normalize, prooflog, semantics
+from regmon import axioms, cli, equivalence, normalize, prooflog, semantics
 from regmon.axioms import bar_k, witness_family
 from regmon.generate import random_closed_monitor, random_open_monitor
 from regmon.normalize import (
@@ -679,6 +679,68 @@ def test_reduced_forms_answer_on_a_chain_450_prefixes_deep(kind, emit):
     alphabet = A if kind == normalize.UNARY_RNF else AB
     chain = parse_monitor("a." * 450 + "yes", alphabet)
     assert normalize.PIPELINES[kind](chain, alphabet, emit_proof=emit).term == chain
+
+
+# A verdict at the top that every level below must be rewritten beside: rnf
+# strips its repeats, open-rnf prunes next to the opposite verdict at the
+# bottom.  Each level costs two frames, the body-first walk and the rewrite
+# beside the verdict, pure and recorded.
+@pytest.mark.parametrize(
+    "kind, source",
+    [
+        (normalize.RNF, "yes + " + "a.(b.no + " * 450 + "a.yes" + ")" * 450),
+        (normalize.OPEN_RNF, "yes + " + "a.(x + " * 300 + "no" + ")" * 300),
+    ],
+    ids=["rnf-450", "open-rnf-300"],
+)
+def test_deep_verdict_guarded_shapes_answer_and_their_proofs_check(kind, source):
+    m = t(source)
+    pure = normalize.PIPELINES[kind](m, AB).term
+    cf = normalize.PIPELINES[kind](m, AB, emit_proof=True)
+    assert cf.term == pure != m
+    prooflog.check_derivation(cf.derivation, Equation(m, pure))
+
+
+def test_pruning_beside_a_verdict_does_not_realign_the_body(monkeypatch):
+    # Each level of the prune once ended with an alignment of the whole
+    # remaining body, 30,910 ``canon`` calls at this depth.
+    calls = Counter()
+    canon = normalize.Prover.canon
+
+    def counted(self, term):
+        calls["canon"] += 1
+        return canon(self, term)
+
+    monkeypatch.setattr(normalize.Prover, "canon", counted)
+    m = t("yes + " + "a.(x + " * 100 + "no" + ")" * 100)
+    cf = open_rnf(m, AB, emit_proof=True)
+    assert calls["canon"] <= 100
+    prooflog.check_derivation(cf.derivation, Equation(m, cf.term))
+
+
+def _wide_sum(alphabet, leaves):
+    """A left-nested sum of 1000 distinct chains, each ending in a leaf."""
+    actions = alphabet.sorted_actions()
+    parts = []
+    for i in range(2, 1002):
+        if len(actions) == 1:
+            trace = actions * (i % 10)
+        else:
+            trace = tuple(actions[int(bit)] for bit in bin(i)[3:])
+        parts.append(axioms.prefix_seq(trace, leaves[i % len(leaves)]))
+    return normalize._ln(parts)
+
+
+# The normal form walks the left spine of a sum in a loop, so a sum far wider
+# than the recursion limit answers; recorded proofs of it still recurse.
+@pytest.mark.parametrize("kind", sorted(normalize.FORMS))
+def test_every_pure_pipeline_answers_on_a_sum_of_1000_summands(kind):
+    form = normalize.FORMS[kind]
+    alphabet = A if form.needs is normalize._ONE else AB
+    leaves = (YES, NO) if form.closed else (YES, NO, Var("x"))
+    m = _wide_sum(alphabet, leaves)
+    nf = normalize.PIPELINES[kind](m, alphabet).term
+    assert normalize.PIPELINES[kind](nf, alphabet).term == nf
 
 
 # Two broken invariants of the proof layer: a transitivity chain whose ends
