@@ -45,6 +45,10 @@ SYSTEMS = ("Eomega", "Eomega1'", "Eomegaf'", "Ev", "Ev'", "Ev1'", "Evf'")
 # its size is exponential in the depth: over two actions, depth 64 draws up to
 # some 20,000 nodes, and depth 200 has drawn 3.36M.
 FUZZ_MAX_DEPTH = 64
+# The largest oracle ``--bound``.  Over one action the substitution values
+# ``a^k.(yes + no)`` are capped in number but not in length, so their size,
+# and the time to decide each instance, grows with the bound.
+ORACLE_MAX_BOUND = 64
 
 
 class UsageError(ValueError):
@@ -473,7 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     p.add_argument("--oracle", action="store_true", help="force the substitution oracle")
-    p.add_argument("--bound", type=int, help="oracle substitution depth bound")
+    p.add_argument(
+        "--bound", type=_count(1, ORACLE_MAX_BOUND), help="oracle substitution depth bound"
+    )
     common(p, seed=True)
 
     p = sub.add_parser("normalize", help="rewrite into a canonical form")
@@ -506,7 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count(0, FUZZ_MAX_DEPTH), default=4)
     p.add_argument("--mode", choices=["verdict", "omega"], default="verdict")
     p.add_argument("--open", action="store_true", help="generate open terms")
-    p.add_argument("--bound", type=int, help="oracle bound for open terms")
+    p.add_argument(
+        "--bound", type=_count(1, ORACLE_MAX_BOUND), help="oracle bound for open terms"
+    )
     common(p, variables=False, seed=True)
 
     p = sub.add_parser("witness", help="emit a member of the one-sided witness family")

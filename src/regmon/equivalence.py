@@ -116,7 +116,7 @@ def closed_counterexample(
     With ``limit``, traces longer than ``limit`` are not searched."""
     require_closed(m, "verdict equivalence")
     require_closed(n, "verdict equivalence")
-    actions = semantics.exploration_actions(Sum(m, n), alphabet)
+    actions = semantics._exploration_actions((m, n), alphabet)
     # One successor table for the search: the cone flags and the product
     # step through the same states.
     successors: dict = {}

@@ -10,7 +10,10 @@ The transition rules are the least relation with
 Variables have no transitions.  Acceptance and rejection go through the weak
 transition relation, which closes each visible step under silent steps.
 Each term memoises its weak successors on its own node (see
-:class:`.terms.Monitor`); this module keeps no table of terms.
+:class:`.terms.Monitor`): on its first step, one walk of its summands fills
+a flat tuple with its verdict summands ``V`` and, for each action a summand
+carries, its successors under that action; every other action reads ``V``.
+This module keeps no table of terms.
 """
 
 from __future__ import annotations
@@ -74,18 +77,45 @@ def tau_closure(states: Iterable[Monitor]) -> frozenset[Monitor]:
     return frozenset(closed)
 
 
-def _weak_step(m: Monitor, action: str) -> frozenset[Monitor]:
-    """``m``'s weak ``action`` successors, memoised on its node.  They are
-    subterms of ``m`` (or ``m`` itself, a verdict), so the memo keeps nothing
-    alive that ``m`` does not; threads that race store equal sets."""
-    steps = m._steps
-    if steps is None:
-        steps = {}
-        object.__setattr__(m, "_steps", steps)
-    succ = steps.get(action)
-    if succ is None:
-        succ = steps[action] = tau_closure(strong_steps(m, action))
-    return succ
+def _successors(m: Monitor) -> tuple:
+    """``m``'s weak successors, from one walk of its summands: the flat tuple
+    ``(V, a1, S1, a2, S2, ...)``.  ``V`` holds ``m``'s verdict summands, which
+    are its silent successors and its weak successors under every action that
+    no summand carries.  Each action ``a`` that a summand carries comes with
+    ``S``: ``V``, the bodies of the ``a``-prefixed summands and the verdict
+    summands of those bodies, without repeats."""
+    verdicts: dict[Monitor, None] = {}
+    bodies: dict[str, list[Monitor]] = {}
+    for p in summands(m):
+        if is_verdict(p):
+            verdicts[p] = None
+        elif isinstance(p, Prefix):
+            bodies.setdefault(p.action, []).append(p.body)
+    table = [tuple(verdicts)]
+    for action, heads in bodies.items():
+        succ = dict(verdicts)
+        for body in heads:
+            succ[body] = None
+            for q in summands(body):
+                if is_verdict(q):
+                    succ[q] = None
+        table += (action, tuple(succ))
+    return tuple(table)
+
+
+def _weak_step(m: Monitor, label) -> tuple[Monitor, ...]:
+    """``m``'s weak ``label`` successors, read from the table memoised on
+    its node.  The table holds subterms of ``m`` (or ``m`` itself, a
+    verdict), so it keeps nothing alive that ``m`` does not; threads that
+    race store equal tables."""
+    table = m._steps
+    if table is None:
+        table = _successors(m)
+        object.__setattr__(m, "_steps", table)
+    # Only an action slot can equal a label: ``V`` and each ``S`` are tuples.
+    if label in table:
+        return table[table.index(label) + 1]
+    return table[0]
 
 
 def step_state(state: frozenset[Monitor], action: str) -> frozenset[Monitor]:
@@ -94,12 +124,14 @@ def step_state(state: frozenset[Monitor], action: str) -> frozenset[Monitor]:
     weak steps."""
     nxt: set[Monitor] = set()
     for m in state:
-        nxt |= _weak_step(m, action)
+        nxt.update(_weak_step(m, action))
     return frozenset(nxt)
 
 
 def initial_state(m: Monitor) -> frozenset[Monitor]:
-    return tau_closure((m,))
+    """``m`` and its silent successors: ``V`` of its table, which is what
+    every label that no summand carries reads."""
+    return frozenset((m, *_weak_step(m, TAU)))
 
 
 def weak_reach(m: Monitor, trace: Trace) -> frozenset[Monitor]:
@@ -153,9 +185,15 @@ def exploration_actions(m: Monitor, alphabet: Alphabet) -> list[str]:
     cannot be enumerated; the actions occurring in the monitor plus a single
     fresh one characterize its behavior on all unseen actions.
     """
+    return _exploration_actions((m,), alphabet)
+
+
+def _exploration_actions(monitors: Iterable[Monitor], alphabet: Alphabet) -> list[str]:
+    """:func:`exploration_actions` of the sum of ``monitors``, without
+    building that sum."""
     if alphabet.is_finite:
         return alphabet.sorted_actions()
-    occurring = actions_of(m)
+    occurring = frozenset().union(*map(actions_of, monitors))
     return sorted(occurring) + [fresh_action(occurring)]
 
 

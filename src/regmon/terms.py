@@ -98,10 +98,12 @@ class Monitor:
     defaults and cost O(1) at any depth.  Nodes are immutable; each carries
     ``closed`` (no variable occurs in it) and ``depth`` (see :func:`depth`),
     computed once from its children.  Two private slots are memos: ``_steps``
-    holds the node's weak successors by action once :mod:`.semantics` has
-    stepped it, and ``_key`` its :func:`sort_key` once asked for, sharing
-    the children's keys.  They play no part in ``==``, ``hash``, copies or
-    pickles, and are freed with the node.
+    holds the node's weak successors once :mod:`.semantics` has stepped it,
+    as one flat tuple ``(V, a1, S1, a2, S2, ...)`` of its verdict summands
+    and, per action a summand carries, the successors under it (filled by
+    one walk of the summands), and ``_key`` its :func:`sort_key` once asked
+    for, sharing the children's keys.  They play no part in ``==``,
+    ``hash``, copies or pickles, and are freed with the node.
     """
 
     __slots__ = ("__weakref__", "_steps", "_key")

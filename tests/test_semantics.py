@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -31,6 +32,7 @@ from regmon.terms import (
     Var,
     depth,
     is_verdict,
+    nodes,
 )
 
 
@@ -214,6 +216,18 @@ def test_open_ended_exploration_uses_fresh_action():
     assert acts[-1] not in ("a",)
 
 
+def test_a_pair_explores_the_actions_of_its_sum():
+    # The product search picks its actions without building the sum node.
+    rng = random.Random(17)
+    for alphabet in (A, AB, INF):
+        draw_over = AB if alphabet is INF else alphabet
+        for _ in range(40):
+            m, n = (random_closed_monitor(rng, draw_over, 3) for _ in "mn")
+            assert semantics._exploration_actions((m, n), alphabet) == (
+                semantics.exploration_actions(Sum(m, n), alphabet)
+            )
+
+
 def test_initial_state_closes_taus():
     assert initial_state(t("yes + a.no")) == {t("yes + a.no"), YES}
 
@@ -264,17 +278,42 @@ def _samples(seed, count):
         yield m, semantics.exploration_actions(m, alphabet)
 
 
+def _check_old_definition(m, actions) -> int:
+    """Check every step reachable from ``m`` against the old definition;
+    return the number of steps checked."""
+    start, steps = _reachable_steps(m, actions)
+    assert start == _old_closure({m})
+    for (state, a), nxt in steps.items():
+        assert nxt == _old_step(state, a)
+        assert semantics.step_state(state, a) == nxt  # memo hit
+    return len(steps)
+
+
 def test_step_state_and_initial_state_match_the_old_definition():
     terms = states = 0
     for m, actions in _samples(31, 600):
-        start, steps = _reachable_steps(m, actions)
-        assert start == _old_closure({m})
-        for (state, a), nxt in steps.items():
-            assert nxt == _old_step(state, a)
-            assert semantics.step_state(state, a) == nxt  # memo hit
+        states += _check_old_definition(m, actions)
         terms += 1
-        states += len(steps)
     assert terms == 600 and states > 5 * terms
+    # An action that no summand carries, here the fresh action of the
+    # open-ended alphabet, reads the node's own verdict summands ``V``.
+    m = t("yes + a.(no + b.end) + b.(a.yes + end)")
+    actions = semantics.exploration_actions(m, INF)
+    assert _check_old_definition(m, actions) > 10
+    for node in nodes(m):
+        assert semantics._weak_step(node, actions[-1]) is node._steps[0]
+    # A chain 10^4 deep over {a,b}: each node's memo takes at most 128 bytes.
+    chain = YES
+    for i in range(10**4):
+        chain = Prefix("ab"[i % 2], chain)
+    tracemalloc.start()
+    try:
+        assert _check_old_definition(chain, ["a", "b"]) == 2 * 10**4 + 4
+        gc.collect()
+        memo = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert memo <= 128 * 10**4
 
 
 def test_threads_stepping_the_same_terms_get_the_same_sets():
