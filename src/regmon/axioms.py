@@ -24,7 +24,6 @@ from .terms import (
     Sum,
     Trace,
     Var,
-    apply_subst,
     sum_of,
     vars_of,
 )
@@ -356,9 +355,9 @@ def soundness_fuzz(
         sigma: Substitution = {
             v: random_closed_monitor(rng, fin, max_depth) for v in variables
         }
-        lhs = apply_subst(sigma, instance.equation.lhs)
-        rhs = apply_subst(sigma, instance.equation.rhs)
-        cex = equivalence.closed_search(lhs, rhs, fin, mode, tuple(sorted(sigma.items())))
+        cex = equivalence.closed_search(
+            instance.equation.lhs, instance.equation.rhs, fin, mode, tuple(sorted(sigma.items()))
+        )
         if cex is not None:
             failures.append(cex)
     return FuzzReport(instance, mode, trials, tuple(failures))

@@ -7,6 +7,11 @@ or whether every infinite continuation from it is accepted and rejected.
 Open terms go through the canonical form that :func:`open_form` picks by
 mode and alphabet cardinality.  An independent brute-force substitution
 oracle is provided for validation.
+
+The product search also runs on two open terms under a closed substitution
+(:func:`closed_search`): it steps the open terms through
+:func:`.semantics.step_state`, which applies the substitution as the search
+reaches each variable, so no instance of either term is built.
 """
 
 from __future__ import annotations
@@ -107,16 +112,30 @@ def _flag_mismatch(fa, fb) -> str | None:
 
 
 def closed_counterexample(
-    m: Monitor, n: Monitor, alphabet: Alphabet, mode: str = VERDICT, limit: int | None = None
+    m: Monitor,
+    n: Monitor,
+    alphabet: Alphabet,
+    mode: str = VERDICT,
+    limit: int | None = None,
+    table: dict | None = None,
 ) -> tuple[Trace, str] | None:
     """Shortest (then lexicographically least) trace separating two closed
     monitors in ``mode``, or ``None`` if they are equivalent.  Both modes'
     flags only turn true as a trace grows, so the first trace whose flags
     differ is a minimal generator that one side has and the other lacks.
-    With ``limit``, traces longer than ``limit`` are not searched."""
-    require_closed(m, "verdict equivalence")
-    require_closed(n, "verdict equivalence")
-    actions = semantics._exploration_actions((m, n), alphabet)
+    With ``limit``, traces longer than ``limit`` are not searched.
+
+    With ``table``, a substitution tabulated by :func:`.semantics.closing`,
+    ``m`` and ``n`` may be open and stand for their instances under it
+    (see :func:`closed_search`)."""
+    if table is None:
+        require_closed(m, "verdict equivalence")
+        require_closed(n, "verdict equivalence")
+        monitors = (m, n)
+    else:
+        # The images, each of them a value of the table, bring their actions.
+        monitors = itertools.chain((m, n), *table.values())
+    actions = semantics._exploration_actions(monitors, alphabet)
     # One successor table for the search: the cone flags and the product
     # step through the same states.
     successors: dict = {}
@@ -125,11 +144,11 @@ def closed_counterexample(
         key = (state, action)
         nxt = successors.get(key)
         if nxt is None:
-            nxt = successors[key] = step_state(state, action)
+            nxt = successors[key] = step_state(state, action, table)
         return nxt
 
     flags = _verdict_flags if mode == VERDICT else _cone_flags(step, actions)
-    start = (initial_state(m), initial_state(n))
+    start = (initial_state(m, table), initial_state(n, table))
     seen = {start}
     queue: deque[tuple[tuple, Trace]] = deque([(start, ())])
     while queue:
@@ -152,20 +171,26 @@ def verdict_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
 
 
 def omega_closed_counterexample(
-    m: Monitor, n: Monitor, alphabet: Alphabet, limit: int | None = None
+    m: Monitor,
+    n: Monitor,
+    alphabet: Alphabet,
+    limit: int | None = None,
+    table: dict | None = None,
 ) -> tuple[Trace, str] | None:
-    """A trace whose omega-cone membership separates two closed monitors.
+    """A trace whose omega-cone membership separates two closed monitors
+    (or two open ones under ``table``, as in :func:`closed_counterexample`).
     Verdict-equivalent monitors are omega equivalent, and over an open-ended
     alphabet the notions coincide, so the verdict search runs first.  Under
     a ``limit`` it cannot rule a pair out: a shortest omega trace may be
     shorter than every verdict trace."""
-    require_closed(m, "omega-verdict equivalence")
-    require_closed(n, "omega-verdict equivalence")
+    if table is None:
+        require_closed(m, "omega-verdict equivalence")
+        require_closed(n, "omega-verdict equivalence")
     if not alphabet.is_finite:
-        return closed_counterexample(m, n, alphabet, limit=limit)
-    if limit is None and closed_counterexample(m, n, alphabet) is None:
+        return closed_counterexample(m, n, alphabet, limit=limit, table=table)
+    if limit is None and closed_counterexample(m, n, alphabet, table=table) is None:
         return None
-    return closed_counterexample(m, n, alphabet, OMEGA, limit)
+    return closed_counterexample(m, n, alphabet, OMEGA, limit, table)
 
 
 def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
@@ -175,15 +200,27 @@ def omega_equiv_closed(m: Monitor, n: Monitor, alphabet: Alphabet) -> bool:
 def closed_search(
     m: Monitor, n: Monitor, alphabet: Alphabet, mode: str, substitution=(), limit=None
 ) -> Counterexample | None:
-    """Run the product search of ``mode`` on two closed monitors; a
-    separating trace of length at most ``limit`` comes back as a
-    counterexample under ``substitution`` (the pairs that closed the two
-    monitors, if any)."""
+    """Run the product search of ``mode`` on ``m`` and ``n`` under
+    ``substitution``, the pairs ``(variable, closed monitor)`` that close
+    them (none for closed monitors).  The substitution is applied during the
+    search, and no instance is built.  A separating trace of length at most
+    ``limit`` comes back as a counterexample under ``substitution``; a free
+    variable that it leaves unmapped raises :class:`NonClosedInput` before
+    anything is searched."""
     _require_mode(mode)
+    table = None
+    if substitution:
+        sigma = dict(substitution)
+        table = semantics.closing((m, n), sigma)
+        if table is None:
+            # Name the free variables of the instances, as their own check would.
+            context = "verdict equivalence" if mode == VERDICT else "omega-verdict equivalence"
+            require_closed(apply_subst(sigma, m), context)
+            require_closed(apply_subst(sigma, n), context)
     if mode == VERDICT:
-        found = closed_counterexample(m, n, alphabet, limit=limit)
+        found = closed_counterexample(m, n, alphabet, limit=limit, table=table)
     else:
-        found = omega_closed_counterexample(m, n, alphabet, limit=limit)
+        found = omega_closed_counterexample(m, n, alphabet, limit=limit, table=table)
     return None if found is None else Counterexample(substitution, *found)
 
 
@@ -263,16 +300,16 @@ def substitution_family(
     return family
 
 
-def _closed_instances(m, n, alphabet, bound, cap, seed):
-    """``m`` and ``n`` under each substitution of the oracle's family, with
-    the substitution's pairs."""
+def _family_pairs(m, n, alphabet, bound, cap, seed):
+    """The pairs of each substitution of the oracle's family for ``m`` and
+    ``n``, in family order."""
     if not alphabet.is_finite:
         raise ValueError("the oracle needs a finite alphabet")
     if bound is None:
         bound = depth(m) + depth(n) + 2
     variables = vars_of(m) | vars_of(n)
     for sigma in substitution_family(variables, alphabet, bound, cap=cap, seed=seed):
-        yield apply_subst(sigma, m), apply_subst(sigma, n), tuple(sorted(sigma.items()))
+        yield tuple(sorted(sigma.items()))
 
 
 def oracle_counterexample(
@@ -293,9 +330,9 @@ def oracle_counterexample(
     best trace so far.
     """
     best: Counterexample | None = None
-    for mi, ni, pairs in _closed_instances(m, n, alphabet, bound, cap, seed):
+    for pairs in _family_pairs(m, n, alphabet, bound, cap, seed):
         limit = None if best is None else len(best.trace) - 1
-        cex = closed_search(mi, ni, alphabet, mode, pairs, limit)
+        cex = closed_search(m, n, alphabet, mode, pairs, limit)
         if cex is not None:
             best = cex
             if not best.trace:
@@ -315,8 +352,8 @@ def oracle_equiv_open(
     """Whether the oracle finds no separating substitution (stops at the
     first failure)."""
     return all(
-        closed_search(mi, ni, alphabet, mode) is None
-        for mi, ni, _ in _closed_instances(m, n, alphabet, bound, cap, seed)
+        closed_search(m, n, alphabet, mode, pairs) is None
+        for pairs in _family_pairs(m, n, alphabet, bound, cap, seed)
     )
 
 
@@ -359,10 +396,8 @@ def open_form(mode: str, alphabet: Alphabet):
 def _open_equal(m: Monitor, n: Monitor, alphabet: Alphabet, mode: str) -> bool:
     form = open_form(mode, alphabet)
     if form is None:
-        sigma = fresh_substitution(m, n)
-        return verdict_equiv_closed(
-            apply_subst(sigma, m), apply_subst(sigma, n), alphabet
-        )
+        pairs = tuple(fresh_substitution(m, n).items())
+        return closed_search(m, n, alphabet, VERDICT, pairs) is None
     return ac_equal(form(m, alphabet).term, form(n, alphabet).term)
 
 

@@ -14,6 +14,12 @@ Each term memoises its weak successors on its own node (see
 a flat tuple with its verdict summands ``V`` and, for each action a summand
 carries, its successors under that action; every other action reads ``V``.
 This module keeps no table of terms.
+
+:func:`initial_state` and :func:`step_state` also step an open term under a
+closed substitution without building the instance: :func:`closing`
+tabulates the images of each open node's variable summands for one search,
+an open member ``t`` of a state stands for ``t[sigma]``, and the images are
+stepped as the search reaches them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from .terms import (
     Alphabet,
     Monitor,
     Prefix,
+    Substitution,
     Trace,
+    Var,
     actions_of,
     is_identifier,
     is_verdict,
@@ -118,20 +126,68 @@ def _weak_step(m: Monitor, label) -> tuple[Monitor, ...]:
     return table[0]
 
 
-def step_state(state: frozenset[Monitor], action: str) -> frozenset[Monitor]:
+def closing(monitors: Iterable[Monitor], substitution: Substitution) -> dict | None:
+    """``substitution`` tabulated for stepping ``monitors`` under it, by one
+    walk of their open nodes: each of ``monitors`` and each open prefix body
+    in them maps to the images of its variable summands.  ``None`` when
+    ``substitution`` leaves a variable of ``monitors`` unmapped or maps it to
+    an open term."""
+    table: dict = {}
+    stack = [m for m in monitors if not m.closed]
+    while stack:
+        t = stack.pop()
+        if t in table:
+            continue
+        images = []
+        for p in summands(t):
+            if isinstance(p, Var):
+                image = substitution.get(p.name)
+                if image is None or not image.closed:
+                    return None
+                images.append(image)
+            elif isinstance(p, Prefix) and not p.body.closed:
+                stack.append(p.body)
+        table[t] = tuple(images)
+    return table
+
+
+def step_state(
+    state: frozenset[Monitor], action: str, substitution: dict | None = None
+) -> frozenset[Monitor]:
     """Advance a silent-closed state set by one visible action.  Silent
     closure distributes over union, so this is the union of the members'
-    weak steps."""
+    weak steps.
+
+    With ``substitution``, from :func:`closing`, an open member ``t``
+    stands for its instance under it.  Its weak steps are its own, those of
+    the images of its variable summands, and the verdict summands of the
+    images of the variable summands of each open body it reaches."""
     nxt: set[Monitor] = set()
     for m in state:
-        nxt.update(_weak_step(m, action))
+        succ = _weak_step(m, action)
+        nxt.update(succ)
+        if substitution is None or m.closed:
+            continue
+        for image in substitution[m]:
+            nxt.update(_weak_step(image, action))
+        for body in succ:
+            if not body.closed:
+                for image in substitution[body]:
+                    nxt.update(_weak_step(image, TAU))
     return frozenset(nxt)
 
 
-def initial_state(m: Monitor) -> frozenset[Monitor]:
+def initial_state(m: Monitor, substitution: dict | None = None) -> frozenset[Monitor]:
     """``m`` and its silent successors: ``V`` of its table, which is what
-    every label that no summand carries reads."""
-    return frozenset((m, *_weak_step(m, TAU)))
+    every label that no summand carries reads.  With ``substitution`` (see
+    :func:`step_state`), an open ``m`` also gets the verdict summands of the
+    images of its variable summands."""
+    state = (m, *_weak_step(m, TAU))
+    if substitution is None or m.closed:
+        return frozenset(state)
+    for image in substitution[m]:
+        state += _weak_step(image, TAU)
+    return frozenset(state)
 
 
 def weak_reach(m: Monitor, trace: Trace) -> frozenset[Monitor]:

@@ -38,11 +38,11 @@ def step_budget(monkeypatch):
         calls = [0]
         step_state = semantics.step_state
 
-        def counted(state, action):
+        def counted(state, action, substitution=None):
             calls[0] += 1
             if calls[0] > limit:
                 raise StepBudgetExceeded(f"more than {limit} step_state calls")
-            return step_state(state, action)
+            return step_state(state, action, substitution)
 
         monkeypatch.setattr(semantics, "step_state", counted)
         monkeypatch.setattr(equivalence, "step_state", counted)

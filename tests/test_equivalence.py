@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import AB, A, INF
-from regmon import equivalence, semantics
-from regmon.axioms import instantiate, prefix_seq
+from conftest import AB, A, INF, StepBudgetExceeded
+from regmon import axioms, equivalence, semantics, terms
+from regmon.axioms import instantiate, prefix_seq, soundness_fuzz
 from regmon.equivalence import (
     OMEGA,
     VERDICT,
@@ -305,6 +305,104 @@ def test_oracle_cutoff_keeps_the_full_scans_counterexample():
     # Both sides of the cutoff ran: later failures cut off, and a shorter
     # one found under a cutoff replacing the first.
     assert pairs >= 200 and several >= 100 and replaced >= 5
+
+
+# ---------------------------------------------------------------------------
+# The product search under a substitution
+
+
+def _random_substitution(rng, variables, alphabet):
+    return {v: random_closed_monitor(rng, alphabet, 3) for v in sorted(variables)}
+
+
+@pytest.mark.parametrize("mode", [VERDICT, OMEGA])
+@pytest.mark.parametrize("alphabet", [A, AB, INF], ids=["a", "ab", "infinite"])
+def test_search_under_a_substitution_matches_the_search_on_its_instances(alphabet, mode):
+    # For each open pair, closed_search under a substitution answers as the
+    # search on the two instances that apply_subst builds: over {a} and
+    # {a,b} under members of the oracle's family and random closed values,
+    # over the open-ended alphabet under fresh_substitution and random
+    # closed values; with no limit and with one.
+    rng = random.Random(f"under {alphabet} {mode}")
+    source = alphabet if alphabet.is_finite else AB
+    families = {}
+    found = [0, 0]  # counterexamples without and with a limit, of 400 each
+    for limited in (False, True):
+        for i in range(200):
+            m = random_open_monitor(rng, source, 3)
+            # An equivalent partner (by A3), one that differs in a leaf, or
+            # an unrelated term.
+            n = (Sum(m, m), _flip_leaf(rng, m), random_open_monitor(rng, source, 3))[i % 3]
+            variables = vars_of(m) | vars_of(n)
+            if alphabet.is_finite:
+                if variables not in families:
+                    families[variables] = substitution_family(variables, alphabet, 2, cap=64)
+                first = rng.choice(families[variables])
+            else:
+                first = equivalence.fresh_substitution(m, n)
+            limit = rng.randint(0, 3) if limited else None
+            for sigma in (first, _random_substitution(rng, variables, source)):
+                pairs = tuple(sorted(sigma.items()))
+                got = equivalence.closed_search(m, n, alphabet, mode, pairs, limit)
+                built = apply_subst(sigma, m), apply_subst(sigma, n)
+                assert got == equivalence.closed_search(*built, alphabet, mode, pairs, limit), (
+                    m, n, sigma, limit)
+                found[limited] += got is not None
+    # Both answers are well represented in each half.
+    assert all(120 <= k <= 280 for k in found), found
+
+
+def test_the_substitution_is_applied_during_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(terms, "apply_subst", refuse)
+    for module in (axioms, equivalence):
+        monkeypatch.setattr(module, "apply_subst", refuse, raising=False)
+    v1 = instantiate("V1", {}, AB).equation
+    unsound = soundness_fuzz(instantiate("V1", {}, AB), AB, VERDICT, 30, seed=3)
+    sound = soundness_fuzz(instantiate("V1", {}, A), A, VERDICT, 30, seed=3)
+    o2 = instantiate("O2", {"s": ("a",), "k": 1}, AB).equation
+    cex = oracle_counterexample(v1.lhs, v1.rhs, AB, OMEGA, bound=2)
+    answers = (
+        oracle_equiv_open(o2.lhs, o2.rhs, AB, bound=2, cap=128),
+        oracle_equiv_open(v1.lhs, v1.rhs, AB, bound=2),
+        decide(v1.lhs, v1.rhs, INF, VERDICT).equal,
+        decide(t("x + a.y"), t("a.y + x + x"), INF, OMEGA).equal,
+    )
+    monkeypatch.undo()
+    assert answers == (True, False, False, True)
+    assert sound.ok and len(unsound.failures) > 5
+    # Each counterexample is the one that the search on its instances finds.
+    for f, mode in [(f, VERDICT) for f in unsound.failures] + [(cex, OMEGA)]:
+        sigma = dict(f.substitution)
+        built = apply_subst(sigma, v1.lhs), apply_subst(sigma, v1.rhs)
+        assert equivalence.closed_search(*built, AB, mode, f.substitution) == f
+
+
+@pytest.mark.parametrize("mode, context", [(VERDICT, "verdict"), (OMEGA, "omega-verdict")])
+def test_a_substitution_that_leaves_a_variable_free_is_refused(mode, context):
+    m, n = t("x + y"), t("a.x")
+    with pytest.raises(NonClosedInput, match=rf"^{context} equivalence requires a closed monitor; free variables: y$"):
+        equivalence.closed_search(m, n, AB, mode, (("x", YES),))
+    with pytest.raises(NonClosedInput, match=r"free variables: x$"):
+        equivalence.closed_search(n, t("a.yes"), AB, mode, (("y", YES),))
+    with pytest.raises(NonClosedInput, match=r"free variables: y, z$"):
+        equivalence.closed_search(m, n, AB, mode, (("x", t("z + a.yes")),))
+    # Every variable mapped, one to an open term: the instance is open.
+    with pytest.raises(NonClosedInput, match=r"free variables: z$"):
+        equivalence.closed_search(n, t("a.yes"), AB, mode, (("x", t("z + a.yes")),))
+
+
+def test_step_budget_stops_a_search_under_a_substitution(step_budget):
+    m, n = prefix_seq(("a",) * 40, Var("x")), prefix_seq(("a",) * 40, Var("y"))
+    pairs = (("x", YES), ("y", NO))
+    step_budget(300)
+    got = equivalence.closed_search(m, n, AB, VERDICT, pairs)
+    assert got == Counterexample(pairs, ("a",) * 40, "AcceptedOnlyByLeft")
+    step_budget(20)
+    with pytest.raises(StepBudgetExceeded):
+        equivalence.closed_search(m, n, AB, VERDICT, pairs)
 
 
 def test_open_verdict_section4_examples():
