@@ -444,7 +444,7 @@ def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justifica
     if head == "axiom":
         groups = [g.strip() for g in args.split(";")]
         name = groups[0]
-        bindings: list[tuple[str, object]] = []
+        bindings: dict[str, object] = {}
         subst: tuple[tuple[str, Monitor], ...] = ()
         for group in groups[1:]:
             if "->" in group:
@@ -454,16 +454,18 @@ def _parse_justification(text: str, term: Callable[[str], Monitor]) -> Justifica
             elif "=" in group:
                 key, _, value = group.partition("=")
                 key = key.strip()
+                if key in bindings:
+                    raise ValueError(f"binding {key!r} is given twice")
                 value = value.strip()
                 if key == "s":
-                    bindings.append((key, syntax.parse_trace(value)))
+                    bindings[key] = syntax.parse_trace(value)
                 elif key == "k":
-                    bindings.append((key, int(value)))
+                    bindings[key] = int(value)
                 else:
-                    bindings.append((key, value))
+                    bindings[key] = value
             elif group:
                 raise ValueError(f"malformed axiom argument {group!r}")
-        return AxiomUse(name, tuple(sorted(bindings)), subst)
+        return AxiomUse(name, tuple(sorted(bindings.items())), subst)
     raise ValueError(f"unknown justification {head!r}")
 
 
@@ -471,8 +473,10 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     """Parse the derivation file format; returns the derivation and the
     declared variable names (used for open-ended alphabets).
 
-    A side text seen before under the same headers is looked up, not parsed
-    again.  Names stay declared across headers: each stands for a term.
+    A side, ``let`` body or mapping value that is one declared name is
+    looked up, and so is a text seen before under the same headers; every
+    other text is read by the :func:`syntax.reader` bound at the last
+    header.  Names stay declared across headers: each stands for a term.
     """
     system: str | None = None
     alphabet: Alphabet | None = None
@@ -481,38 +485,39 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
     names: dict[str, Monitor] = {}
     memo: dict[str, Monitor] = {}
     sizes: dict[Monitor, int] = {}
+    read: Callable[..., Monitor | Equation] | None = None
 
     def term(text: str) -> Monitor:
-        # Only the blanks the tokenizer skips: other whitespace is an error.
+        # Only the blanks the reader skips: other whitespace is an error.
         key = text.strip(" \t")
-        m = memo.get(key)
+        m = names.get(key)
         if m is None:
-            m = syntax.parse_monitor(text, alphabet, variables, names)
-            if key.count("$") > 1 and size_of(m, sizes) > TERM_LIMIT:
-                raise ValueError(f"a term with its names spelled out is over {TERM_LIMIT} nodes")
-            memo[key] = m
+            m = memo.get(key)
+            if m is None:
+                m = read(text)
+                if key.count("$") > 1 and size_of(m, sizes) > TERM_LIMIT:
+                    raise ValueError(f"a term with its names spelled out is over {TERM_LIMIT} nodes")
+                memo[key] = m
         return m
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("system:"):
-            system = line[len("system:") :].strip()
-            continue
-        if line.startswith("alphabet:"):
-            alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
-            memo = {}
-            continue
-        if line.startswith("vars:"):
-            variables = variables | syntax.parse_vars(line[len("vars:") :])
-            memo = {}
-            continue
         record = line.partition(" ")[0]
-        if record not in ("let", "step"):
-            raise ValueError(f"line {lineno}: expected a step record")
+        if record != "let" and record != "step":
+            if line.startswith("system:"):
+                system = line[len("system:") :].strip()
+            elif line.startswith("alphabet:"):
+                alphabet = syntax.parse_alphabet(line[len("alphabet:") :])
+                read, memo = syntax.reader(alphabet, variables, names), {}
+            elif line.startswith("vars:"):
+                variables = variables | syntax.parse_vars(line[len("vars:") :])
+                if alphabet is not None:
+                    read, memo = syntax.reader(alphabet, variables, names), {}
+            elif line:
+                raise ValueError(f"line {lineno}: expected a step record")
+            continue
         if system is None or alphabet is None:
             raise ValueError(f"line {lineno}: {record} before system/alphabet headers")
         if record == "let":
@@ -530,7 +535,11 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
         head, colon, body = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: missing ':'")
-        sid = int(head[len("step ") :])
+        sid_text = head[len("step ") :]
+        try:
+            sid = int(sid_text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: step id {sid_text.strip()!r} is not a number") from None
         # ' by ' may occur inside terms (a variable could be named 'by'), so
         # try split points right to left until both halves parse.  The term
         # grammar has no '=' and no ',', so equations and mappings split into
@@ -550,7 +559,7 @@ def parse_derivation(text: str) -> tuple[Derivation, frozenset[str]]:
                     equation = Equation(term(lhs), term(rhs))
                 except syntax.ParseError:
                     # Report the error where it lies in the whole equation.
-                    equation = syntax.parse_equation(body[:idx], alphabet, variables, names)
+                    equation = read(body[:idx], equation=True)
                 justification = _parse_justification(body[idx + 4 :], term)
             except ValueError as exc:
                 last_error = exc

@@ -14,8 +14,10 @@ the term that a map from names to terms gives it (derivation files declare
 them); ``$`` is no identifier character, so no action or variable takes it.
 ``#`` starts a line comment in every file format.
 
-One function reads the grammar: :func:`parse_monitor` and
-:func:`parse_equation` are its two entries.  The trace text (``a b``,
+One function reads the grammar: :func:`reader` binds an alphabet,
+variables and names once and returns a function that reads a term or an
+equation in one scan of its text.  :func:`parse_monitor` and
+:func:`parse_equation` read one text with it.  The trace text (``a b``,
 ``<eps>``) and the substitution text (``x -> t, y -> u``) of the command
 line and the derivation files are printed and read here too.
 """
@@ -69,7 +71,7 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 
 # One alternative per token class, tried in order: whitespace and comments
 # (skipped), identifiers, operators, names, and any other character (an
@@ -99,6 +101,7 @@ def _error(text: str, tok: _Token, kind: str, message: str) -> ParseError:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, as :func:`parse_alphabet` reads them."""
     tokens: list[_Token] = []
     append = tokens.append
     for match in _TOKEN_RE.finditer(text):
@@ -120,119 +123,165 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# ---------------------------------------------------------------------------
+# Terms and equations
+
 # A map from each ``$N`` that a text may use to its term.
 Names = Mapping[str, Monitor] | None
 
+# Blanks and comments.  A comment runs to the end of its line, so that it
+# gives back no '.' when the match backtracks, and each blank is one
+# repetition, so that backtracking over a run of them is linear.
+_BLANKS = r"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*"
+_RESERVED = "|".join(sorted(RESERVED_WORDS))
+# The next token of a term after the blanks and comments before it, one
+# group per kind: an action prefix (an identifier other than a reserved
+# word, then its '.'), an identifier, '+', '(', ')', '=', another operator,
+# a name, or any other character (an error); no group at the end of the
+# text.  The tokens take the same characters as :func:`_tokenize`'s.
+_TERM_TOKEN_RE = re.compile(
+    rf"{_BLANKS}(?:(?!(?:{_RESERVED})(?![A-Za-z0-9_]))({IDENT_PATTERN}){_BLANKS}\."
+    rf"|({IDENT_PATTERN})|(\+)|(\()|(\))|(=)|(->|[.,])|(\$[0-9]+)|(.)|\Z)",
+    re.DOTALL,
+)
+_PREFIX, _IDENT, _PLUS, _OPEN, _CLOSE, _EQUALS, _OP, _NAME, _ODD = range(1, 10)
+_LEAF = {"yes": YES, "no": NO, "end": END}
 
-def _parse(
-    text: str, alphabet: Alphabet, variables: frozenset[str], names: Names, equation: bool
-) -> Monitor | Equation:
-    """The ``term``, or with ``equation`` the ``term '=' term``, that spans
-    ``text``, read without recursion after the whole text is tokenized.
 
-    ``frames`` holds, for every open parenthesis, the sum parsed so far and
-    the actions prefixed to the parenthesis.
-    """
-    tokens = _tokenize(text)
-    if tokens[0][0] == "eof":
-        raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
-    names = names or {}
-
-    def is_action(word: str) -> bool:
-        if alphabet.is_finite:
-            return word in alphabet
-        return word not in variables
-
-    def fail(tok: _Token, message: str, kind: str = UNEXPECTED_TOKEN):
-        raise _error(text, tok, kind, message)
-
-    pos = 0
-    lhs: Monitor | None = None
-    frames: list[tuple[Monitor | None, list[str]]] = []
-    acc: Monitor | None = None
-    prefixes: list[str] = []
+def _fail(text: str, match: re.Match, kind: str, message: str) -> ParseError:
+    """The error for the token that ``match`` read, unless a character that
+    no token takes comes at or after it: like a token list, the reader
+    reports such a character before any error of the grammar."""
+    pos = match.start()
     while True:
-        # prefterm: a run of ACTION '.', then an atom.
-        tok = tokens[pos]
-        kind, word, _ = tok
-        while kind == "ident" and word not in RESERVED_WORDS and tokens[pos + 1][0] == ".":
-            if not is_action(word):
-                fail(tok, f"variable {word!r} cannot be used as a prefix")
-            prefixes.append(word)
-            pos += 2
-            tok = tokens[pos]
-            kind, word, _ = tok
-        pos += 1
-        if kind == "ident":
-            if word == "yes":
-                term = YES
-            elif word == "no":
-                term = NO
-            elif word == "end":
-                term = END
-            elif is_action(word):
-                fail(tok, f"action {word!r} must be followed by '.'")
+        odd = _TERM_TOKEN_RE.match(text, pos)
+        if odd.lastindex == _ODD:
+            message = f"unexpected character {odd[_ODD]!r}"
+            return ParseError(_span(text, odd.start(_ODD), 1), UNEXPECTED_TOKEN, message)
+        if odd.lastindex is None:
+            break
+        pos = odd.end()
+    group = match.lastindex
+    if group is None:
+        return ParseError(_span(text, len(text), 0), kind, message)
+    return ParseError(_span(text, match.start(group), len(match[group])), kind, message)
+
+
+def _word(match: re.Match) -> str:
+    return match[match.lastindex] if match.lastindex else ""
+
+
+def reader(
+    alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
+) -> Callable[..., Monitor | Equation]:
+    """A function that reads the ``term`` that spans a text, or with
+    ``equation=True`` the ``term '=' term``, under ``alphabet``,
+    ``variables`` and ``names``, which are bound once here.  ``names`` is
+    not copied: a name added to it later can be read.
+
+    One scan of the text reads each token as it comes, with no recursion
+    and no token list.  ``frames`` holds, for every open parenthesis, the
+    sum read so far and the actions prefixed to the parenthesis.
+    """
+    finite = alphabet.is_finite
+    # ``word in known`` says whether ``word`` is an action over a finite
+    # alphabet, and whether it is a variable over an open-ended one.
+    known = alphabet.actions if finite else frozenset(variables)
+    names = {} if names is None else names
+    scan = _TERM_TOKEN_RE.finditer
+
+    def read(text: str, equation: bool = False) -> Monitor | Equation:
+        lhs: Monitor | None = None
+        frames: list[tuple[Monitor | None, list[str]]] = []
+        acc: Monitor | None = None
+        prefixes: list[str] = []
+        complete = False  # whether a term ends just before this token
+        for match in scan(text):
+            group = match.lastindex
+            if complete:
+                # After a term: a '+', a ')' that closes a parenthesis, the
+                # '=' of an equation, or the end of the text.
+                if group == _PLUS:
+                    complete = False
+                    continue
+                if frames:
+                    if group != _CLOSE:
+                        raise _fail(text, match, UNBALANCED_PAREN, "expected ')'")
+                    term = acc
+                    acc, prefixes = frames.pop()
+                elif equation and lhs is None:
+                    if group != _EQUALS:
+                        found = _word(match) or "end of input"
+                        raise _fail(text, match, UNEXPECTED_TOKEN, f"expected '=', found {found!r}")
+                    lhs, acc = acc, None
+                    complete = False
+                    continue
+                elif group is None:
+                    return Equation(lhs, acc) if equation else acc
+                else:
+                    message = f"trailing input starting at {_word(match)!r}"
+                    raise _fail(text, match, UNEXPECTED_TOKEN, message)
+            elif group == _PREFIX:
+                word = match[_PREFIX]
+                if (word in known) != finite:
+                    message = f"variable {word!r} cannot be used as a prefix"
+                    raise _fail(text, match, UNEXPECTED_TOKEN, message)
+                prefixes.append(word)
+                continue
+            elif group == _IDENT:
+                word = match[_IDENT]
+                term = _LEAF.get(word)
+                if term is None:
+                    if (word in known) == finite:
+                        message = f"action {word!r} must be followed by '.'"
+                        raise _fail(text, match, UNEXPECTED_TOKEN, message)
+                    term = Var(word)
+            elif group == _NAME:
+                term = names.get(match[_NAME])
+                if term is None:
+                    message = f"undeclared name {match[_NAME]!r}"
+                    raise _fail(text, match, UNDECLARED_NAME, message)
+            elif group == _OPEN:
+                frames.append((acc, prefixes))
+                acc, prefixes = None, []
+                continue
+            elif group == _CLOSE:
+                raise _fail(text, match, UNBALANCED_PAREN, "unmatched ')'")
+            elif group is not None:
+                raise _fail(text, match, UNEXPECTED_TOKEN, f"unexpected token {_word(match)!r}")
+            elif match.start() == 0:
+                raise ParseError(SourceSpan(1, 1, 0, 0), EMPTY_INPUT, "empty input")
             else:
-                term = Var(word)
-        elif kind == "name":
-            term = names.get(word)
-            if term is None:
-                fail(tok, f"undeclared name {word!r}", UNDECLARED_NAME)
-        elif kind == "(":
-            frames.append((acc, prefixes))
-            acc, prefixes = None, []
-            continue
-        elif kind == ")":
-            fail(tok, "unmatched ')'", UNBALANCED_PAREN)
-        elif kind == "eof":
-            fail(tok, "unexpected end of input")
-        else:
-            fail(tok, f"unexpected token {word!r}")
-        # The atom is complete: prefix it, add it to the sum, and close every
-        # parenthesis that ends here.  At the end of a term, read the '=' of
-        # an equation or the end of input.
-        while True:
-            for action in reversed(prefixes):
-                term = Prefix(action, term)
-            prefixes = []
+                raise _fail(text, match, UNEXPECTED_TOKEN, "unexpected end of input")
+            # A term is complete: prefix it and add it to the sum.
+            if prefixes:
+                for action in reversed(prefixes):
+                    term = Prefix(action, term)
+                prefixes = []
             acc = term if acc is None else Sum(acc, term)
-            tok = tokens[pos]
-            pos += 1
-            if tok[0] == "+":
-                break
-            if frames:
-                if tok[0] != ")":
-                    fail(tok, "expected ')'", UNBALANCED_PAREN)
-                term = acc
-                acc, prefixes = frames.pop()
-            elif equation and lhs is None:
-                if tok[0] != "=":
-                    fail(tok, f"expected '=', found {tok[1] or 'end of input'!r}")
-                lhs, acc = acc, None
-                break
-            elif tok[0] != "eof":
-                fail(tok, f"trailing input starting at {tok[1]!r}")
-            else:
-                return Equation(lhs, acc) if equation else acc
+            complete = True
+        raise AssertionError("the scan ends at the end of the text")  # pragma: no cover
+
+    return read
 
 
 def parse_monitor(
     text: str, alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
 ) -> Monitor:
-    """Parse a single monitor term.
+    """Parse a single monitor term with :func:`reader`.
 
     ``variables`` declares the variable names for open-ended alphabets; with
     a finite alphabet every identifier outside the alphabet is a variable.
     ``names`` maps each ``$N`` that the text may use to its term.
     """
-    return _parse(text, alphabet, frozenset(variables), names, False)
+    return reader(alphabet, variables, names)(text)
 
 
 def parse_equation(
     text: str, alphabet: Alphabet, variables: Iterable[str] = (), names: Names = None
 ) -> Equation:
     """Parse ``term = term``, as :func:`parse_monitor` parses each term."""
-    return _parse(text, alphabet, frozenset(variables), names, True)
+    return reader(alphabet, variables, names)(text, equation=True)
 
 
 def parse_alphabet(text: str) -> Alphabet:

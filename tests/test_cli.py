@@ -198,6 +198,15 @@ def test_check_proof_reports_a_bad_name_with_its_line(tmp_path, capsys, records,
     assert run(capsys, "check-proof", str(proof)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("sid", ["x", "", "1.5", "(6)"])
+def test_check_proof_reports_a_step_id_that_is_not_a_number_with_its_line(tmp_path, capsys, sid):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(f"system: Ev\nalphabet: a,b\nstep {sid}: yes = yes by refl\n")
+    assert run(capsys, "check-proof", str(proof)) == (
+        2, "", f"error: line 3: step id {sid!r} is not a number\n"
+    )
+
+
 def test_check_proof_reports_a_let_before_the_headers(tmp_path, capsys):
     proof = tmp_path / "proof.txt"
     proof.write_text("let $1 := a.yes\nsystem: Ev\nalphabet: a,b\nstep 1: $1 = $1 by refl\n")

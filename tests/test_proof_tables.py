@@ -25,6 +25,7 @@ import pytest
 import test_golden
 from conftest import AB
 from regmon import cli, normalize, prooflog, syntax
+from regmon.generate import random_monitor
 from regmon.prooflog import (
     AxiomUse,
     CongruencePrefix,
@@ -51,6 +52,64 @@ GOLDEN_PROOFS = sorted((Path(__file__).resolve().parent / "golden" / "proofs").g
 GOLDEN_PROOFS = [p for p in GOLDEN_PROOFS if p.name != "digests.txt"]
 GOLDEN_COMPACT = [p for p in GOLDEN_PROOFS if p.name.endswith(".compact.txt")]
 FIXTURE_PROOFS = [p for p in GOLDEN_PROOFS if not p.name.endswith(".compact.txt")]
+
+
+def _justification_without_tables(text, term):
+    """``prooflog._parse_justification`` as it read justifications before
+    an axiom binding given twice became an error, kept as the reference:
+    no record that ``_mutate`` makes gives a binding twice."""
+    text = text.strip()
+    if text == "refl":
+        return Reflexivity()
+    head, paren, rest = text.partition("(")
+    if not paren or not rest.endswith(")"):
+        raise ValueError(f"malformed justification {text!r}")
+    head = head.strip()
+    args = rest[:-1]
+    if head == "sym":
+        return Symmetry(int(args))
+    if head == "trans":
+        sids = [int(arg) for arg in args.split(",")]
+        if len(sids) < 2:
+            raise ValueError("trans needs two steps or more")
+        return Transitivity(*sids)
+    if head == "ctx":
+        return Context(int(args))
+    if head == "sum":
+        left, right = args.split(",")
+        return CongruenceSum(int(left), int(right))
+    if head == "prefix":
+        action, sid = (p.strip() for p in args.split(","))
+        return CongruencePrefix(action, int(sid))
+    if head == "subst":
+        sid_text, semi, mapping = args.partition(";")
+        if not semi:
+            raise ValueError("subst needs a mapping after ';'")
+        return Substitutivity(int(sid_text), syntax.parse_substitution(mapping, term))
+    if head == "axiom":
+        groups = [g.strip() for g in args.split(";")]
+        name = groups[0]
+        bindings = []
+        subst = ()
+        for group in groups[1:]:
+            if "->" in group:
+                if subst:
+                    raise ValueError("axiom takes one mapping")
+                subst = syntax.parse_substitution(group, term)
+            elif "=" in group:
+                key, _, value = group.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if key == "s":
+                    bindings.append((key, syntax.parse_trace(value)))
+                elif key == "k":
+                    bindings.append((key, int(value)))
+                else:
+                    bindings.append((key, value))
+            elif group:
+                raise ValueError(f"malformed axiom argument {group!r}")
+        return AxiomUse(name, tuple(sorted(bindings)), subst)
+    raise ValueError(f"unknown justification {head!r}")
 
 
 def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
@@ -105,7 +164,11 @@ def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
         head, colon, body = line.partition(":")
         if not colon:
             raise ValueError(f"line {lineno}: missing ':'")
-        sid = int(head[len("step ") :])
+        sid_text = head[len("step ") :]
+        try:
+            sid = int(sid_text)
+        except ValueError:
+            raise ValueError(f"line {lineno}: step id {sid_text.strip()!r} is not a number") from None
         idx = len(body)
         last_error = None
         while True:
@@ -121,7 +184,7 @@ def _parse_without_tables(text: str) -> tuple[Derivation, frozenset[str]]:
                     eq = Equation(term(lhs), term(rhs))
                 except syntax.ParseError:
                     eq = parse_equation(body[:idx], alphabet, variables, names)
-                just = prooflog._parse_justification(body[idx + 4 :], term)
+                just = _justification_without_tables(body[idx + 4 :], term)
             except ValueError as exc:
                 last_error = exc
                 continue
@@ -162,17 +225,22 @@ def _bodies(m):
 
 
 def _parsed_texts(text: str, monkeypatch) -> list[str]:
-    """The texts that ``parse_monitor`` reads while ``text`` is parsed."""
+    """The texts that the term reader reads while ``text`` is parsed."""
     parsed = []
-    parse = syntax.parse_monitor
+    reader = syntax.reader
 
-    def counted(source, *args):
-        parsed.append(source)
-        return parse(source, *args)
+    def counted(*bound):
+        read = reader(*bound)
 
-    monkeypatch.setattr(syntax, "parse_monitor", counted)
+        def counted_read(source, equation=False):
+            parsed.append(source)
+            return read(source, equation)
+
+        return counted_read
+
+    monkeypatch.setattr(syntax, "reader", counted)
     parse_derivation(text)
-    monkeypatch.setattr(syntax, "parse_monitor", parse)
+    monkeypatch.setattr(syntax, "reader", reader)
     return parsed
 
 
@@ -259,10 +327,10 @@ def test_print_derivation_prints_no_side_that_its_table_holds(path):
 def test_parse_table_stays_linear_on_nested_sums(monkeypatch):
     derivation = _ladder(300)
     text = print_derivation(derivation, {"x"})
-    # Each let body is read once, and so is each step's side: its two
-    # sides are the same text.
+    # Each let body is read once.  A step's sides are one name, which is
+    # looked up, not read, but for the last step's: ``yes``, read once.
     parsed = _parsed_texts(text, monkeypatch)
-    assert len(parsed) == len(derivation.shared) + len(derivation.steps)
+    assert len(parsed) == len(derivation.shared) + 1
     assert sum(map(len, parsed)) < len(text) / 2
 
 
@@ -442,6 +510,61 @@ def test_mutated_proofs_parse_as_without_tables():
     assert min(kinds.values()) > 300, kinds
 
 
+def _whole_proofs(form: str, tmp_path) -> list[str]:
+    """What ``prove --emit-proof`` writes for ten seeded terms of 20 to 60
+    nodes over the alphabet and variables of ``form``'s digest corpus."""
+    alphabet_text = test_golden.PROOF_CASES[form][0]
+    alphabet = syntax.parse_alphabet(alphabet_text)
+    pool = () if form in ("nf", "rnf", "omega") else ("x", "y")
+    rng = random.Random(f"whole:{form}")
+    path = tmp_path / "proof.txt"
+    texts = []
+    while len(texts) < 10:
+        term = random_monitor(rng, alphabet, 8, pool, 0.85)
+        if 20 <= size_of(term) <= 60:
+            argv = ["prove", print_monitor(term), "--form", form, "--alphabet", alphabet_text]
+            assert cli.main([*argv, "--emit-proof", str(path)]) == 0
+            texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+def _name_reach(text: str) -> int:
+    """The most lines between a ``let`` and a later use of its name."""
+    declared: dict[str, int] = {}
+    reach = 0
+    for i, line in enumerate(text.splitlines()):
+        for name in re.findall(r"\$\d+", line.partition(":=")[2] if line.startswith("let ") else line):
+            reach = max(reach, i - declared.get(name, i))
+        if line.startswith("let "):
+            declared[line.split()[1]] = i
+    return reach
+
+
+@pytest.mark.parametrize("form", sorted(test_golden.PROOF_CASES))
+def test_whole_proofs_parse_as_without_tables(form, tmp_path, capsys):
+    # Full proofs, where a step may use a name declared hundreds of lines
+    # before it, as written and with one line edited: 450 edits over the
+    # nine forms.
+    texts = _whole_proofs(form, tmp_path)
+    capsys.readouterr()
+    assert max(map(_name_reach, texts)) >= 100
+    for text in texts:
+        got = outcome(text)
+        assert isinstance(got[0], Derivation)
+        assert got == outcome(text, tables=False)
+    rng = random.Random(f"whole-mutations:{form}")
+    kinds = {"derivation": 0, "error": 0}
+    for _ in range(50):
+        lines = rng.choice(texts).splitlines()
+        i = rng.randrange(3, len(lines))
+        lines[i] = _mutate(lines[i] + "\n", rng).rstrip("\n")
+        text = "\n".join(lines) + "\n"
+        got = outcome(text)
+        assert got == outcome(text, tables=False), (i, lines[i])
+        kinds["derivation" if isinstance(got[0], Derivation) else "error"] += 1
+    assert min(kinds.values()) > 5, kinds
+
+
 def test_table_rejects_pieces_that_do_not_print_back():
     # Each later side is spelled otherwise than a side seen before, or means
     # otherwise, so the parse table does not answer for it.
@@ -544,21 +667,23 @@ def test_deep_context_and_long_chain_steps_round_trip(make):
 def test_nested_sum_tables_stay_within_four_times_the_text():
     # A table that kept the text of every nested node would hold about
     # depth / 2 times the side's text, some 400 MB here.  The tables keep a
-    # text per distinct side.  What is left of the peak is the parser's own
-    # token list for the one full parse of each distinct side, about 94
-    # bytes per character, and the lines of the text; the 24 repeated steps
-    # make the text long enough for that constant to fit under the bound.
-    derivation = _derivation(_nested(10_000), repeats=24)
-    tracemalloc.start()
-    try:
-        text = print_derivation(derivation, {"x", "z"})
-        _, printing = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        held, _ = tracemalloc.get_traced_memory()
-        parsed, _ = parse_derivation(text)
-        parsing = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert parsed == derivation
-    assert printing <= 4 * len(text), (printing, len(text))
-    assert parsing <= 4 * len(text), (parsing, len(text))
+    # text per distinct side, and the reader takes each token as it scans
+    # it, so what is left of the peak is the nodes of each distinct side
+    # and the lines of the text: the eight steps alone (1.44 MB of text)
+    # and with 24 more that repeat a step (5.3 MB) both stay under the
+    # bound.
+    for repeats in (0, 24):
+        derivation = _derivation(_nested(10_000), repeats)
+        tracemalloc.start()
+        try:
+            text = print_derivation(derivation, {"x", "z"})
+            _, printing = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            parsed, _ = parse_derivation(text)
+            parsing = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert parsed == derivation
+        assert printing <= 4 * len(text), (repeats, printing, len(text))
+        assert parsing <= 4 * len(text), (repeats, parsing, len(text))

@@ -160,6 +160,7 @@ def test_substitutivity_step_prints_parses_and_checks_its_mapping():
         ("axiom(A1; x -> x, x -> y)", "variable 'x' is mapped twice"),
         ("subst(1; y -> x, y -> yes)", "variable 'y' is mapped twice"),
         ("axiom(A1; x -> x; y -> y)", "axiom takes one mapping"),
+        ("axiom(Y_a; action=b; action=a)", "binding 'action' is given twice"),
     ],
 )
 def test_a_mapping_that_binds_twice_is_a_step_record_error(justification, message):
