@@ -73,12 +73,21 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Tokens
 
-# One alternative per token class, tried in order: whitespace and comments
-# (skipped), identifiers, operators, names, and any other character (an
-# error).
+# Blanks and comments.  A comment runs to the end of its line, so that it
+# gives back no '.' when the match backtracks, and each blank is one
+# repetition, so that backtracking over a run of them is linear.
+_BLANKS = r"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*"
+_RESERVED = "|".join(sorted(RESERVED_WORDS))
+# The next token after the blanks and comments before it, one group per
+# kind: an action prefix (an identifier other than a reserved word, then
+# its '.'), an identifier, '+', '(', ')', '=', another operator, a name, or
+# any other character (an error); no group at the end of the text.
 _TOKEN_RE = re.compile(
-    rf"([ \t\r\n]+|#[^\n]*)|({IDENT_PATTERN})|(->|[+.()=,])|(\$[0-9]+)|(.)", re.DOTALL
+    rf"{_BLANKS}(?:(?!(?:{_RESERVED})(?![A-Za-z0-9_]))({IDENT_PATTERN}){_BLANKS}\."
+    rf"|({IDENT_PATTERN})|(\+)|(\()|(\))|(=)|(->|[.,])|(\$[0-9]+)|(.)|\Z)",
+    re.DOTALL,
 )
+_PREFIX, _IDENT, _PLUS, _OPEN, _CLOSE, _EQUALS, _OP, _NAME, _ODD = range(1, 10)
 
 # A token is ``(kind, text, offset)``: kind is 'ident', the operator itself
 # ('+', '.', '(', ')', '=', '->', ','), 'name', or 'eof'.
@@ -100,61 +109,14 @@ def _error(text: str, tok: _Token, kind: str, message: str) -> ParseError:
     return ParseError(_span(text, offset, len(word)), kind, message)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``, as :func:`parse_alphabet` reads them."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        if group == 2:
-            append(("ident", match[2], match.start()))
-        elif group == 3:
-            op = match[3]
-            append((op, op, match.start()))
-        elif group == 4:
-            append(("name", match[4], match.start()))
-        elif group == 5:
-            raise ParseError(
-                _span(text, match.start(), 1),
-                UNEXPECTED_TOKEN,
-                f"unexpected character {match[5]!r}",
-            )
-    append(("eof", "", len(text)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Terms and equations
-
-# A map from each ``$N`` that a text may use to its term.
-Names = Mapping[str, Monitor] | None
-
-# Blanks and comments.  A comment runs to the end of its line, so that it
-# gives back no '.' when the match backtracks, and each blank is one
-# repetition, so that backtracking over a run of them is linear.
-_BLANKS = r"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*"
-_RESERVED = "|".join(sorted(RESERVED_WORDS))
-# The next token of a term after the blanks and comments before it, one
-# group per kind: an action prefix (an identifier other than a reserved
-# word, then its '.'), an identifier, '+', '(', ')', '=', another operator,
-# a name, or any other character (an error); no group at the end of the
-# text.  The tokens take the same characters as :func:`_tokenize`'s.
-_TERM_TOKEN_RE = re.compile(
-    rf"{_BLANKS}(?:(?!(?:{_RESERVED})(?![A-Za-z0-9_]))({IDENT_PATTERN}){_BLANKS}\."
-    rf"|({IDENT_PATTERN})|(\+)|(\()|(\))|(=)|(->|[.,])|(\$[0-9]+)|(.)|\Z)",
-    re.DOTALL,
-)
-_PREFIX, _IDENT, _PLUS, _OPEN, _CLOSE, _EQUALS, _OP, _NAME, _ODD = range(1, 10)
-_LEAF = {"yes": YES, "no": NO, "end": END}
-
-
 def _fail(text: str, match: re.Match, kind: str, message: str) -> ParseError:
     """The error for the token that ``match`` read, unless a character that
-    no token takes comes at or after it: like a token list, the reader
-    reports such a character before any error of the grammar."""
+    no token takes comes at or after it: as if the whole text were
+    tokenized first, such a character is reported before any error of the
+    grammar."""
     pos = match.start()
     while True:
-        odd = _TERM_TOKEN_RE.match(text, pos)
+        odd = _TOKEN_RE.match(text, pos)
         if odd.lastindex == _ODD:
             message = f"unexpected character {odd[_ODD]!r}"
             return ParseError(_span(text, odd.start(_ODD), 1), UNEXPECTED_TOKEN, message)
@@ -165,6 +127,35 @@ def _fail(text: str, match: re.Match, kind: str, message: str) -> ParseError:
     if group is None:
         return ParseError(_span(text, len(text), 0), kind, message)
     return ParseError(_span(text, match.start(group), len(match[group])), kind, message)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` as one list, as :func:`parse_alphabet` reads
+    them; an action prefix is an identifier and a '.'."""
+    tokens: list[_Token] = []
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group is None:
+            break
+        if group == _ODD:
+            raise _fail(text, match, UNEXPECTED_TOKEN, "")
+        word = match[group]
+        kind = "ident" if group <= _IDENT else "name" if group == _NAME else word
+        append((kind, word, match.start(group)))
+        if group == _PREFIX:
+            append((".", ".", match.end() - 1))
+    append(("eof", "", len(text)))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Terms and equations
+
+# A map from each ``$N`` that a text may use to its term.
+Names = Mapping[str, Monitor] | None
+
+_LEAF = {"yes": YES, "no": NO, "end": END}
 
 
 def _word(match: re.Match) -> str:
@@ -188,7 +179,7 @@ def reader(
     # alphabet, and whether it is a variable over an open-ended one.
     known = alphabet.actions if finite else frozenset(variables)
     names = {} if names is None else names
-    scan = _TERM_TOKEN_RE.finditer
+    scan = _TOKEN_RE.finditer
 
     def read(text: str, equation: bool = False) -> Monitor | Equation:
         lhs: Monitor | None = None

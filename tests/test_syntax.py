@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,18 @@ from regmon.syntax import (
     print_monitor,
     print_trace,
 )
-from regmon.terms import END, NO, RESERVED_WORDS, YES, Alphabet, Equation, Prefix, Sum, Var
+from regmon.terms import (
+    END,
+    IDENT_PATTERN,
+    NO,
+    RESERVED_WORDS,
+    YES,
+    Alphabet,
+    Equation,
+    Prefix,
+    Sum,
+    Var,
+)
 
 
 def test_parse_basic_sum():
@@ -465,3 +477,41 @@ def test_parser_agrees_with_the_reference_parser():
     # The corpus reaches every outcome of both entries.
     kinds = {"ok", UNEXPECTED_TOKEN, UNBALANCED_PAREN, EMPTY_INPUT, UNDECLARED_NAME}
     assert {(entry, kind) for entry in ("parse_monitor", "parse_equation") for kind in kinds} <= seen
+
+
+# The tokenizer before the term reader and ``_tokenize`` shared one scanner,
+# kept as the reference for the tokens (the reference parser above reads
+# ``_tokenize``'s).
+_REFERENCE_TOKEN_RE = re.compile(
+    rf"([ \t\r\n]+|#[^\n]*)|({IDENT_PATTERN})|(->|[+.()=,])|(\$[0-9]+)|(.)", re.DOTALL
+)
+
+
+def _reference_tokenize(text):
+    """The token list, or the offset and message of its error."""
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 2:
+            tokens.append(("ident", match[2], match.start()))
+        elif group == 3:
+            tokens.append((match[3], match[3], match.start()))
+        elif group == 4:
+            tokens.append(("name", match[4], match.start()))
+        elif group == 5:
+            return match.start(), f"unexpected character {match[5]!r}"
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+def test_tokens_agree_with_the_reference_tokenizer():
+    # The corpus of the parser test, and texts where a comment or blanks
+    # stand between an identifier and a '.'.
+    texts = list(_reference_corpus(300))
+    texts += ["a # c.\n.yes", "a.ye# c@ b.no", "yes . no", "x \t\n. a", "a" + " " * 500 + "b."]
+    for text in texts:
+        try:
+            got = _tokenize(text)
+        except ParseError as err:
+            got = (err.span.offset, err.message)
+        assert got == _reference_tokenize(text), text
