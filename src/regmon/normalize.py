@@ -3,8 +3,10 @@
 Each pipeline rewrites a monitor into the canonical shape of one
 completeness result and can emit a derivation in the matching axiom system,
 validated by the independent checker in :mod:`regmon.prooflog`.  ``FORMS``
-has one row per form, and the nine public pipelines are built from it.  A
-rewrite cites O1 exactly when its form's axiom system has it.
+has one row per form, and the nine public pipelines are built from it.  The
+form's axiom system picks the steps: O1 where it has O1, and where it has
+O2 or V1 one bodies-first loop that removes the deeper occurrences of each
+top variable (:func:`_eliminate`), run again after each omega fold under O2.
 Recording on or off runs the same rewriting; without recording, the AC
 bookkeeping of :class:`Prover` (flatten, sort, deduplicate, align) is plain
 list work, and ``tests/test_normalize.py`` holds the pure and the proved
@@ -76,8 +78,15 @@ class AlphabetTooSmall(ValueError):
     pass
 
 
-# Rounds that the fixpoint loops of fin-rnf and the omega forms may take.
+# Rounds that a fixpoint loop (elimination or omega collapse) may take.
 _FUEL = 199
+
+
+def _unstable(pv: Prover) -> InternalError:
+    """The error of a fixpoint loop out of fuel, naming the public pipeline
+    of the system of ``pv``."""
+    name = next(f.name for f in FORMS.values() if f.system == pv.system)
+    return InternalError(f"{name} failed to stabilize")
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,14 +438,16 @@ class Prover:
 
 def _map_bodies(pv: Prover, pf: Pf, rewrite) -> Pf:
     """``pf`` extended by rewriting the body of every prefix summand of its
-    result with ``rewrite(pv, body)``, then by canonicalizing the sum."""
+    result, a canonical sum, with ``rewrite(pv, body)``, then, if a body
+    changed, by canonicalizing the sum again."""
+    start = pf
     for p in _parts(pf.dst):
         if isinstance(p, Prefix):
             inner = rewrite(pv, p.body)
             if inner.src != inner.dst:
                 idx = _parts(pf.dst).index(p)
                 pf = pv.trans(pf, pv.rw_part(pf.dst, idx, pv.congpre(p.action, inner)))
-    return pv.trans(pf, pv.shallow_canon(pf.dst))
+    return pf if pf is start else pv.trans(pf, pv.shallow_canon(pf.dst))
 
 
 # ---------------------------------------------------------------------------
@@ -735,10 +746,10 @@ def _try_fold(pv: Prover, pf: Pf) -> Pf | None:
     return None
 
 
-def _omega_closed(pv: Prover, t: Monitor, refold=None) -> Pf:
+def _omega_closed(pv: Prover, t: Monitor) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
-    first.  After each fold the sum is reduced again and, if given, rewritten
-    by ``refold`` (the open forms eliminate the variables again)."""
+    first.  After each fold the sum is reduced again and, where the system
+    of ``pv`` has O2, its variables are eliminated again."""
     pf = pv.refl(t)
     for _ in range(_FUEL):
         pf = _map_bodies(pv, pf, _omega_closed)
@@ -746,18 +757,18 @@ def _omega_closed(pv: Prover, t: Monitor, refold=None) -> Pf:
         if folded is None:
             return pf
         pf = pv.trans(folded, _reduce(pv, folded.dst))
-        if refold is not None:
-            pf = pv.trans(pf, refold(pv, pf.dst))
-    raise InternalError(f"{'omega_open_nf' if refold else 'omega_nf_closed'} failed to stabilize")
+        if "O2" in axioms.SYSTEM_SCHEMAS[pv.system]:
+            pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
+    raise _unstable(pv)
 
 
 def _omega_nf(pv: Prover, m: Monitor) -> Pf:
-    pf = _rnf(pv, m)
+    pf = _finite_act_rnf(pv, m)
     return pv.trans(pf, _omega_closed(pv, pf.dst))
 
 
 # ---------------------------------------------------------------------------
-# Finite-alphabet open forms: covering k and O2 elimination
+# Finite-alphabet open forms: O2 elimination and V1 absorption
 
 
 def _min_nonprefixes(u: Trace, actions: list[str]) -> list[Trace]:
@@ -797,18 +808,20 @@ def covering_k(m: Monitor, s: Trace, alphabet: Alphabet) -> int | None:
 
 
 def _var_occurrences(t: Monitor) -> list[tuple[Trace, str]]:
-    """``(s, x)`` for each variable ``x`` that occurs as a summand after the
-    trace ``s``, shortest trace first."""
+    """``(s, x)`` for each top variable ``x`` of ``t`` that occurs again as a
+    summand after a nonempty trace ``s``, shortest trace first."""
+    top = {p.name for p in _parts(t) if isinstance(p, Var)}
     out: list[tuple[Trace, str]] = []
 
     def walk(node: Monitor, path: Trace) -> None:
         for p in _parts(node):
-            if isinstance(p, Var):
+            if isinstance(p, Var) and path and p.name in top:
                 out.append((path, p.name))
             elif isinstance(p, Prefix):
                 walk(p.body, path + (p.action,))
 
-    walk(t, ())
+    if top:
+        walk(t, ())
     return sorted(set(out), key=lambda sx: (len(sx[0]), sx[0], sx[1]))
 
 
@@ -880,14 +893,60 @@ def _eliminate_occurrence(pv: Prover, pf: Pf, s: Trace, name: str, k: int) -> Pf
     return pv.trans(pf, _rnf(pv, pf.dst))
 
 
+def _remove_var_at(t: Monitor, s: Trace, name: str) -> Monitor:
+    """The canonical sum ``t`` without its ``name`` summand after ``s``; a
+    prefix whose body is left empty goes too."""
+    parts = _parts(t)
+    if not s:
+        parts.remove(Var(name))
+    else:
+        i = _prefix_index(parts, s[0])
+        body = _remove_var_at(parts[i].body, s[1:], name)
+        if body == END:
+            del parts[i]
+        else:
+            parts[i] = Prefix(s[0], body)
+    return _ln(sorted(parts, key=sort_key)) if parts else END
+
+
+def _absorb(pv: Prover, pf: Pf, s: Trace, name: str) -> Pf:
+    """``pf`` extended by removing the occurrence of the top variable
+    ``name`` after ``s`` over one action: the top ``x`` of the term without
+    it grows into ``x + s.x`` by V1, which merges back into the term."""
+    x = Var(name)
+    without = _remove_var_at(pf.dst, s, name)
+    unfold = _unfold(pv, x, s, lambda _: pv.ax("V1", subst={"x": x}))
+    grow = pv.rw_part(without, _parts(without).index(x), unfold)
+    grow = pv.trans(grow, pv.flatten(grow.dst))
+    grow = pv.trans(grow, _nf(pv, grow.dst))
+    grow = pv.trans(grow, pv.align(grow.dst, pf.dst))
+    pf = pv.trans(pf, pv.sym(grow))
+    return pv.trans(pf, _reduce(pv, pf.dst))
+
+
 def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
+    """``m`` to its (open) reduced normal form and, where the system of
+    ``pv`` has O2 or V1, on through :func:`_eliminate`."""
     pf = _rnf(pv, m)
+    if {"O2", "V1"}.isdisjoint(axioms.SYSTEM_SCHEMAS[pv.system]):
+        return pf
+    return pv.trans(pf, _eliminate(pv, pf.dst))
+
+
+def _eliminate(pv: Prover, t: Monitor) -> Pf:
+    """Remove, bodies first, the occurrences below the top of a top variable
+    that the system of ``pv`` lets go: O2 eliminates one that a guard covers
+    (:func:`covering_k`), V1 absorbs every one.  ``t`` is an (open) RNF and
+    so is each of its bodies, so none is reduced again first."""
+    o2 = "O2" in axioms.SYSTEM_SCHEMAS[pv.system]
+    pf = pv.refl(t)
     for _ in range(_FUEL):
-        rd = _map_bodies(pv, pv.refl(pf.dst), _finite_act_rnf)
-        occurrences = _var_occurrences(rd.dst)
-        top_vars = {x for s, x in occurrences if not s}
-        for s, x in occurrences:
-            k = covering_k(rd.dst, s, pv.alphabet) if s and x in top_vars else None
+        rd = _map_bodies(pv, pv.refl(pf.dst), _eliminate)
+        for s, x in _var_occurrences(rd.dst):
+            if not o2:
+                rd = _absorb(pv, rd, s, x)
+                break
+            k = covering_k(rd.dst, s, pv.alphabet)
             if k is not None:
                 rd = _eliminate_occurrence(pv, rd, s, x, k)
                 break
@@ -895,97 +954,35 @@ def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
             if rd.src == rd.dst:
                 return pf
         pf = pv.trans(pf, rd)
-    raise InternalError("finite_act_rnf failed to stabilize")
+    raise _unstable(pv)
 
 
 # ---------------------------------------------------------------------------
-# Unary forms
-
-
-def _remove_var_at(t: Monitor, name: str, target: int, d: int = 0) -> Monitor:
-    """Drop the ``name`` summand at depth ``target`` of a unary path term."""
-    parts = []
-    for p in _parts(t):
-        if isinstance(p, Var) and p.name == name and d == target:
-            continue
-        if isinstance(p, Prefix):
-            body = _remove_var_at(p.body, name, target, d + 1)
-            if body == END:
-                continue
-            parts.append(Prefix(p.action, body))
-        else:
-            parts.append(p)
-    return ac_normalize(_ln(parts)) if parts else END
-
-
-def _unfold_var_at(
-    pv: Prover, t: Monitor, name: str, at_depth: int, delta: int, action: str
-) -> Pf:
-    """Rewrite the ``x`` at depth ``at_depth`` into ``x + a^delta.x``."""
-    if at_depth == 0:
-        x = Var(name)
-        unfold = _unfold(
-            pv, x, (action,) * delta, lambda _: pv.ax("V1", subst={"x": x})
-        )
-        pf = pv.rw_part(t, _parts(t).index(x), unfold)
-        return pv.trans(pf, pv.flatten(pf.dst))
-    parts = _parts(t)
-    i = _prefix_index(parts, action)
-    inner = _unfold_var_at(pv, parts[i].body, name, at_depth - 1, delta, action)
-    return pv.rw_part(t, i, pv.congpre(action, inner))
-
-
-def _unary_rnf(pv: Prover, m: Monitor) -> Pf:
-    action = pv.alphabet.sorted_actions()[0]
-    pf = _rnf(pv, m)
-    while True:
-        t = pf.dst
-        depths: dict[str, list[int]] = {}
-        for s, x in _var_occurrences(t):
-            depths.setdefault(x, []).append(len(s))
-        repeated = sorted(x for x, ds in depths.items() if len(ds) > 1)
-        if not repeated:
-            return pf
-        name = repeated[0]
-        d0, d1 = depths[name][0], depths[name][-1]
-        without = _remove_var_at(t, name, d1)
-        grow = _unfold_var_at(pv, without, name, d0, d1 - d0, action)
-        grow = pv.trans(grow, _nf(pv, grow.dst))
-        grow = pv.trans(grow, pv.align(grow.dst, t))
-        pf = pv.trans(pf, pv.sym(grow))
-        pf = pv.trans(pf, _reduce(pv, pf.dst))
+# Unary omega form
 
 
 def _strip_prefixes(pv: Prover, m: Monitor) -> Pf:
     """Erase every prefix with ``x = a.x`` (sound over a singleton alphabet
-    modulo omega-verdict equivalence)."""
-    match m:
-        case Prefix(action, body):
-            inner = _strip_prefixes(pv, body)
-            pf = pv.congpre(action, inner)
-            return pv.trans(pf, pv.ax_rev("V1_w", subst={"x": inner.dst}))
-        case Sum(_, _):
-            pf = pv.flatten(m)
-            while True:
-                parts = _parts(pf.dst)
-                target = next((p for p in parts if isinstance(p, Prefix)), None)
-                if target is None:
-                    return pv.trans(pf, pv.shallow_canon(pf.dst))
-                inner = _strip_prefixes(pv, target)
-                pf = pv.trans(pf, pv.rw_part(pf.dst, parts.index(target), inner))
-                pf = pv.trans(pf, pv.flatten(pf.dst))
-        case _:
-            return pv.refl(m)
+    modulo omega-verdict equivalence), bodies first.  As in :func:`_nf`, the
+    left spine of a sum is walked in a loop and joined by sum congruence,
+    and each sum is canonicalized once."""
+    spine = []
+    while isinstance(m, Sum):
+        spine.append(m)
+        m = m.left
+    if isinstance(m, Prefix):
+        inner = _strip_prefixes(pv, m.body)
+        pf = pv.trans(pv.congpre(m.action, inner), pv.ax_rev("V1_w", subst={"x": inner.dst}))
+    else:
+        pf = pv.refl(m)
+    for node in reversed(spine):
+        pf = pv.congsum(pf, _strip_prefixes(pv, node.right))
+    return pv.trans(pf, pv.shallow_canon(pf.dst)) if spine else pf
 
 
 def _unary_omega(pv: Prover, m: Monitor) -> Pf:
     pf = _strip_prefixes(pv, m)
     return pv.trans(pf, _reduce(pv, pf.dst))
-
-
-def _omega_open(pv: Prover, m: Monitor) -> Pf:
-    pf = _finite_act_rnf(pv, m)
-    return pv.trans(pf, _omega_closed(pv, pf.dst, refold=_finite_act_rnf))
 
 
 # ---------------------------------------------------------------------------
@@ -1039,9 +1036,9 @@ FORMS = {
     OPEN_NF: Form("open-nf", "open_nf", "Ev", False, None, _nf),
     OPEN_RNF: Form("open-rnf", "open_rnf", "Ev'", False, None, _rnf),
     FIN_RNF: Form("fin-rnf", "finite_act_rnf", "Evf'", False, _TWO, _finite_act_rnf),
-    UNARY_RNF: Form("unary-rnf", "unary_rnf", "Ev1'", False, _ONE, _unary_rnf),
+    UNARY_RNF: Form("unary-rnf", "unary_rnf", "Ev1'", False, _ONE, _finite_act_rnf),
     UNARY_OMEGA_NF: Form("unary-omega", "unary_omega_nf", "Eomega1'", False, _ONE, _unary_omega),
-    OPEN_OMEGA_NF: Form("open-omega", "omega_open_nf", "Eomegaf'", False, _TWO, _omega_open),
+    OPEN_OMEGA_NF: Form("open-omega", "omega_open_nf", "Eomegaf'", False, _TWO, _omega_nf),
 }
 
 

@@ -810,6 +810,56 @@ def test_explicit_alphabet_conflicting_with_file_header_is_exit_2(tmp_path, caps
     assert run(capsys, "parse", f"@{f}", "--alphabet", "a,b") == (0, "b.yes + x\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parse", "@{pair}#k"], "{pair} does not define 'k'"),
+        (["equiv", "@{one}", "@{two}"], "input files declare different alphabets"),
+        (["parse", "@{pair}"], "expected exactly one term, file defines 2"),
+    ],
+    ids=["undefined-name", "different-alphabets", "two-terms-without-name"],
+)
+def test_term_file_refusals_are_exit_2(tmp_path, capsys, argv, message):
+    files = {"one": "alphabet: a\nyes\n", "two": "alphabet: a,b\nyes\n"}
+    files["pair"] = "alphabet: a,b\nm := yes\nn := no\n"
+    paths = {name: tmp_path / f"{name}.mon" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
+
+
+def test_fuzz_over_an_open_ended_alphabet_is_exit_2(capsys):
+    assert run(capsys, "fuzz", "--alphabet", "infinite") == (
+        2, "", "error: fuzz needs a finite alphabet\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "records, line",
+    [
+        (
+            "step 1: yes = yes by refl\nstep 1: no = no by refl\n",
+            "invalid at step 1: [ShapeMismatch] duplicate step id",
+        ),
+        (
+            "step 1: yes = yes by refl\nstep 2: no = no by refl\n"
+            "step 3: yes + no = no + yes by sum(1, 2)\n",
+            "invalid at step 3: [ShapeMismatch] sum congruence shape differs",
+        ),
+        (
+            "step 1: yes = yes by refl\nstep 2: a.yes = b.yes by prefix(a, 1)\n",
+            "invalid at step 2: [ShapeMismatch] prefix congruence shape differs",
+        ),
+    ],
+    ids=["repeated-id", "sum", "prefix"],
+)
+def test_check_proof_rejects_a_step_of_the_wrong_shape(tmp_path, capsys, records, line):
+    proof = tmp_path / "proof.txt"
+    proof.write_text("system: Ev\nalphabet: a,b\n" + records)
+    assert run(capsys, "check-proof", str(proof)) == (1, f"{line}\n", "")
+
+
 FUEL_TERM = "yes + x + a.(x + a.no + b.no) + b.no"  # needs two rounds of fin-rnf
 
 

@@ -230,8 +230,8 @@ STEP_CEILINGS = {
     "open-nf": 2200,
     "open-rnf": 1969,
     "fin-rnf": 6729,
-    "unary-rnf": 2060,
-    "unary-omega": 2029,
+    "unary-rnf": 1978,
+    "unary-omega": 1652,
     "open-omega": 6958,
 }
 

@@ -644,20 +644,23 @@ def test_derivation_systems_match_pipelines():
 
 
 # Terms whose fixpoint loops need a second round: fin-rnf eliminates the
-# deep ``x`` through O2; open-omega-nf folds the full fan into ``yes``.
+# deep ``x`` through O2; open-omega-nf folds the full fan into ``yes``;
+# unary-rnf absorbs the deep ``x`` through V1 (over one action).
 @pytest.mark.parametrize(
     "pipeline, source, loop",
     [
         (finite_act_rnf, "yes + x + a.(x + a.no + b.no) + b.no", "finite_act_rnf"),
         (omega_open_nf, "x + a.yes + b.yes", "omega_open_nf"),
+        (unary_rnf, "x + a.x", "unary_rnf"),
     ],
 )
 def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, loop):
-    m = parse_monitor(source, AB)
-    assert pipeline(m, AB).term != m  # converges within the real bound
+    alphabet = A if pipeline is unary_rnf else AB
+    m = parse_monitor(source, alphabet)
+    assert pipeline(m, alphabet).term != m  # converges within the real bound
     monkeypatch.setattr(normalize, "_FUEL", 1)
     with pytest.raises(normalize.InternalError, match=f"^{loop} failed to stabilize$"):
-        pipeline(m, AB)
+        pipeline(m, alphabet)
 
 
 # The body-first walk costs two Python frames per prefix level (the rewrite
@@ -729,6 +732,36 @@ def _wide_sum(alphabet, leaves):
             trace = tuple(actions[int(bit)] for bit in bin(i)[3:])
         parts.append(axioms.prefix_seq(trace, leaves[i % len(leaves)]))
     return normalize._ln(parts)
+
+
+# Each level holds ``x`` again under the ``x`` of the level above, so every
+# level absorbs one occurrence.  An absorption once aligned the whole term,
+# 22,220 steps at this depth; on the sub-body where ``x`` is on top, each
+# costs a few dozen.
+def test_unary_rnf_absorbs_each_level_on_its_own_body():
+    m = t("x + " + "a.(y + x + " * 50 + "yes" + ")" * 50, A)
+    pure = unary_rnf(m, A).term
+    cf = unary_rnf(m, A, emit_proof=True)
+    assert cf.term == pure == ac_normalize(t("x + a.(y + " + "a." * 49 + "yes)", A))
+    assert len(cf.derivation.steps) <= 5000
+    prooflog.check_derivation(cf.derivation, Equation(m, pure))
+
+
+def test_unary_omega_strips_a_wide_sum_in_one_walk(monkeypatch):
+    # Stripping one prefix summand per round once re-flattened and rewrote
+    # the whole sum each time: 901 ``flatten`` and 900 ``rw_part`` calls.
+    calls = Counter()
+    for name in ("flatten", "rw_part"):
+        method = getattr(normalize.Prover, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(normalize.Prover, name, counted)
+    m = _wide_sum(A, (YES, NO, Var("x")))
+    assert unary_omega_nf(m, A).term == YN
+    assert calls.total() < 10
 
 
 # The normal form walks the left spine of a sum in a loop, so a sum far wider

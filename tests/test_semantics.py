@@ -149,6 +149,13 @@ def test_sum_unions_acceptance(m, n):
         )
 
 
+def test_tau_closure_of_a_monitor_is_its_initial_state():
+    rng = random.Random(17)
+    for _ in range(200):
+        m = random_closed_monitor(rng, AB, 4)
+        assert semantics.tau_closure({m}) == initial_state(m)
+
+
 def test_upward_closure():
     rng = random.Random(3)
     for _ in range(100):
