@@ -438,16 +438,16 @@ class Prover:
 
 def _map_bodies(pv: Prover, pf: Pf, rewrite) -> Pf:
     """``pf`` extended by rewriting the body of every prefix summand of its
-    result, a canonical sum, with ``rewrite(pv, body)``, then, if a body
-    changed, by canonicalizing the sum again."""
-    start = pf
+    result with ``rewrite(pv, body)``.  That result must be a canonical sum
+    of (open) normal forms: no two of its prefix summands share an action,
+    so the action alone keeps each in its place and the sum stays canonical."""
     for p in _parts(pf.dst):
         if isinstance(p, Prefix):
             inner = rewrite(pv, p.body)
             if inner.src != inner.dst:
                 idx = _parts(pf.dst).index(p)
                 pf = pv.trans(pf, pv.rw_part(pf.dst, idx, pv.congpre(p.action, inner)))
-    return pf if pf is start else pv.trans(pf, pv.shallow_canon(pf.dst))
+    return pf
 
 
 # ---------------------------------------------------------------------------
