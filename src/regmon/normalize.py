@@ -5,12 +5,11 @@ completeness result and can emit a derivation in the matching axiom system,
 validated by the independent checker in :mod:`regmon.prooflog`.  ``FORMS``
 has one row per form, and the nine public pipelines are built from it.  The
 form's axiom system picks the steps: O1 where it has O1, and where it has
-O2 or V1 one bodies-first loop that removes the deeper occurrences of each
-top variable (:func:`_eliminate`), run again after each omega fold under O2.
-Recording on or off runs the same rewriting; without recording, the AC
-bookkeeping of :class:`Prover` (flatten, sort, deduplicate, align) is plain
-list work, and ``tests/test_normalize.py`` holds the pure and the proved
-result equal.
+O2 or V1 one bodies-first pass that removes the deeper occurrences of each
+top variable (:func:`_eliminate`).  Recording on or off runs the same
+rewriting; without recording, the AC bookkeeping of :class:`Prover`
+(flatten, sort, deduplicate, align) is plain list work, and
+``tests/test_normalize.py`` holds the pure and the proved result equal.
 
 Rewriting is innermost-first (children before parents) and terms are kept
 in the AC-canonical order of :func:`regmon.terms.ac_normalize` between
@@ -78,15 +77,8 @@ class AlphabetTooSmall(ValueError):
     pass
 
 
-# Rounds that a fixpoint loop (elimination or omega collapse) may take.
+# Folds that the omega collapse of one sum may take.
 _FUEL = 199
-
-
-def _unstable(pv: Prover) -> InternalError:
-    """The error of a fixpoint loop out of fuel, naming the public pipeline
-    of the system of ``pv``."""
-    name = next(f.name for f in FORMS.values() if f.system == pv.system)
-    return InternalError(f"{name} failed to stabilize")
 
 
 @dataclass(frozen=True, slots=True)
@@ -748,8 +740,9 @@ def _try_fold(pv: Prover, pf: Pf) -> Pf | None:
 
 def _omega_closed(pv: Prover, t: Monitor) -> Pf:
     """Omega-collapse a canonical (open) RNF over a finite alphabet, bodies
-    first.  After each fold the sum is reduced again and, where the system
-    of ``pv`` has O2, its variables are eliminated again."""
+    first, reducing the sum again after each fold.  A fold and its reduction
+    keep the verdicts of every nonempty trace and add no occurrence, so
+    under O2 they leave none that :func:`covering_k` newly covers."""
     pf = pv.refl(t)
     for _ in range(_FUEL):
         pf = _map_bodies(pv, pf, _omega_closed)
@@ -757,9 +750,8 @@ def _omega_closed(pv: Prover, t: Monitor) -> Pf:
         if folded is None:
             return pf
         pf = pv.trans(folded, _reduce(pv, folded.dst))
-        if "O2" in axioms.SYSTEM_SCHEMAS[pv.system]:
-            pf = pv.trans(pf, _finite_act_rnf(pv, pf.dst))
-    raise _unstable(pv)
+    name = next(f.name for f in FORMS.values() if f.system == pv.system)
+    raise InternalError(f"{name} failed to stabilize")
 
 
 def _omega_nf(pv: Prover, m: Monitor) -> Pf:
@@ -866,7 +858,8 @@ def _saturate_to(pv: Prover, base: Monitor, members: list[Trace], guard: Monitor
 
 def _eliminate_occurrence(pv: Prover, pf: Pf, s: Trace, name: str, k: int) -> Pf:
     """``pf`` extended by removing the occurrence of the top variable
-    ``name`` after ``s`` through the O2 instance at ``(s, k)``."""
+    ``name`` after ``s`` through the O2 instance at ``(s, k)``; the result
+    is :func:`_remove_var_at` of ``pf.dst``, an (open) RNF again."""
     t = pf.dst
     guard = axioms.bar_k(s, k, Sum(YES, NO), pv.alphabet)
     members = both_verdict_members(s, k, pv.alphabet)
@@ -887,15 +880,16 @@ def _eliminate_occurrence(pv: Prover, pf: Pf, s: Trace, name: str, k: int) -> Pf
     o2 = pv.ax("O2", {"s": s, "k": k}, subst={"x": x})
     pf = pv.trans(pf, pv.congsum(pv.refl(_ln(rest)), o2))
     # 4. drop the guard again
-    remainder = ac_normalize(_ln(rest + [x]))
+    remainder = _remove_var_at(t, s, name)
     pf = pv.trans(pf, pv.align(pf.dst, Sum(remainder, guard)))
-    pf = pv.trans(pf, pv.sym(_saturate_to(pv, remainder, members, guard)))
-    return pv.trans(pf, _rnf(pv, pf.dst))
+    return pv.trans(pf, pv.sym(_saturate_to(pv, remainder, members, guard)))
 
 
 def _remove_var_at(t: Monitor, s: Trace, name: str) -> Monitor:
     """The canonical sum ``t`` without its ``name`` summand after ``s``; a
-    prefix whose body is left empty goes too."""
+    prefix whose body is left empty goes too.  Below the top of an (open)
+    RNF this leaves an (open) RNF: it adds no verdict, no opposite verdict
+    next to other content and no two summands of one action."""
     parts = _parts(t)
     if not s:
         parts.remove(Var(name))
@@ -911,8 +905,9 @@ def _remove_var_at(t: Monitor, s: Trace, name: str) -> Monitor:
 
 def _absorb(pv: Prover, pf: Pf, s: Trace, name: str) -> Pf:
     """``pf`` extended by removing the occurrence of the top variable
-    ``name`` after ``s`` over one action: the top ``x`` of the term without
-    it grows into ``x + s.x`` by V1, which merges back into the term."""
+    ``name`` after ``s`` over one action: the top ``x`` of the RNF without
+    it (:func:`_remove_var_at`) grows into ``x + s.x`` by V1, which merges
+    back into the term."""
     x = Var(name)
     without = _remove_var_at(pf.dst, s, name)
     unfold = _unfold(pv, x, s, lambda _: pv.ax("V1", subst={"x": x}))
@@ -920,8 +915,7 @@ def _absorb(pv: Prover, pf: Pf, s: Trace, name: str) -> Pf:
     grow = pv.trans(grow, pv.flatten(grow.dst))
     grow = pv.trans(grow, _nf(pv, grow.dst))
     grow = pv.trans(grow, pv.align(grow.dst, pf.dst))
-    pf = pv.trans(pf, pv.sym(grow))
-    return pv.trans(pf, _reduce(pv, pf.dst))
+    return pv.trans(pf, pv.sym(grow))
 
 
 def _finite_act_rnf(pv: Prover, m: Monitor) -> Pf:
@@ -937,24 +931,17 @@ def _eliminate(pv: Prover, t: Monitor) -> Pf:
     """Remove, bodies first, the occurrences below the top of a top variable
     that the system of ``pv`` lets go: O2 eliminates one that a guard covers
     (:func:`covering_k`), V1 absorbs every one.  ``t`` is an (open) RNF and
-    so is each of its bodies, so none is reduced again first."""
+    so is each of its bodies.  One pass does it: a removal leaves an (open)
+    RNF (:func:`_remove_var_at`), moves no other occurrence and keeps the
+    verdicts that :func:`covering_k` reads, so it covers nothing new."""
     o2 = "O2" in axioms.SYSTEM_SCHEMAS[pv.system]
-    pf = pv.refl(t)
-    for _ in range(_FUEL):
-        rd = _map_bodies(pv, pv.refl(pf.dst), _eliminate)
-        for s, x in _var_occurrences(rd.dst):
-            if not o2:
-                rd = _absorb(pv, rd, s, x)
-                break
-            k = covering_k(rd.dst, s, pv.alphabet)
-            if k is not None:
-                rd = _eliminate_occurrence(pv, rd, s, x, k)
-                break
-        else:
-            if rd.src == rd.dst:
-                return pf
-        pf = pv.trans(pf, rd)
-    raise _unstable(pv)
+    pf = _map_bodies(pv, pv.refl(t), _eliminate)
+    for s, x in _var_occurrences(pf.dst):
+        if not o2:
+            pf = _absorb(pv, pf, s, x)
+        elif (k := covering_k(pf.dst, s, pv.alphabet)) is not None:
+            pf = _eliminate_occurrence(pv, pf, s, x, k)
+    return pf
 
 
 # ---------------------------------------------------------------------------

@@ -860,7 +860,7 @@ def test_check_proof_rejects_a_step_of_the_wrong_shape(tmp_path, capsys, records
     assert run(capsys, "check-proof", str(proof)) == (1, f"{line}\n", "")
 
 
-FUEL_TERM = "yes + x + a.(x + a.no + b.no) + b.no"  # needs two rounds of fin-rnf
+FUEL_TERM = "x + a.yes + b.yes"  # needs two rounds of the omega collapse
 
 
 def test_fuel_exhaustion_is_an_error_exit_2(capsys, monkeypatch):
@@ -868,9 +868,9 @@ def test_fuel_exhaustion_is_an_error_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(normalize, "_FUEL", 1)
     code, out, err = run(
-        capsys, "normalize", "--form", "fin-rnf", "--alphabet", "a,b", FUEL_TERM
+        capsys, "normalize", "--form", "open-omega", "--alphabet", "a,b", FUEL_TERM
     )
-    assert (code, out, err) == (2, "", "error: finite_act_rnf failed to stabilize\n")
+    assert (code, out, err) == (2, "", "error: omega_open_nf failed to stabilize\n")
 
 
 def test_fuel_bound_holds_without_asserts():
@@ -885,7 +885,7 @@ def test_fuel_bound_holds_without_asserts():
         "assert False, 'asserts are live'\n"
         "from regmon import cli, normalize\n"
         "normalize._FUEL = 1\n"
-        f"sys.exit(cli.main(['normalize', '--form', 'fin-rnf', '--alphabet', 'a,b', {FUEL_TERM!r}]))\n"
+        f"sys.exit(cli.main(['normalize', '--form', 'open-omega', '--alphabet', 'a,b', {FUEL_TERM!r}]))\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(regmon.__file__)))
@@ -896,7 +896,7 @@ def test_fuel_bound_holds_without_asserts():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2,
         "",
-        "error: finite_act_rnf failed to stabilize\n",
+        "error: omega_open_nf failed to stabilize\n",
     )
 
 

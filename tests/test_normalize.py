@@ -643,24 +643,41 @@ def test_derivation_systems_match_pipelines():
     assert omega_nf_closed(mc, AB, emit_proof=True).derivation.system == "Eomega"
 
 
-# Terms whose fixpoint loops need a second round: fin-rnf eliminates the
-# deep ``x`` through O2; open-omega-nf folds the full fan into ``yes``;
-# unary-rnf absorbs the deep ``x`` through V1 (over one action).
+# Terms whose omega collapse needs a second round: the full fan folds into
+# ``yes``, and the sum is collapsed again.
 @pytest.mark.parametrize(
     "pipeline, source, loop",
     [
-        (finite_act_rnf, "yes + x + a.(x + a.no + b.no) + b.no", "finite_act_rnf"),
         (omega_open_nf, "x + a.yes + b.yes", "omega_open_nf"),
-        (unary_rnf, "x + a.x", "unary_rnf"),
+        (omega_nf_closed, "a.yes + b.yes", "omega_nf_closed"),
     ],
 )
 def test_fuel_exhaustion_raises_internal_error(monkeypatch, pipeline, source, loop):
-    alphabet = A if pipeline is unary_rnf else AB
-    m = parse_monitor(source, alphabet)
-    assert pipeline(m, alphabet).term != m  # converges within the real bound
+    m = parse_monitor(source, AB)
+    assert pipeline(m, AB).term != m  # converges within the real bound
     monkeypatch.setattr(normalize, "_FUEL", 1)
     with pytest.raises(normalize.InternalError, match=f"^{loop} failed to stabilize$"):
-        pipeline(m, alphabet)
+        pipeline(m, AB)
+
+
+# The elimination is one pass and takes no fuel: fin-rnf eliminates the deep
+# ``x`` through O2, unary-rnf absorbs it through V1 (over one action), and
+# both once needed a second round of a fuel-bounded loop for it.
+@pytest.mark.parametrize(
+    "pipeline, source",
+    [
+        (finite_act_rnf, "yes + x + a.(x + a.no + b.no) + b.no"),
+        (unary_rnf, "x + a.x"),
+    ],
+    ids=["fin-rnf", "unary-rnf"],
+)
+def test_elimination_needs_no_fuel(monkeypatch, pipeline, source):
+    alphabet = A if pipeline is unary_rnf else AB
+    m = parse_monitor(source, alphabet)
+    expected = pipeline(m, alphabet).term
+    assert expected != m
+    monkeypatch.setattr(normalize, "_FUEL", 1)
+    assert pipeline(m, alphabet).term == expected
 
 
 # The body-first walk costs two Python frames per prefix level (the rewrite
@@ -745,6 +762,73 @@ def test_unary_rnf_absorbs_each_level_on_its_own_body():
     assert cf.term == pure == ac_normalize(t("x + a.(y + " + "a." * 49 + "yes)", A))
     assert len(cf.derivation.steps) <= 5000
     prooflog.check_derivation(cf.derivation, Equation(m, pure))
+
+
+def test_elimination_visits_each_body_once(monkeypatch):
+    # A fixpoint loop once ran the elimination again on every body after
+    # each absorption above it: 10,101 ``_eliminate`` and 20,600
+    # ``_map_bodies`` calls at this depth.
+    d = 100
+    calls = Counter()
+    for name in ("_eliminate", "_map_bodies"):
+        fn = getattr(normalize, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(normalize, name, counted)
+    m = t("x + " + "a.(y + x + " * d + "yes" + ")" * d, A)
+    assert unary_rnf(m, A).term == ac_normalize(t("x + a.(y + " + "a." * (d - 1) + "yes)", A))
+    assert 0 < calls["_eliminate"] <= 10 * d
+    assert 0 < calls["_map_bodies"] <= 10 * d
+
+
+def _var_summands(m, path=()):
+    """``(s, x)`` for each variable summand ``x`` of ``m`` after a nonempty ``s``."""
+    for p in _parts(m):
+        if isinstance(p, Var) and path:
+            yield path, p.name
+        elif isinstance(p, Prefix):
+            yield from _var_summands(p.body, path + (p.action,))
+
+
+# The one-pass elimination rests on this: a removal below the top leaves a
+# reduced normal form, so nothing is reduced after it.
+def test_removing_a_variable_below_the_top_leaves_an_rnf():
+    sized_term = _perfbench_gen().sized_term
+    rng = random.Random(2604)
+    removals = 0
+    for kind, alphabet in ((normalize.OPEN_RNF, AB), (normalize.FIN_RNF, AB), (normalize.UNARY_RNF, A)):
+        actions = tuple(alphabet.sorted_actions())
+        pv = normalize.Prover(normalize.FORMS[kind].system, alphabet, False)
+        for _ in range(300):
+            m = sized_term(rng, rng.randint(8, 60), rng.randint(3, 8), actions, ("x", "y"))
+            nf = normalize.PIPELINES[kind](m, alphabet).term
+            for s, x in _var_summands(nf):
+                removed = normalize._remove_var_at(nf, s, x)
+                assert normalize._rnf(pv, removed).dst == removed, (nf, s, x)
+                removals += 1
+    assert removals >= 500
+
+
+# ``P`` and ``P`` without its ``s.x`` summand are equal by one O2 step, so
+# fin-rnf and open-omega must bring both to one form; the omega collapse
+# runs no elimination after a fold, so this would fail if a fold ever made
+# an occurrence newly eliminable.
+def test_an_o2_redex_and_its_contractum_share_a_form():
+    sized_term = _perfbench_gen().sized_term
+    rng = random.Random(2605)
+    x = Var("x")
+    for _ in range(100):
+        s = tuple(rng.choice("ab") for _ in range(rng.randint(1, 3)))
+        guard = bar_k(s, rng.randint(1, 3), YN, AB)
+        r = sized_term(rng, rng.randint(1, 15), 3, ("a", "b"), ("x", "y"))
+        noise = sized_term(rng, rng.randint(1, 15), 4, ("a", "b"), ("x", "y"))
+        without = Sum(Sum(Sum(x, axioms.prefix_seq(s, r)), guard), noise)
+        redex = Sum(without, axioms.prefix_seq(s, x))
+        for fn in (finite_act_rnf, omega_open_nf):
+            assert ac_equal(fn(redex, AB).term, fn(without, AB).term), (fn, redex)
 
 
 def test_unary_omega_strips_a_wide_sum_in_one_walk(monkeypatch):
