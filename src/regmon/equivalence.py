@@ -4,6 +4,8 @@ The entry point is :func:`decide`.  Closed terms are compared by one product
 search over determinized reachable state sets; the two equivalences differ
 only in the flags read off each state: whether it holds ``yes`` and ``no``,
 or whether every infinite continuation from it is accepted and rejected.
+The search never queues a pair of equal states: flags and steps are
+functions of the state alone, so such a pair and all it reaches agree.
 Open terms go through the canonical form that :func:`open_form` picks by
 mode and alphabet cardinality.  An independent brute-force substitution
 oracle is provided for validation.
@@ -125,6 +127,14 @@ def closed_counterexample(
     differ is a minimal generator that one side has and the other lacks.
     With ``limit``, traces longer than ``limit`` are not searched.
 
+    A pair of equal states is never queued (Hopcroft & Karp's pruning, up to
+    identity only).  Steps and flags are functions of the state alone, and
+    one ``table`` serves both sides, so an equal pair has equal flags and
+    reaches only equal pairs.  No unequal pair is first reached through an
+    equal one, so the unequal pairs are found in the same order, and the
+    reported trace and side are those of the search that queues every
+    pair.  Pruning up to equivalence (union-find) would not keep them.
+
     With ``table``, a substitution tabulated by :func:`.semantics.closing`,
     ``m`` and ``n`` may be open and stand for their instances under it
     (see :func:`closed_search`)."""
@@ -149,6 +159,8 @@ def closed_counterexample(
 
     flags = _verdict_flags if mode == VERDICT else _cone_flags(step, actions)
     start = (initial_state(m, table), initial_state(n, table))
+    if start[0] == start[1]:
+        return None
     seen = {start}
     queue: deque[tuple[tuple, Trace]] = deque([(start, ())])
     while queue:
@@ -159,8 +171,8 @@ def closed_counterexample(
         if len(trace) == limit:
             continue
         for action in actions:
-            nxt = (step(sa, action), step(sb, action))
-            if nxt not in seen:
+            na, nb = nxt = step(sa, action), step(sb, action)
+            if na != nb and nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, trace + (action,)))
     return None

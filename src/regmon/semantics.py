@@ -34,6 +34,7 @@ from .terms import (
     Monitor,
     Prefix,
     Substitution,
+    Sum,
     Trace,
     Var,
     actions_of,
@@ -129,9 +130,11 @@ def _weak_step(m: Monitor, label) -> tuple[Monitor, ...]:
 def closing(monitors: Iterable[Monitor], substitution: Substitution) -> dict | None:
     """``substitution`` tabulated for stepping ``monitors`` under it, by one
     walk of their open nodes: each of ``monitors`` and each open prefix body
-    in them maps to the images of its variable summands.  ``None`` when
-    ``substitution`` leaves a variable of ``monitors`` unmapped or maps it to
-    an open term."""
+    in them maps to the images of its variable summands, left to right.  The
+    walk never enters a closed subterm, which holds no variable: the guard
+    ``G`` of an O2 instance ``(x + s.x) + G`` is skipped whole.  ``None``
+    when ``substitution`` leaves a variable of ``monitors`` unmapped or maps
+    it to an open term."""
     table: dict = {}
     stack = [m for m in monitors if not m.closed]
     while stack:
@@ -139,13 +142,20 @@ def closing(monitors: Iterable[Monitor], substitution: Substitution) -> dict | N
         if t in table:
             continue
         images = []
-        for p in summands(t):
-            if isinstance(p, Var):
+        walk = [t]
+        while walk:
+            p = walk.pop()
+            if isinstance(p, Sum):
+                if not p.right.closed:
+                    walk.append(p.right)
+                if not p.left.closed:
+                    walk.append(p.left)
+            elif isinstance(p, Var):
                 image = substitution.get(p.name)
                 if image is None or not image.closed:
                     return None
                 images.append(image)
-            elif isinstance(p, Prefix) and not p.body.closed:
+            else:  # an open prefix
                 stack.append(p.body)
         table[t] = tuple(images)
     return table

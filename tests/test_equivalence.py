@@ -1,5 +1,7 @@
 import functools
+import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -36,6 +38,7 @@ from regmon.terms import (
     Var,
     apply_subst,
     depth,
+    summands,
     vars_of,
 )
 
@@ -266,13 +269,14 @@ def _failures(m, n, alphabet, mode, bound, cap):
     return found
 
 
-def _flip_leaf(rng, m):
-    """``m`` with one leaf, reached by a random descent, replaced by another."""
+def _flip_leaf(rng, m, leaves=(END, YES, NO, Var("x"), Var("y"))):
+    """``m`` with one leaf, reached by a random descent, replaced by another
+    of ``leaves``."""
     path = []
     while isinstance(m, (Prefix, Sum)):
         path.append(m)
         m = m.body if isinstance(m, Prefix) else rng.choice((m.left, m.right))
-    new = rng.choice([v for v in (END, YES, NO, Var("x"), Var("y")) if v is not m])
+    new = rng.choice([v for v in leaves if v is not m])
     for parent in reversed(path):
         if isinstance(parent, Prefix):
             new = Prefix(parent.action, new)
@@ -403,6 +407,121 @@ def test_step_budget_stops_a_search_under_a_substitution(step_budget):
     step_budget(20)
     with pytest.raises(StepBudgetExceeded):
         equivalence.closed_search(m, n, AB, VERDICT, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The product search never queues a pair of equal states
+
+
+def _unpruned_counterexample(m, n, alphabet, mode=VERDICT, limit=None, table=None):
+    """The product search as it was before equal pairs were pruned: every
+    pair is queued, a pair of equal states too."""
+    monitors = (m, n) if table is None else itertools.chain((m, n), *table.values())
+    actions = semantics._exploration_actions(monitors, alphabet)
+    successors = {}
+
+    def step(state, action):
+        key = (state, action)
+        nxt = successors.get(key)
+        if nxt is None:
+            nxt = successors[key] = semantics.step_state(state, action, table)
+        return nxt
+
+    if mode == VERDICT:
+        flags = equivalence._verdict_flags
+    else:
+        flags = equivalence._cone_flags(step, actions)
+    start = (semantics.initial_state(m, table), semantics.initial_state(n, table))
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        (sa, sb), trace = queue.popleft()
+        side = equivalence._flag_mismatch(flags(sa), flags(sb))
+        if side is not None:
+            return trace, side
+        if len(trace) == limit:
+            continue
+        for action in actions:
+            nxt = (step(sa, action), step(sb, action))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, trace + (action,)))
+    return None
+
+
+def _bracket(rng, parts):
+    """The sum of ``parts`` in their order, under a random bracketing."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = rng.randint(1, len(parts) - 1)
+    return Sum(_bracket(rng, parts[:cut]), _bracket(rng, parts[cut:]))
+
+
+def _reshuffle(rng, m, deep=True):
+    """An A1/A2 partner of ``m``: each sum's summands in a random order and
+    bracketing; with ``deep``, in every body too."""
+    parts = [
+        Prefix(p.action, _reshuffle(rng, p.body)) if deep and isinstance(p, Prefix) else p
+        for p in summands(m)
+    ]
+    rng.shuffle(parts)
+    return _bracket(rng, parts)
+
+
+@pytest.mark.parametrize("mode", [VERDICT, OMEGA])
+@pytest.mark.parametrize("alphabet", [A, AB, INF], ids=["a", "ab", "infinite"])
+def test_the_pruned_search_answers_as_the_unpruned_one(alphabet, mode):
+    # Same trace and side as the search that queues equal pairs: on closed
+    # pairs and on open pairs under a substitution table, with no limit and
+    # with a random one, against an A1/A2 partner, a one-leaf flip and an
+    # unrelated term.
+    rng = random.Random(f"pruned {alphabet} {mode}")
+    source = alphabet if alphabet.is_finite else AB
+    found = {}
+    for closed in (True, False):
+        draw = random_closed_monitor if closed else random_open_monitor
+        leaves = (END, YES, NO) if closed else (END, YES, NO, Var("x"), Var("y"))
+        for limited in (False, True):
+            found[closed, limited] = 0
+            for i in range(200):
+                m = draw(rng, source, 3)
+                n = (_reshuffle(rng, m), _flip_leaf(rng, m, leaves), draw(rng, source, 3))[i % 3]
+                table = None
+                if not closed:
+                    sigma = _random_substitution(rng, vars_of(m) | vars_of(n), source)
+                    table = semantics.closing((m, n), sigma)
+                limit = rng.randint(0, 3) if limited else None
+                got = closed_counterexample(m, n, alphabet, mode, limit, table)
+                want = _unpruned_counterexample(m, n, alphabet, mode, limit, table)
+                assert got == want, (m, n, table, limit)
+                found[closed, limited] += got is not None
+    # Both answers are well represented in each cell.
+    assert all(60 <= k <= 140 for k in found.values()), found
+
+
+@pytest.mark.parametrize(
+    "name, bindings, budget",
+    # With equal pairs queued: 1262, 290 and 464 calls.
+    [("O2", {"s": ("a", "b", "a"), "k": 3}, 640), ("A1", {}, 120), ("D_a", {"action": "a"}, 240)],
+)
+def test_soundness_fuzz_steps_no_pair_of_equal_states(step_budget, name, bindings, budget):
+    step_budget(budget)
+    assert soundness_fuzz(instantiate(name, bindings, AB), AB, VERDICT, 30, seed=1).ok
+
+
+@pytest.mark.parametrize("mode", [VERDICT, OMEGA])
+@pytest.mark.parametrize("alphabet", [A, AB, INF], ids=["a", "ab", "infinite"])
+def test_a_reshuffled_sum_takes_one_step_per_side_and_action(step_budget, alphabet, mode):
+    # After one action both sides reach the same bodies, so the search
+    # stops there.
+    text = "a.(yes + a.no) + no + a.a.(no + a.yes) + a.yes" if alphabet is A else (
+        "a.(yes + b.no) + b.a.yes + no + a.b.(no + a.yes) + b.(b.no + yes)")
+    m = t(text, A if alphabet is A else AB)
+    n = _reshuffle(random.Random(5), m, deep=False)
+    assert n != m
+    actions = semantics.exploration_actions(m, alphabet)
+    step_budget(2 * len(actions))
+    assert equivalence.closed_search(m, n, alphabet, mode) is None
 
 
 def test_open_verdict_section4_examples():

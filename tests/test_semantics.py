@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from conftest import AB, A, INF, closed_monitors
 from regmon import equivalence
-from regmon.generate import random_closed_monitor
+from regmon.generate import random_closed_monitor, random_open_monitor
 from regmon.semantics import (
     TAU,
     initial_state,
@@ -33,6 +33,7 @@ from regmon.terms import (
     depth,
     is_verdict,
     nodes,
+    summands,
 )
 
 
@@ -321,6 +322,51 @@ def test_step_state_and_initial_state_match_the_old_definition():
     finally:
         tracemalloc.stop()
     assert memo <= 128 * 10**4
+
+
+def _closing_by_summands(monitors, substitution):
+    """``closing`` as it was when it walked every summand of each open node,
+    closed subterms too."""
+    table = {}
+    stack = [m for m in monitors if not m.closed]
+    while stack:
+        t = stack.pop()
+        if t in table:
+            continue
+        images = []
+        for p in summands(t):
+            if isinstance(p, Var):
+                image = substitution.get(p.name)
+                if image is None or not image.closed:
+                    return None
+                images.append(image)
+            elif isinstance(p, Prefix) and not p.body.closed:
+                stack.append(p.body)
+        table[t] = tuple(images)
+    return table
+
+
+def test_closing_skips_closed_subterms_and_builds_the_same_table():
+    # The same keys in the same order, each with its images in the same
+    # order; and None where a variable is unmapped or mapped to an open term.
+    rng = random.Random(59)
+    answers, entries = [0, 0], 0
+    for i in range(900):
+        alphabet = (A, AB)[i % 2]
+        m, n = (random_open_monitor(rng, alphabet, rng.randint(2, 5)) for _ in "mn")
+        sigma = {v: random_closed_monitor(rng, alphabet, 3) for v in ("x", "y")}
+        if i % 3 == 1:
+            del sigma[rng.choice(("x", "y"))]
+        elif i % 3 == 2:
+            sigma[rng.choice(("x", "y"))] = random_open_monitor(rng, alphabet, 2)
+        got = semantics.closing((m, n), sigma)
+        want = _closing_by_summands((m, n), sigma)
+        assert (got is None) == (want is None), (m, n, sigma)
+        if got is not None:
+            assert list(got.items()) == list(want.items()), (m, n, sigma)
+            entries += len(got)
+        answers[got is None] += 1
+    assert all(k >= 200 for k in answers) and entries > answers[0], (answers, entries)
 
 
 def test_threads_stepping_the_same_terms_get_the_same_sets():
